@@ -24,7 +24,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     SubgroupHandle,
-    direct_product,
+    _closure,
     kernel,
     semidirect_product,
     subgroup_closure,
@@ -121,8 +121,9 @@ def word_in_n(spec: SubgroupSpec, word: Word) -> bool:
 def image_of_restriction(t: SurfaceTuple, spec: SubgroupSpec) -> SubgroupHandle:
     """The image of N = nu^-1(S) under the homomorphism given by t.
 
-    Close the pairs (t(gen), nu(gen)) inside target x Q; the closure T is the
-    image of the surface group under the pair map (t, nu).  An element a of
+    Close the pairs (t(gen), nu(gen)) under componentwise multiplication in
+    target x Q; the closure T is the image of the surface group under the
+    pair map (t, nu).  An element a of
     the target lies in t(N) exactly when some (a, s) with s in S lies in T:
     such a pair is the image of a single surface-group element, which nu
     sends into S, i.e. an element of N; conversely every element of N pairs
@@ -131,18 +132,14 @@ def image_of_restriction(t: SurfaceTuple, spec: SubgroupSpec) -> SubgroupHandle:
     """
     if t.genus != spec.nu.genus:
         raise GenusMismatch(t.genus, spec.nu.genus)
-    prod = direct_product(t.target, spec.Q)
-    seeds = [
-        prod.encode(a, q)
-        for a, q in zip(
-            (*t.ximg, *t.yimg), (*spec.nu.ximg, *spec.nu.yimg)
-        )
-    ]
-    fiber = subgroup_closure(prod.group, seeds)
-    s_members = set(spec.S.members)
-    members = sorted(
-        {prod.decode(p)[0] for p in fiber.members if prod.decode(p)[1] in s_members}
+    tmul, qmul = t.target.mul, spec.Q.mul
+    pairs = _closure(
+        (t.target.identity, spec.Q.identity),
+        zip((*t.ximg, *t.yimg), (*spec.nu.ximg, *spec.nu.yimg)),
+        lambda p, g: (tmul[p[0]][g[0]], qmul[p[1]][g[1]]),
     )
+    s_members = set(spec.S.members)
+    members = sorted({a for a, q in pairs if q in s_members})
     return SubgroupHandle(t.target, tuple(members))
 
 
@@ -264,7 +261,11 @@ def verify_solution(
     if basis_x_words is None or basis_y_words is None:
         basis_x_words, basis_y_words = identity_basis_words(g)
 
-    ok_shape = len(phi_x) == g and len(phi_y) == g
+    ok_shape = (
+        len(phi_x) == g
+        and len(phi_y) == g
+        and all(0 <= a < ep.A.order for a in (*phi_x, *phi_y))
+    )
     checks.append(CheckRecord("shape", ok_shape, f"genus {g}"))
     if not ok_shape:
         return SolutionCertificate(

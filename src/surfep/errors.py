@@ -130,11 +130,6 @@ class HypothesisViolated(SurfepError):
         super().__init__(f"construction hypothesis violated: {which}{extra}")
 
 
-class WitnessMismatch(SurfepError):
-    def __init__(self, detail: str):
-        super().__init__(f"certificate witness does not re-verify: {detail}")
-
-
 # --- oracles ----------------------------------------------------------------
 
 class BudgetExceeded(SurfepError):

@@ -2,16 +2,17 @@
 
 Elements of a group of order n are the indices 0..n-1; all structure
 (products, inverses, subgroups, homomorphisms) is stored as index tables.
-Tables up to FULL_CHECK_THRESHOLD are validated exhaustively, larger ones by
-seeded random sampling, so construction cost stays quadratic.
+Every table is validated exactly and deterministically, whatever its order:
+associativity by Light's test on a greedy generating set, multiplicativity
+of a map by one vectorised comparison over all pairs.  Subgroups, permutation
+groups and images are all found by one closure under right multiplication.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,9 +27,29 @@ from .errors import (
     NotSurjective,
 )
 
-# Orders at or below this get exhaustive associativity / multiplicativity
-# checks; above it we fall back to 10 * order**2 seeded random probes.
-FULL_CHECK_THRESHOLD = 512
+E = TypeVar("E")
+
+
+def _closure(identity: E, seeds: Iterable[E], mul: Callable[[E, E], E]) -> list[E]:
+    """Elements reached from the identity by right multiplication by the
+    distinct seeds, in discovery order.
+
+    In a finite group this is the subgroup the seeds generate: the reached
+    set is a submonoid, and a finite submonoid of a group is a subgroup.
+    """
+    gens = list(dict.fromkeys(seeds))
+    elems = [identity]
+    seen = {identity}
+    i = 0
+    while i < len(elems):
+        a = elems[i]
+        i += 1
+        for s in gens:
+            p = mul(a, s)
+            if p not in seen:
+                seen.add(p)
+                elems.append(p)
+    return elems
 
 
 @dataclass(frozen=True)
@@ -77,33 +98,39 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def label_of(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
 
+def _check_associativity(
+    table: np.ndarray, mul: Sequence[Sequence[int]], identity: int
+) -> None:
+    """Light's test on a two-sided identity: if (x*s)*y = x*(s*y) for all x, y
+    and each s in S, the same holds for every product of elements of S, so
+    it suffices that S reaches every element from the identity.
 
-def _check_associativity(table: np.ndarray, threshold: int, seed: int) -> None:
+    S is built greedily from the smallest element not yet reached, by right
+    multiplication only, which needs no associativity or inverses; in a
+    group each new element at least doubles the reached subgroup, so
+    |S| <= log2(n).
+    """
     n = table.shape[0]
-    if n <= threshold:
-        for a in range(n):
-            left = table[table[a]]          # [b,c] -> (a*b)*c
-            right = table[a][table]         # [b,c] -> a*(b*c)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise NotAssociative((a, b, c))
-    else:
-        rng = random.Random(seed)
-        for _ in range(10 * n * n):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if table[table[a, b], c] != table[a, table[b, c]]:
-                raise NotAssociative((a, b, c))
+    gens: list[int] = []
+    reached = {identity}
+    s = 0
+    while len(reached) < n:
+        while s in reached:
+            s += 1
+        gens.append(s)
+        left = table[table[:, s]]       # [x, y] -> (x*s)*y
+        right = table[:, table[s]]      # [x, y] -> x*(s*y)
+        if not np.array_equal(left, right):
+            x, y = map(int, np.argwhere(left != right)[0])
+            raise NotAssociative((x, s, y))
+        reached = set(_closure(identity, gens, lambda a, b: mul[a][b]))
 
 
 def make_group(
     mul_table: Sequence[Sequence[int]],
     identity_hint: Optional[int] = None,
     labels: Optional[Sequence[str]] = None,
-    full_check_threshold: int = FULL_CHECK_THRESHOLD,
-    seed: int = 0,
 ) -> FiniteGroup:
     """Validate a square index table and return the group it defines."""
     n = len(mul_table)
@@ -134,12 +161,13 @@ def make_group(
             raise NoInverse(a)
         inv.append(b)
 
-    _check_associativity(table, full_check_threshold, seed)
+    mul = tuple(map(tuple, table.tolist()))
+    _check_associativity(table, mul, identity)
 
     return FiniteGroup(
         order=n,
         identity=identity,
-        mul=tuple(tuple(int(x) for x in row) for row in table),
+        mul=mul,
         inv=tuple(inv),
         labels=tuple(labels) if labels is not None else None,
     )
@@ -181,13 +209,6 @@ class SubgroupHandle:
     def is_trivial(self) -> bool:
         return len(self.members) == 1
 
-    def is_normal(self) -> bool:
-        g = self.parent
-        mset = set(self.members)
-        return all(
-            g.conjugate(a, c) in mset for a in self.members for c in g.elements()
-        )
-
     def as_group(self) -> tuple[FiniteGroup, "GroupHom"]:
         """Reindex the members 0..|S|-1 and return (group, inclusion hom)."""
         pos = {a: i for i, a in enumerate(self.members)}
@@ -200,32 +221,12 @@ class SubgroupHandle:
 
 
 def subgroup_closure(group: FiniteGroup, seeds: Sequence[int]) -> SubgroupHandle:
-    """Smallest subgroup containing the seeds, by worklist closure."""
+    """Smallest subgroup containing the seeds."""
     for s in seeds:
         if not 0 <= s < group.order:
             raise ValueError(f"seed {s} out of range for order {group.order}")
-    members = {group.identity}
-    queue = [group.identity]
-    for s in seeds:
-        if s not in members:
-            members.add(s)
-            queue.append(s)
     mul = group.mul
-    inv = group.inv
-    i = 0
-    while i < len(queue):
-        a = queue[i]
-        i += 1
-        for b in (inv[a], *[mul[a][q] for q in list(queue)]):
-            if b not in members:
-                members.add(b)
-                queue.append(b)
-        # products with a on the right, in case closure is one-sided so far
-        for q in list(queue):
-            c = mul[q][a]
-            if c not in members:
-                members.add(c)
-                queue.append(c)
+    members = _closure(group.identity, seeds, lambda a, b: mul[a][b])
     return SubgroupHandle(group, tuple(sorted(members)))
 
 
@@ -248,13 +249,12 @@ class GroupHom:
 
 
 def make_hom(
-    domain: FiniteGroup,
-    codomain: FiniteGroup,
-    mapping: Sequence[int],
-    full_check_threshold: int = FULL_CHECK_THRESHOLD,
-    seed: int = 0,
+    domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]
 ) -> GroupHom:
-    """Validate multiplicativity (exhaustive up to the threshold) and wrap."""
+    """Check f(a*b) = f(a)*f(b) on every pair at once, and wrap.
+
+    Raises NotAHomomorphism with the first failing pair (a, b).
+    """
     n = domain.order
     if len(mapping) != n:
         raise ValueError("mapping length must equal domain order")
@@ -263,18 +263,11 @@ def make_hom(
         raise ValueError("mapping values out of codomain range")
     dt = np.asarray(domain.mul, dtype=np.int64)
     ct = np.asarray(codomain.mul, dtype=np.int64)
-    if n <= full_check_threshold:
-        lhs = m[dt]
-        rhs = ct[np.ix_(m, m)]
-        if not np.array_equal(lhs, rhs):
-            a, b = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAHomomorphism((a, b))
-    else:
-        rng = random.Random(seed)
-        for _ in range(10 * n * n):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if m[dt[a, b]] != ct[m[a], m[b]]:
-                raise NotAHomomorphism((a, b))
+    lhs = m[dt]
+    rhs = ct[np.ix_(m, m)]
+    if not np.array_equal(lhs, rhs):
+        a, b = map(int, np.argwhere(lhs != rhs)[0])
+        raise NotAHomomorphism((a, b))
     hom = GroupHom(domain, codomain, tuple(int(x) for x in m))
     assert hom.map[domain.identity] == codomain.identity
     return hom
@@ -282,15 +275,6 @@ def make_hom(
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
     return GroupHom(group, group, tuple(range(group.order)))
-
-
-def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
-    """outer after inner."""
-    if inner.codomain is not outer.domain and inner.codomain != outer.domain:
-        raise ValueError("composition domains do not match")
-    return GroupHom(
-        inner.domain, outer.codomain, tuple(outer.map[v] for v in inner.map)
-    )
 
 
 def kernel(hom: GroupHom) -> SubgroupHandle:
@@ -401,12 +385,6 @@ class DirectProduct:
     group: FiniteGroup
     proj1: GroupHom
     proj2: GroupHom
-
-    def encode(self, a: int, b: int) -> int:
-        return a * self.proj2.codomain.order + b
-
-    def decode(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.proj2.codomain.order)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> DirectProduct:
@@ -533,17 +511,8 @@ def group_from_permutations(
         # (p * q)(i) = p(q(i))
         return tuple(p[q[i]] for i in range(deg))
 
-    ident = tuple(range(deg))
-    elems: list[tuple[int, ...]] = [ident]
-    index = {ident: 0}
-    i = 0
-    while i < len(elems):
-        for gen in gens:
-            p = mul(elems[i], gen)
-            if p not in index:
-                index[p] = len(elems)
-                elems.append(p)
-        i += 1
+    elems = _closure(tuple(range(deg)), gens, mul)
+    index = {p: i for i, p in enumerate(elems)}
     table = [[index[mul(p, q)] for q in elems] for p in elems]
     labels = ["(" + " ".join(map(str, p)) + ")" for p in elems]
     return make_group(table, identity_hint=0, labels=labels), elems

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -151,6 +152,23 @@ class TestSolveVerify:
         assert main(["verify", out, ws]) == 0
 
 
+class TestVerifyOutOfRangePhi:
+    @pytest.mark.parametrize("entry", [99, -1])
+    def test_named_check_and_no_traceback(self, tmp_path, capsys, entry):
+        ws = str(tmp_path / "gen.json")
+        out = str(tmp_path / "cert.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        assert main(["solve", ws, "ep000", "--out", out]) == 0
+        cert = json.loads(open(out).read())
+        cert["phi"]["x"][0] = entry
+        open(out, "w").write(canonical_json(cert))
+        proc = run_python("-m", "surfep", "verify", out, ws)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: shape" in proc.stderr
+        assert re.search(r"^shape +FAIL", proc.stdout, re.M)
+
+
 class TestPlanGenusCount:
     def test_plan_output(self, capsys):
         assert main(["plan", "--genus", "2", "--K", "2", "--H", "2"]) == 0
@@ -197,6 +215,28 @@ class TestGen:
         c = str(tmp_path / "c.json")
         main(["gen", "--seed", "4", "--count", "4", "--out", c])
         assert open(a).read() != open(c).read()
+
+
+# SHA-256 of the `gen --seed 5 --count 12` workspace followed by, for each
+# problem in name order, its name, the `solve` exit code and the `solve`
+# stdout.  Any change to group indexing, the solver or the certificate
+# encoding moves it; refactors must leave it alone.
+GOLDEN_GEN5_SHA256 = "de63298a37ec6513aaf8eaced61edcc80b8fa3a7d0a73b9644a7b0306d81d3ca"
+
+
+class TestGoldenBytes:
+    def test_gen_and_solve_bytes_are_pinned(self, tmp_path, capsys):
+        ws = str(tmp_path / "gen.json")
+        assert main(["gen", "--seed", "5", "--count", "12", "--out", ws]) == 0
+        digest = hashlib.sha256()
+        with open(ws, "rb") as fh:
+            digest.update(fh.read())
+        for name in sorted(load_workspace(ws).problems):
+            capsys.readouterr()
+            rc = main(["solve", ws, name])
+            digest.update(f"\n{name} {rc}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == GOLDEN_GEN5_SHA256
 
 
 SUBCOMMANDS = {"solve", "verify", "plan", "genus", "count", "gen"}

@@ -101,31 +101,49 @@ class TestImageOfRestriction:
             s.subgroup_image_under(beta, relative_killing_x(2))
 
     def test_against_brute_force_enumeration(self):
-        # exhaustively evaluate every genus-2 word image pair (t, nu) by
+        # exhaustively evaluate every genus-3 word image pair (t, nu) by
         # closing in the direct product by hand and compare
         s3 = s.symmetric_group_3()
-        q = s.cyclic_group(3)
-        rng = random.Random(7)
-        for _ in range(10):
-            t = s.random_surface_tuple(s3, 3, seed=rng.randrange(10**6))
-            nu = s.random_surface_tuple(q, 3, seed=rng.randrange(10**6))
-            spec = SubgroupSpec(q, nu, s.subgroup_closure(q, []))
-            got = set(s.subgroup_image_under(t, spec).members)
-            # reference: random products of generators with nu-value 0
-            seen = {(s3.identity, 0)}
-            frontier = list(seen)
-            gens = list(zip((*t.ximg, *t.yimg), (*nu.ximg, *nu.yimg)))
-            gens += [(s3.inv[a], q.inv[b]) for a, b in gens]
-            while frontier:
-                a, b = frontier.pop()
-                for ga, gb in gens:
-                    p = (s3.mul[a][ga], q.mul[b][gb])
-                    if p not in seen:
-                        seen.add(p)
-                        frontier.append(p)
-            want = {a for a, b in seen if b == 0}
-            assert got == want
-
+        sign = [int(s3.element_order(a) == 2) for a in s3.elements()]
+        cases = [
+            # (|Q|, seeds of S, nu tied to the sign of t)
+            (3, [], False),
+            (6, [3], False),    # nontrivial S = {0, 3}
+            (6, [3], True),     # tied: the image depends on S beyond {0}
+            (6, [2], True),
+            (90, [], False),    # |A||Q| = 540
+            (90, [30], False),  # nontrivial S of order 3 in C90
+        ]
+        for q_order, s_seeds, tied in cases:
+            q = s.cyclic_group(q_order)
+            rng = random.Random(7)
+            for _ in range(10):
+                t = s.random_surface_tuple(s3, 3, seed=rng.randrange(10**6))
+                nu = s.random_surface_tuple(q, 3, seed=rng.randrange(10**6))
+                if tied:
+                    # nu = 3 sign(t) + 2 r in C6, so the pair image is a
+                    # proper fiber product of S3 and C6 over C2
+                    nu = s.make_surface_tuple(q, *(
+                        [(3 * sign[a] + 2 * b) % 6 for a, b in zip(ts, ns)]
+                        for ts, ns in ((t.ximg, nu.ximg), (t.yimg, nu.yimg))
+                    ))
+                spec = SubgroupSpec(q, nu, s.subgroup_closure(q, s_seeds))
+                got = set(s.subgroup_image_under(t, spec).members)
+                # reference: products of generators and their inverses,
+                # closed pairwise by hand, keeping nu-values in S
+                seen = {(s3.identity, 0)}
+                frontier = list(seen)
+                gens = list(zip((*t.ximg, *t.yimg), (*nu.ximg, *nu.yimg)))
+                gens += [(s3.inv[a], q.inv[b]) for a, b in gens]
+                while frontier:
+                    a, b = frontier.pop()
+                    for ga, gb in gens:
+                        p = (s3.mul[a][ga], q.mul[b][gb])
+                        if p not in seen:
+                            seen.add(p)
+                            frontier.append(p)
+                want = {a for a, b in seen if b in spec.S}
+                assert got == want
 
 class TestClaimProper:
     def test_identity_lift_of_v4(self, v4_instance):

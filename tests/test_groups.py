@@ -1,13 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfep as s
 from surfep.errors import (
     NoIdentity,
     NoInverse,
+    NotAHomomorphism,
     NotAssociative,
     NotSplit,
     NotSurjective,
@@ -251,3 +252,111 @@ class TestGroupProperties:
         grp, incl = sub.as_group()
         assert grp.order == 3
         assert all(incl.map[i] in sub.members for i in grp.elements())
+
+
+# An order-5 loop: 0 is a two-sided identity and every element is its own
+# two-sided inverse, yet (1*1)*2 = 2 while 1*(1*2) = 1*3 = 4.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def is_associative(table):
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def has_inverses(table, identity):
+    n = len(table)
+    return all(
+        any(table[a][b] == identity == table[b][a] for b in range(n))
+        for a in range(n)
+    )
+
+
+def loop_times_cyclic(m):
+    """LOOP5 x C_m with (a, b) encoded as a*m + b."""
+    n = 5 * m
+    return [
+        [LOOP5[x // m][y // m] * m + (x + y) % m for y in range(n)]
+        for x in range(n)
+    ]
+
+
+@st.composite
+def perturbed_group_tables(draw):
+    """A group table of order <= 7 with identity 0 and up to three cells
+    outside row and column 0 overwritten, so the identity survives."""
+    base = draw(st.sampled_from(
+        [s.cyclic_group(n) for n in range(1, 8)]
+        + [s.klein_four_group(), s.symmetric_group_3()]
+    ))
+    n = base.order
+    table = [list(row) for row in base.mul]
+    if n > 1:
+        cells = st.tuples(
+            st.integers(1, n - 1), st.integers(1, n - 1), st.integers(0, n - 1)
+        )
+        for x, y, v in draw(st.lists(cells, max_size=3)):
+            table[x][y] = v
+    return table
+
+
+class TestExactValidation:
+    def test_loop_is_rejected(self):
+        assert has_inverses(LOOP5, 0) and not is_associative(LOOP5)
+        with pytest.raises(NotAssociative):
+            s.make_group(LOOP5)
+
+    def test_large_loop_product_rejected_with_genuine_witness(self):
+        table = loop_times_cyclic(103)
+        assert len(table) == 515
+        witnesses = []
+        for _ in range(2):
+            with pytest.raises(NotAssociative) as info:
+                s.make_group(table)
+            witnesses.append(info.value.triple)
+        assert witnesses[0] == witnesses[1]
+        x, y, z = witnesses[0]
+        assert table[table[x][y]][z] != table[x][table[y][z]]
+
+    def test_cyclic_513_and_identity_hom_accepted(self):
+        c = s.cyclic_group(513)
+        assert c.order == 513 and c.identity == 0
+        hom = make_hom(c, c, list(range(513)))
+        assert hom.map == tuple(range(513))
+
+    def test_swapped_images_on_c513_rejected(self):
+        c = s.cyclic_group(513)
+        mapping = list(range(513))
+        mapping[1], mapping[2] = mapping[2], mapping[1]
+        with pytest.raises(NotAHomomorphism) as info:
+            make_hom(c, c, mapping)
+        a, b = info.value.pair
+        assert mapping[c.mul[a][b]] != c.mul[mapping[a]][mapping[b]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_group_tables())
+    # V4 with 2*3 and 3*2 overwritten: (x*1)*y = x*(1*y) still holds for
+    # all x, y, so only the second greedy generator exposes the failure
+    @example([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 3], [3, 2, 3, 0]])
+    def test_verdict_matches_brute_force(self, table):
+        valid = is_associative(table) and has_inverses(table, 0)
+        try:
+            s.make_group(table)
+            accepted = True
+        except NotAssociative as exc:
+            x, y, z = exc.triple
+            assert table[table[x][y]][z] != table[x][table[y][z]]
+            accepted = False
+        except NoInverse:
+            assert not has_inverses(table, 0)
+            accepted = False
+        assert accepted == valid
