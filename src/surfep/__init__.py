@@ -34,7 +34,6 @@ from .surface import (
     initial_basis_state,
     make_surface_tuple,
     map_tuple,
-    move_pair_to_front,
     normalize_to_front,
     open_subgroup_genus,
     parse_word,

@@ -27,7 +27,7 @@ from .serialize import (
     load_workspace,
     workspace_to_json,
 )
-from .surface import evaluate_word, make_surface_tuple, open_subgroup_genus
+from .surface import open_subgroup_genus
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -107,19 +107,7 @@ def cmd_verify(args) -> int:
         return EXIT_ERROR
 
     try:
-        if cert.outcome == "not_reduced":
-            checks = _recheck_not_reduced(ep, cert, relative)
-        else:
-            fresh = solver.reverify_certificate(ep, cert, relative)
-            checks = list(fresh.checks)
-            checks.append(
-                _record(
-                    "outcome_matches",
-                    fresh.outcome == cert.outcome
-                    and fresh.is_proper == cert.is_proper,
-                    f"recomputed outcome {fresh.outcome}",
-                )
-            )
+        checks = solver.recheck_certificate(ep, cert, relative)
     except SurfepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -137,51 +125,6 @@ def cmd_verify(args) -> int:
         print(f"error: {label}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
-
-
-def _record(name: str, passed: bool, detail: str = ""):
-    from .embedding import CheckRecord
-
-    return CheckRecord(name, passed, detail)
-
-
-def _recheck_not_reduced(ep, cert, relative):
-    """Confirm a stopped relative run: the basis re-evaluates, beta(N) = B,
-    and the recorded offending membership really fails."""
-    from .embedding import subgroup_image_under
-
-    checks = []
-    if relative is None:
-        return [_record("relative_present", False, "certificate needs a relative spec")]
-    nu_x = [evaluate_word(relative.nu, w) for w in cert.basis_x_words]
-    nu_y = [evaluate_word(relative.nu, w) for w in cert.basis_y_words]
-    nu_n = make_surface_tuple(relative.Q, nu_x, nu_y)
-    bn = subgroup_image_under(ep.beta_bar, relative)
-    checks.append(
-        _record("beta_n_surjective", bn.order == ep.B.order, f"|beta(N)| = {bn.order}")
-    )
-    sset = set(relative.S.members)
-    inv1 = nu_n.target.inv[nu_n.ximg[0]]
-    recomputed = []
-    for i in range(2, cert.eta.m + 1):
-        left = nu_n.target.mul[inv1][nu_n.ximg[i - 1]] in sset
-        right = nu_n.target.mul[nu_n.ximg[i - 1]][inv1] in sset
-        recomputed.append((i, left, right))
-    checks.append(
-        _record(
-            "memberships_match",
-            tuple(recomputed) == cert.relative.memberships,
-            "recorded membership flags reproduce",
-        )
-    )
-    off = cert.relative.offending_index
-    really_fails = any(
-        i == off and not (l and r) for i, l, r in recomputed
-    )
-    checks.append(
-        _record("offending_index", really_fails, f"position {off} leaves N")
-    )
-    return checks
 
 
 def cmd_plan(args) -> int:

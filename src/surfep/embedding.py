@@ -12,6 +12,7 @@ solver asks is then decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -32,6 +33,7 @@ from .groups import (
 from .surface import (
     SurfaceTuple,
     Word,
+    basis_words,
     evaluate_word,
     relation_value,
     tuple_image,
@@ -218,15 +220,16 @@ class SolutionCertificate:
     """A claimed solution plus everything needed to re-check it from scratch.
 
     The candidate images and the reference map are expressed on the
-    certificate basis; basis_x_words / basis_y_words define that basis in
-    the original one (identity words when no rewriting happened).
+    certificate basis: the original basis after the move program
+    eta.selected (the original basis itself when eta is None).
+    basis_x_words / basis_y_words spell that basis out as words in the
+    original one, derived on first use; nothing on the solve or verify path
+    needs them.
     """
 
     genus: int
     phi_x: tuple[int, ...]
     phi_y: tuple[int, ...]
-    basis_x_words: tuple[Word, ...]
-    basis_y_words: tuple[Word, ...]
     is_solution: bool
     is_proper: bool
     outcome: str  # "proper" | "solution" | "invalid" | "not_reduced"
@@ -238,6 +241,18 @@ class SolutionCertificate:
     def failed_checks(self) -> tuple[CheckRecord, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
+    @cached_property
+    def _basis_words(self) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+        return basis_words(self.genus, self.eta.selected if self.eta else ())
+
+    @property
+    def basis_x_words(self) -> tuple[Word, ...]:
+        return self._basis_words[0]
+
+    @property
+    def basis_y_words(self) -> tuple[Word, ...]:
+        return self._basis_words[1]
+
 
 def verify_solution(
     ep: SplitEP,
@@ -245,8 +260,6 @@ def verify_solution(
     phi_y: Sequence[int],
     relative: Optional[SubgroupSpec] = None,
     witnesses: Sequence[KernelWitness] = (),
-    basis_x_words: Optional[Sequence[Word]] = None,
-    basis_y_words: Optional[Sequence[Word]] = None,
 ) -> SolutionCertificate:
     """Check a candidate tuple against the problem and record every result.
 
@@ -254,12 +267,8 @@ def verify_solution(
     the same basis.  Nothing is thrown for a failed check; failures land in
     the certificate.
     """
-    from .surface import identity_basis_words  # local to avoid cycle noise
-
     checks: list[CheckRecord] = []
     g = ep.genus
-    if basis_x_words is None or basis_y_words is None:
-        basis_x_words, basis_y_words = identity_basis_words(g)
 
     ok_shape = (
         len(phi_x) == g
@@ -269,8 +278,7 @@ def verify_solution(
     checks.append(CheckRecord("shape", ok_shape, f"genus {g}"))
     if not ok_shape:
         return SolutionCertificate(
-            g, tuple(phi_x), tuple(phi_y), tuple(basis_x_words),
-            tuple(basis_y_words), False, False, "invalid", tuple(checks),
+            g, tuple(phi_x), tuple(phi_y), False, False, "invalid", tuple(checks)
         )
 
     value = relation_value(ep.A, phi_x, phi_y)
@@ -374,8 +382,6 @@ def verify_solution(
         genus=g,
         phi_x=tuple(phi_x),
         phi_y=tuple(phi_y),
-        basis_x_words=tuple(basis_x_words),
-        basis_y_words=tuple(basis_y_words),
         is_solution=is_solution,
         is_proper=is_proper,
         outcome=outcome,

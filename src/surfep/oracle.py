@@ -1,10 +1,11 @@
 """Independent brute-force references and randomized instance generation.
 
 Nothing here shares code paths with the solver: counts come from plain
-enumeration, minimal generating sizes from unpruned subset search, and the
-instance stream is a seeded recipe producing valid split problems (with
-relative subgroup channels that are good by construction, plus a marked
-fraction of deliberately failing ones).
+enumeration, minimal generating sizes from unpruned subset search, basis
+moves from a sequential implementation that carries the defining words
+along, and the instance stream is a seeded recipe producing valid split
+problems (with relative subgroup channels that are good by construction,
+plus a marked fraction of deliberately failing ones).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PositionOutOfRange
 from .groups import (
     ActionSpec,
     FiniteGroup,
@@ -27,7 +28,18 @@ from .groups import (
     trivial_action,
     trivial_group,
 )
-from .surface import SurfaceTuple, make_surface_tuple, relation_value
+from .surface import (
+    BasisState,
+    SurfaceTuple,
+    Word,
+    commutator_word,
+    evaluate_word,
+    identity_basis_words,
+    initial_basis_state,
+    make_surface_tuple,
+    relation_value,
+    tuple_image,
+)
 from .embedding import SplitEP, SubgroupSpec, make_split_ep
 
 
@@ -85,6 +97,72 @@ def reference_minimal_generators(subgroup: SubgroupHandle, limit: int = 64) -> i
             if set(closed.members) == target:
                 return r
     raise AssertionError("a subgroup is generated by its members")
+
+
+# --- basis moves, one at a time ------------------------------------------------
+
+@dataclass(frozen=True)
+class TrackedBasis:
+    """A basis state together with the defining words of its slots in the
+    original basis; the reference for surface.normalize_to_front and
+    surface.basis_words."""
+
+    state: BasisState
+    x_words: tuple[Word, ...]
+    y_words: tuple[Word, ...]
+
+
+def tracked_basis(channels) -> TrackedBasis:
+    state = initial_basis_state(channels)
+    return TrackedBasis(state, *identity_basis_words(state.genus))
+
+
+def move_pair_to_front(basis: TrackedBasis, src: int, dst: int) -> TrackedBasis:
+    """Move the basis pair at position src to position dst <= src.
+
+    Positions strictly between dst and src shift one step back and get
+    conjugated by c = [x_src, y_src] (per channel by the channel's value of
+    c, and symbolically on the defining words); everything else is
+    untouched.  The rotation identity P*Q = Q*P^Q keeps every channel's
+    surface relation intact, and conjugation preserves image closures.
+    """
+    state = basis.state
+    if not 1 <= dst <= src <= state.genus:
+        raise PositionOutOfRange(src, dst, state.genus)
+    if src == dst:
+        return basis
+    lo, hi = dst - 1, src - 1  # 0-based: slots lo..hi-1 shift, hi moves to lo
+    targets = [t.target for t in state.originals]
+    cvals = [g.commutator(x, y) for g, (x, y) in zip(targets, state.slots[hi])]
+    cword = commutator_word(basis.x_words[hi], basis.y_words[hi])
+    shifted = [
+        tuple(
+            (g.conjugate(x, c), g.conjugate(y, c))
+            for g, (x, y), c in zip(targets, slot, cvals)
+        )
+        for slot in state.slots[lo:hi]
+    ]
+
+    def rotate(seq, between):
+        return (*seq[:lo], seq[hi], *between, *seq[hi + 1 :])
+
+    return TrackedBasis(
+        BasisState(state.genus, state.originals, rotate(state.slots, shifted)),
+        rotate(basis.x_words, [w.conjugated_by(cword) for w in basis.x_words[lo:hi]]),
+        rotate(basis.y_words, [w.conjugated_by(cword) for w in basis.y_words[lo:hi]]),
+    )
+
+
+def check_state_invariants(basis: TrackedBasis) -> None:
+    """Assert relations, word round-trips, and closure invariance."""
+    state = basis.state
+    assert len(basis.x_words) == len(basis.y_words) == len(state.slots)
+    for ch, original in enumerate(state.originals):
+        current = state.channel_tuple(ch)  # raises RelationViolated if broken
+        for slot, xw, yw in zip(state.slots, basis.x_words, basis.y_words):
+            assert evaluate_word(original, xw) == slot[ch][0]
+            assert evaluate_word(original, yw) == slot[ch][1]
+        assert tuple_image(current).members == tuple_image(original).members
 
 
 # --- instance generation --------------------------------------------------------

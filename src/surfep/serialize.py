@@ -30,9 +30,11 @@ from .groups import (
     make_group,
     make_hom,
 )
-from .surface import SurfaceTuple, Word, make_surface_tuple, parse_word
+from .surface import SurfaceTuple, make_surface_tuple, parse_word
 
-CERTIFICATE_FORMAT = "surfep-certificate-v1"
+# v2 records the certificate basis as its move program (eta.selected) only;
+# v1 also wrote every basis element out as an expanded word
+CERTIFICATE_FORMAT = "surfep-certificate-v2"
 
 
 def canonical_json(obj: Any) -> str:
@@ -229,10 +231,6 @@ def certificate_to_json(
         "outcome": cert.outcome,
         "is_solution": cert.is_solution,
         "is_proper": cert.is_proper,
-        "basis": {
-            "x": [str(w) for w in cert.basis_x_words],
-            "y": [str(w) for w in cert.basis_y_words],
-        },
         "phi": {"x": list(cert.phi_x), "y": list(cert.phi_y)},
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -267,51 +265,106 @@ def certificate_to_json(
     return obj
 
 
-def certificate_from_json(obj: dict) -> SolutionCertificate:
-    if obj.get("format") != CERTIFICATE_FORMAT:
-        raise ValueError("not a surfep certificate file")
+_TYPE_NAMES = {
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _typed(value: Any, kinds, path: str) -> Any:
+    """value if it has one of the JSON types kinds (an int is never a bool),
+    else a ValueError naming the certificate field."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
+        return value
+    expected = " or ".join(_TYPE_NAMES[k] for k in kinds)
+    raise ValueError(f"certificate field {path} must be {expected}, got {value!r}")
+
+
+def _ints(value: Any, path: str) -> tuple[int, ...]:
+    return tuple(
+        _typed(v, int, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path))
+    )
+
+
+def _objects(value: Any, path: str) -> list[tuple[str, dict]]:
+    return [
+        (f"{path}[{i}]", _typed(v, dict, f"{path}[{i}]"))
+        for i, v in enumerate(_typed(value, list, path))
+    ]
+
+
+def certificate_from_json(obj: Any) -> SolutionCertificate:
+    """Parse a certificate, checking every field's JSON type; values are
+    checked by reverification, not here."""
+    fmt = _typed(obj, dict, "(top level)").get("format")
+    if fmt != CERTIFICATE_FORMAT:
+        raise ValueError(
+            f"certificate format {fmt!r} is not {CERTIFICATE_FORMAT!r}; "
+            f"re-run surfep solve to get one"
+        )
+    _typed(obj["problem"], str, "problem")
+    _typed(obj["instance_hash"], str, "instance_hash")
+    phi = _typed(obj["phi"], dict, "phi")
     eta = None
     if "eta" in obj:
+        e = _typed(obj["eta"], dict, "eta")
         eta = EtaSummary(
-            s=obj["eta"]["s"],
-            n=obj["eta"]["n"],
-            m=obj["eta"]["m"],
-            kgens=tuple(obj["eta"]["kgens"]),
-            selected=tuple(obj["eta"]["selected"]),
+            s=_typed(e["s"], int, "eta.s"),
+            n=_typed(e["n"], int, "eta.n"),
+            m=_typed(e["m"], int, "eta.m"),
+            kgens=_ints(e["kgens"], "eta.kgens"),
+            selected=_ints(e["selected"], "eta.selected"),
         )
     relative = None
     if "relative" in obj:
+        r = _typed(obj["relative"], dict, "relative")
+        memberships = []
+        for i, m in enumerate(_typed(r["memberships"], list, "relative.memberships")):
+            path = f"relative.memberships[{i}]"
+            if len(_typed(m, list, path)) != 3:
+                raise ValueError(f"certificate field {path} must have 3 entries")
+            memberships.append(tuple(
+                _typed(v, kind, f"{path}[{k}]")
+                for k, (v, kind) in enumerate(zip(m, (int, bool, bool)))
+            ))
         relative = RelativeEvidence(
-            q_order=obj["relative"]["q_order"],
-            s_members=tuple(obj["relative"]["s_members"]),
-            beta_n_image=tuple(obj["relative"]["beta_n_image"]),
-            memberships=tuple(
-                (m[0], m[1], m[2]) for m in obj["relative"]["memberships"]
+            q_order=_typed(r["q_order"], int, "relative.q_order"),
+            s_members=_ints(r["s_members"], "relative.s_members"),
+            beta_n_image=_ints(r["beta_n_image"], "relative.beta_n_image"),
+            memberships=tuple(memberships),
+            offending_index=_typed(
+                r["offending_index"], (int, type(None)), "relative.offending_index"
             ),
-            offending_index=obj["relative"]["offending_index"],
         )
     return SolutionCertificate(
-        genus=obj["genus"],
-        phi_x=tuple(obj["phi"]["x"]),
-        phi_y=tuple(obj["phi"]["y"]),
-        basis_x_words=tuple(parse_word(w) for w in obj["basis"]["x"]),
-        basis_y_words=tuple(parse_word(w) for w in obj["basis"]["y"]),
-        is_solution=obj["is_solution"],
-        is_proper=obj["is_proper"],
-        outcome=obj["outcome"],
+        genus=_typed(obj["genus"], int, "genus"),
+        phi_x=_ints(phi["x"], "phi.x"),
+        phi_y=_ints(phi["y"], "phi.y"),
+        is_solution=_typed(obj["is_solution"], bool, "is_solution"),
+        is_proper=_typed(obj["is_proper"], bool, "is_proper"),
+        outcome=_typed(obj["outcome"], str, "outcome"),
         checks=tuple(
-            CheckRecord(c["name"], c["passed"], c.get("detail", ""))
-            for c in obj["checks"]
+            CheckRecord(
+                _typed(c["name"], str, f"{path}.name"),
+                _typed(c["passed"], bool, f"{path}.passed"),
+                _typed(c.get("detail", ""), str, f"{path}.detail"),
+            )
+            for path, c in _objects(obj["checks"], "checks")
         ),
         eta=eta,
         witnesses=tuple(
             KernelWitness(
-                parse_word(w["word"]),
-                w["value"],
-                w.get("in_n_left"),
-                w.get("in_n_right"),
+                parse_word(_typed(w["word"], str, f"{path}.word")),
+                _typed(w["value"], int, f"{path}.value"),
+                _typed(w.get("in_n_left"), (bool, type(None)), f"{path}.in_n_left"),
+                _typed(w.get("in_n_right"), (bool, type(None)), f"{path}.in_n_right"),
             )
-            for w in obj["witnesses"]
+            for path, w in _objects(obj["witnesses"], "witnesses")
         ),
         relative=relative,
     )

@@ -18,6 +18,7 @@ from .errors import (
     GenusMismatch,
     GenusTooSmall,
     HypothesisViolated,
+    NoRepeatedPair,
 )
 from .groups import (
     ActionSpec,
@@ -38,15 +39,14 @@ from .embedding import (
     SplitEP,
     SubgroupSpec,
     claim_proper,
-    image_of_restriction,
     subgroup_image_under,
     verify_solution,
 )
 from .surface import (
+    BasisState,
     SurfaceTuple,
     Word,
     evaluate_word,
-    expand_word,
     initial_basis_state,
     make_surface_tuple,
     map_tuple,
@@ -176,6 +176,19 @@ def _witnesses_for(
     return tuple(out)
 
 
+def _memberships(
+    nu_n: SurfaceTuple, nspec: SubgroupSpec, m: int
+) -> tuple[tuple[int, bool, bool], ...]:
+    """(i, x1^-1 x_i in N, x_i x1^-1 in N) for 2 <= i <= m, on nu_n's basis."""
+    sset = set(nspec.S.members)
+    mul = nu_n.target.mul
+    inv1 = nu_n.target.inv[nu_n.ximg[0]]
+    return tuple(
+        (i, mul[inv1][nu_n.ximg[i - 1]] in sset, mul[nu_n.ximg[i - 1]][inv1] in sset)
+        for i in range(2, m + 1)
+    )
+
+
 def _solve_pipeline(
     ep: SplitEP, nspec: Optional[SubgroupSpec]
 ) -> SolutionCertificate:
@@ -211,18 +224,10 @@ def _solve_pipeline(
     memberships: tuple[tuple[int, bool, bool], ...] = ()
     if nspec is not None:
         rel_n = nspec.with_nu(state.channel_tuple(2))
-        sset = set(nspec.S.members)
-        nu_n = rel_n.nu
-        inv1 = nu_n.target.inv[nu_n.ximg[0]]
-        mems = []
-        offending = None
-        for i in range(2, params.m + 1):
-            left = nu_n.target.mul[inv1][nu_n.ximg[i - 1]] in sset
-            right = nu_n.target.mul[nu_n.ximg[i - 1]][inv1] in sset
-            mems.append((i, left, right))
-            if offending is None and not (left and right):
-                offending = i
-        memberships = tuple(mems)
+        memberships = _memberships(rel_n.nu, nspec, params.m)
+        offending = next(
+            (i for i, left, right in memberships if not (left and right)), None
+        )
         if offending is not None:
             # the finite argument stops here; escalating needs the quotient
             # construction, which is outside this solver
@@ -237,8 +242,6 @@ def _solve_pipeline(
                 genus=g,
                 phi_x=phi_n.ximg,
                 phi_y=phi_n.yimg,
-                basis_x_words=state.x_words(),
-                basis_y_words=state.y_words(),
                 is_solution=False,
                 is_proper=False,
                 outcome="not_reduced",
@@ -264,8 +267,6 @@ def _solve_pipeline(
         eta.yimg,
         relative=rel_n,
         witnesses=witnesses,
-        basis_x_words=state.x_words(),
-        basis_y_words=state.y_words(),
     )
     extra_checks = list(cert.checks)
     extra_checks.append(
@@ -298,6 +299,48 @@ def solve_relative(ep: SplitEP, nspec: SubgroupSpec) -> SolutionCertificate:
     return _solve_pipeline(ep, nspec)
 
 
+def _eta_check(ep: SplitEP, eta: EtaSummary) -> CheckRecord:
+    """The recorded move program against its recomputation from gamma o
+    beta_bar: s, n, m and kgens from make_eta_params, selected from the
+    pigeonhole.  Equality also makes selected a strictly increasing list of
+    positions in 1..genus, so it can be replayed."""
+    phi0 = map_tuple(ep.gamma, ep.beta_bar)
+    params = make_eta_params(ep, phi0)
+    try:
+        selected = pigeonhole_select(list(zip(phi0.ximg, phi0.yimg)), params.m)
+    except NoRepeatedPair as exc:
+        return CheckRecord("eta_recomputed", False, str(exc))
+    fresh = EtaSummary(params.s, params.n, params.m, params.kgens, tuple(selected))
+    wrong = [f for f in ("s", "n", "m", "kgens", "selected")
+             if getattr(eta, f) != getattr(fresh, f)]
+    if wrong:
+        return CheckRecord(
+            "eta_recomputed", False, f"recorded {', '.join(wrong)} differ"
+        )
+    return CheckRecord("eta_recomputed", True, "s, n, m, kgens and selected")
+
+
+def _replay(
+    ep: SplitEP, eta: Optional[EtaSummary], nspec: Optional[SubgroupSpec]
+) -> tuple[Optional[CheckRecord], Optional[BasisState]]:
+    """Check the move program and replay it on beta_bar (and nu) by value.
+
+    Returns the eta check (None without eta: the program is empty and the
+    certificate basis is the original one) and the certificate-basis state,
+    or None in its place when the program fails its check.
+    """
+    if nspec is not None and nspec.genus != ep.genus:
+        raise GenusMismatch(ep.genus, nspec.genus)
+    channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
+    state = initial_basis_state(channels)
+    if eta is None:
+        return None, state
+    check = _eta_check(ep, eta)
+    if not check.passed:
+        return check, None
+    return check, normalize_to_front(state, eta.selected)
+
+
 def reverify_certificate(
     ep: SplitEP,
     cert: SolutionCertificate,
@@ -305,44 +348,100 @@ def reverify_certificate(
 ) -> SolutionCertificate:
     """Re-check a certificate from raw data, trusting none of its flags.
 
-    The certificate basis is rebuilt by evaluating its defining words under
-    the original reference maps; everything downstream (relation,
-    compatibility, closures, witnesses, memberships) is recomputed.
+    The move program eta is recomputed from the problem, then replayed on
+    the values of the original reference maps to give them on the
+    certificate basis; no basis word is built or evaluated.  Everything
+    downstream (relation, compatibility, closures, witnesses, memberships)
+    is recomputed on that basis.
     """
-    beta_imgs_x = [evaluate_word(ep.beta_bar, w) for w in cert.basis_x_words]
-    beta_imgs_y = [evaluate_word(ep.beta_bar, w) for w in cert.basis_y_words]
-    beta_n = make_surface_tuple(ep.B, beta_imgs_x, beta_imgs_y)
-    ep_n = ep.with_beta_bar(beta_n)
+    eta_check, state = _replay(ep, cert.eta, nspec)
+    if state is None:
+        return SolutionCertificate(
+            ep.genus, cert.phi_x, cert.phi_y, False, False, "invalid", (eta_check,)
+        )
+    ep_n = ep.with_beta_bar(state.channel_tuple(0))
     rel_n = None
     witnesses = cert.witnesses
     if nspec is not None:
-        nu_imgs_x = [evaluate_word(nspec.nu, w) for w in cert.basis_x_words]
-        nu_imgs_y = [evaluate_word(nspec.nu, w) for w in cert.basis_y_words]
-        rel_n = nspec.with_nu(
-            make_surface_tuple(nspec.Q, nu_imgs_x, nu_imgs_y)
-        )
-        # recompute membership flags on the witnesses via the original nu
-        # and the expanded original-basis words
+        rel_n = nspec.with_nu(state.channel_tuple(1))
+        # membership flags of each witness word, read on nu over the
+        # certificate basis
         sset = set(nspec.S.members)
-        fresh = []
-        for w in witnesses:
-            expanded = expand_word(w.word, cert.basis_x_words, cert.basis_y_words)
-            left = evaluate_word(nspec.nu, expanded) in sset
-            reversed_word = Word(tuple(reversed(w.word.factors)))
-            rexpanded = expand_word(
-                reversed_word, cert.basis_x_words, cert.basis_y_words
+        witnesses = tuple(
+            replace(
+                w,
+                in_n_left=evaluate_word(rel_n.nu, w.word) in sset,
+                in_n_right=evaluate_word(
+                    rel_n.nu, Word(tuple(reversed(w.word.factors)))
+                ) in sset,
             )
-            right = evaluate_word(nspec.nu, rexpanded) in sset
-            fresh.append(replace(w, in_n_left=left, in_n_right=right))
-        witnesses = tuple(fresh)
-    return verify_solution(
-        ep_n,
-        cert.phi_x,
-        cert.phi_y,
-        relative=rel_n,
-        witnesses=witnesses,
-        basis_x_words=cert.basis_x_words,
-        basis_y_words=cert.basis_y_words,
+            for w in witnesses
+        )
+    fresh = verify_solution(
+        ep_n, cert.phi_x, cert.phi_y, relative=rel_n, witnesses=witnesses
+    )
+    if eta_check is None:
+        return fresh
+    return replace(fresh, eta=cert.eta, checks=(eta_check, *fresh.checks))
+
+
+def _recheck_not_reduced(
+    ep: SplitEP, cert: SolutionCertificate, nspec: Optional[SubgroupSpec]
+) -> tuple[CheckRecord, ...]:
+    """Confirm a stopped relative run: the move program recomputes,
+    beta(N) = B, and the recorded membership flags reproduce with the
+    offending one really failing."""
+    if nspec is None:
+        return (
+            CheckRecord("relative_present", False, "certificate needs a relative spec"),
+        )
+    if cert.eta is None:
+        return (CheckRecord("eta_recomputed", False, "no move program recorded"),)
+    eta_check, state = _replay(ep, cert.eta, nspec)
+    if state is None:
+        return (eta_check,)
+    bn = subgroup_image_under(ep.beta_bar, nspec)
+    recomputed = _memberships(state.channel_tuple(1), nspec, cert.eta.m)
+    recorded = cert.relative.memberships if cert.relative else None
+    off = cert.relative.offending_index if cert.relative else None
+    return (
+        eta_check,
+        CheckRecord(
+            "beta_n_surjective", bn.order == ep.B.order, f"|beta(N)| = {bn.order}"
+        ),
+        CheckRecord(
+            "memberships_match",
+            recomputed == recorded,
+            "recorded membership flags reproduce",
+        ),
+        CheckRecord(
+            "offending_index",
+            any(i == off and not (left and right) for i, left, right in recomputed),
+            f"position {off} leaves N",
+        ),
+    )
+
+
+def recheck_certificate(
+    ep: SplitEP,
+    cert: SolutionCertificate,
+    nspec: Optional[SubgroupSpec] = None,
+) -> tuple[CheckRecord, ...]:
+    """Every check `surfep verify` reports for a certificate of this problem.
+
+    A stopped relative run (outcome "not_reduced") is confirmed as stopped;
+    any other certificate is reverified and its recorded outcome must match.
+    """
+    if cert.outcome == "not_reduced":
+        return _recheck_not_reduced(ep, cert, nspec)
+    fresh = reverify_certificate(ep, cert, nspec)
+    return (
+        *fresh.checks,
+        CheckRecord(
+            "outcome_matches",
+            fresh.outcome == cert.outcome and fresh.is_proper == cert.is_proper,
+            f"recomputed outcome {fresh.outcome}",
+        ),
     )
 
 

@@ -229,39 +229,26 @@ def open_subgroup_genus(g: int, index: int) -> int:
 # --- basis rewriting ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BasisSlot:
-    xword: Word
-    yword: Word
-    # per tracked channel: (image of x, image of y)
-    images: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class BasisState:
-    """A surface basis tracked through conjugation moves.
+    """A surface basis tracked through conjugation moves, by values only.
 
-    Each slot stores its defining words in the original basis together with
-    its current images under every tracked channel; the originals are kept
-    so the words can be re-evaluated at any point.
+    slots[p - 1][ch] is the (x, y) image pair of basis position p under
+    tracked channel ch.  The defining words of the slots in the original
+    basis are not stored: basis_words derives them from the move program
+    when a caller asks for them.
     """
 
     genus: int
     originals: tuple[SurfaceTuple, ...]
-    slots: tuple[BasisSlot, ...]
+    slots: tuple[tuple[tuple[int, int], ...], ...]
 
     def channel_tuple(self, channel: int) -> SurfaceTuple:
         target = self.originals[channel].target
         return make_surface_tuple(
             target,
-            [slot.images[channel][0] for slot in self.slots],
-            [slot.images[channel][1] for slot in self.slots],
+            [slot[channel][0] for slot in self.slots],
+            [slot[channel][1] for slot in self.slots],
         )
-
-    def x_words(self) -> tuple[Word, ...]:
-        return tuple(slot.xword for slot in self.slots)
-
-    def y_words(self) -> tuple[Word, ...]:
-        return tuple(slot.yword for slot in self.slots)
 
 
 def initial_basis_state(channels: Sequence[SurfaceTuple]) -> BasisState:
@@ -270,134 +257,92 @@ def initial_basis_state(channels: Sequence[SurfaceTuple]) -> BasisState:
     g = channels[0].genus
     if any(c.genus != g for c in channels):
         raise ValueError("all channels must share the same genus")
-    slots = tuple(
-        BasisSlot(
-            word_x(i),
-            word_y(i),
-            tuple((c.ximg[i - 1], c.yimg[i - 1]) for c in channels),
-        )
-        for i in range(1, g + 1)
-    )
+    slots = tuple(zip(*(zip(c.ximg, c.yimg) for c in channels)))
     return BasisState(g, tuple(channels), slots)
 
 
-def move_pair_to_front(state: BasisState, src: int, dst: int) -> BasisState:
-    """Move the basis pair at position src to position dst <= src.
+def _move_program(genus: int, positions: list[int]) -> list[tuple[int, int]]:
+    """The pigeonhole moves as (source position, a) per new slot, in order.
 
-    Positions strictly between dst and src shift one step back and get
-    conjugated by c = [x_src, y_src] (per channel by the channel's value of
-    c, and symbolically on the defining words); everything else is
-    untouched.  The rotation identity P*Q = Q*P^Q keeps every channel's
-    surface relation intact, and conjugation preserves image closures.
+    The selected positions come first, then the others in their original
+    order; a slot's conjugator is the suffix product c_{a+1} ... c_m of the
+    selected commutators, so a = m (the empty product) leaves it untouched.
     """
-    if not 1 <= dst <= src <= state.genus:
-        raise PositionOutOfRange(src, dst, state.genus)
-    if src == dst:
-        return state
-    slots = list(state.slots)
-    moved = slots[src - 1]
-    cword = commutator_word(moved.xword, moved.yword)
-    cvals = tuple(
-        state.originals[ch].target.commutator(*moved.images[ch])
-        for ch in range(len(state.originals))
-    )
-    shifted = []
-    for slot in slots[dst - 1 : src - 1]:
-        images = tuple(
-            (
-                state.originals[ch].target.conjugate(slot.images[ch][0], cvals[ch]),
-                state.originals[ch].target.conjugate(slot.images[ch][1], cvals[ch]),
-            )
-            for ch in range(len(state.originals))
-        )
-        shifted.append(
-            BasisSlot(
-                slot.xword.conjugated_by(cword),
-                slot.yword.conjugated_by(cword),
-                images,
-            )
-        )
-    new_slots = slots[: dst - 1] + [moved] + shifted + slots[src:]
-    return BasisState(state.genus, state.originals, tuple(new_slots))
+    if positions != sorted(set(positions)):
+        raise ValueError("positions must be strictly increasing")
+    if positions and (positions[-1] > genus or positions[0] < 1):
+        raise PositionOutOfRange(positions[-1], positions[0], genus)
+    m = len(positions)
+    selected = set(positions)
+    program = [(j, m) for j in positions]
+    a = 0  # selected positions seen so far
+    for p in range(1, genus + 1):
+        if p in selected:
+            a += 1
+        else:
+            program.append((p, a))
+    return program
 
 
 def normalize_to_front(state: BasisState, positions: Sequence[int]) -> BasisState:
     """Move the given (strictly increasing) positions to the leading slots.
 
-    Equivalent to move_pair_to_front(state, j_t, t) for t = 1..m in ascending
+    Equivalent to moving the pair at j_t to slot t for t = 1..m in ascending
     order, where every later source is still at its starting position and
-    already-placed slots are never conjugated again.  Computed in one pass:
-    the slot at a non-selected position p picks up exactly the conjugators
-    c_t of the moves whose source lies beyond p, in ascending order, so its
-    total conjugator is the suffix product c_{a+1} c_{a+2} ... c_m with a the
-    number of selected positions below p.
+    already-placed slots are never conjugated again.  Computed in one pass
+    on the channel values: the slot at a non-selected position p picks up
+    exactly the conjugators c_t of the moves whose source lies beyond p, in
+    ascending order, so its total conjugator is the suffix product
+    c_{a+1} c_{a+2} ... c_m with a the number of selected positions below p.
     """
-    pos_list = list(positions)
-    if pos_list != sorted(set(pos_list)):
-        raise ValueError("positions must be strictly increasing")
-    if not pos_list:
+    positions = list(positions)
+    program = _move_program(state.genus, positions)
+    m = len(positions)
+    if not m:
         return state
-    if pos_list[-1] > state.genus or pos_list[0] < 1:
-        raise PositionOutOfRange(pos_list[-1], pos_list[0], state.genus)
-    m = len(pos_list)
-    nch = len(state.originals)
     targets = [t.target for t in state.originals]
     slots = state.slots
 
-    cwords = []
-    cvals = []
-    for j in pos_list:
-        slot = slots[j - 1]
-        cwords.append(commutator_word(slot.xword, slot.yword))
-        cvals.append(
-            tuple(targets[ch].commutator(*slot.images[ch]) for ch in range(nch))
-        )
-
-    # suffix products: suffix[t] = c_{t+1} * ... * c_m (words and, per
-    # channel, group values); suffix[m] is empty
-    suffix_words = [Word()] * (m + 1)
-    suffix_vals = [tuple(g.identity for g in targets)] * (m + 1)
+    # suffix[t][ch] = c_{t+1} * ... * c_m in channel ch; suffix[m] is empty
+    suffix = [tuple(g.identity for g in targets)] * (m + 1)
     for t in range(m - 1, -1, -1):
-        suffix_words[t] = cwords[t] * suffix_words[t + 1]
-        suffix_vals[t] = tuple(
-            targets[ch].mul[cvals[t][ch]][suffix_vals[t + 1][ch]]
-            for ch in range(nch)
+        c = [g.commutator(*pair) for g, pair in zip(targets, slots[positions[t] - 1])]
+        suffix[t] = tuple(
+            g.mul[ct][st] for g, ct, st in zip(targets, c, suffix[t + 1])
         )
 
-    selected = set(pos_list)
-    front = [slots[j - 1] for j in pos_list]
-    back = []
-    a = 0  # selected positions seen so far
-    for p in range(1, state.genus + 1):
-        if p in selected:
-            a += 1
-            continue
+    new_slots = []
+    for p, a in program:
         slot = slots[p - 1]
-        if a == m:
-            back.append(slot)
-            continue
-        w = suffix_words[a]
-        vals = suffix_vals[a]
-        images = tuple(
-            (
-                targets[ch].conjugate(slot.images[ch][0], vals[ch]),
-                targets[ch].conjugate(slot.images[ch][1], vals[ch]),
+        if a < m:
+            slot = tuple(
+                (g.conjugate(x, ca), g.conjugate(y, ca))
+                for g, (x, y), ca in zip(targets, slot, suffix[a])
             )
-            for ch in range(nch)
-        )
-        back.append(
-            BasisSlot(
-                slot.xword.conjugated_by(w), slot.yword.conjugated_by(w), images
-            )
-        )
-    return BasisState(state.genus, state.originals, tuple(front + back))
+        new_slots.append(slot)
+    return BasisState(state.genus, state.originals, tuple(new_slots))
 
 
-def check_state_invariants(state: BasisState) -> None:
-    """Assert relations, word round-trips, and closure invariance; test hook."""
-    for ch, original in enumerate(state.originals):
-        current = state.channel_tuple(ch)  # raises RelationViolated if broken
-        for slot in state.slots:
-            assert evaluate_word(original, slot.xword) == slot.images[ch][0]
-            assert evaluate_word(original, slot.yword) == slot.images[ch][1]
-        assert tuple_image(current).members == tuple_image(original).members
+def basis_words(
+    genus: int, positions: Sequence[int]
+) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """The defining words, in the original basis, of the basis that
+    normalize_to_front(initial_basis_state(...), positions) produces.
+
+    One symbolic expansion of the move program: the commutator words of the
+    selected pairs, their shared suffix products C_a = c_{a+1} ... c_m, and
+    C_a^-1 x_p C_a, C_a^-1 y_p C_a for each slot.
+    """
+    positions = list(positions)
+    program = _move_program(genus, positions)
+    m = len(positions)
+    suffix = [Word()] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        j = positions[t]
+        suffix[t] = commutator_word(word_x(j), word_y(j)) * suffix[t + 1]
+    inverses = [w.inverse() for w in suffix]
+    x_words, y_words = [], []
+    for p, a in program:
+        x_words.append(inverses[a] * word_x(p) * suffix[a])
+        y_words.append(inverses[a] * word_y(p) * suffix[a])
+    return tuple(x_words), tuple(y_words)

@@ -16,8 +16,15 @@ from surfep.errors import (
     GenusTooSmall,
     NotASolution,
 )
-from surfep.oracle import commuting_pairs_count, reference_minimal_generators
-from surfep.surface import check_state_invariants
+from surfep.oracle import (
+    TrackedBasis,
+    check_state_invariants,
+    commuting_pairs_count,
+    move_pair_to_front,
+    reference_minimal_generators,
+    tracked_basis,
+)
+from surfep.surface import basis_words
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -171,21 +178,28 @@ def test_06_basis_move_invariants():
             s.random_surface_tuple(grp, genus, seed=rng.randrange(10**6))
             for grp in (c6, s3)
         ]
-        state = s.initial_basis_state(channels)
+        basis = tracked_basis(channels)
         if trial % 2 == 0:
             for _ in range(rng.randrange(1, 4)):
                 src = rng.randrange(1, genus + 1)
                 dst = rng.randrange(1, src + 1)
-                state = s.move_pair_to_front(state, src, dst)
+                basis = move_pair_to_front(basis, src, dst)
         else:
             m = rng.randrange(1, genus + 1)
             positions = sorted(rng.sample(range(1, genus + 1), m))
-            before = state
-            state = s.normalize_to_front(state, positions)
+            before = basis
+            basis = TrackedBasis(
+                s.normalize_to_front(before.state, positions),
+                *basis_words(genus, positions),
+            )
             for t, j in enumerate(positions):
-                if state.slots[t] != before.slots[j - 1]:
+                if (
+                    basis.state.slots[t] != before.state.slots[j - 1]
+                    or basis.x_words[t] != before.x_words[j - 1]
+                    or basis.y_words[t] != before.y_words[j - 1]
+                ):
                     prefix_ok = False
-        check_state_invariants(state)  # raises on any violated invariant
+        check_state_invariants(basis)  # raises on any violated invariant
         sequences += 1
     report(
         "basis moves: 1000 sequences keep relations, closures, round-trips",

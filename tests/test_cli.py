@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import surfep
+from surfep import cli, embedding, serialize, solver, surface
 from surfep.cli import main
-from surfep.serialize import canonical_json, load_workspace
+from surfep.serialize import canonical_json, certificate_from_json, load_workspace
 
 
 def v4_workspace(tmp_path, name="ws.json"):
@@ -52,6 +53,36 @@ def v4_workspace(tmp_path, name="ws.json"):
     return str(path)
 
 
+def not_reduced_workspace(tmp_path):
+    """Workspace with one problem "p" whose relative run stops (exit 3)."""
+    # relative whose nu varies on the selected x positions: beta(N) = B
+    # but the membership scan stops the pipeline
+    g = 64
+    c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    doc = {
+        "problems": {
+            "p": {
+                "genus": g,
+                "K": c2,
+                "H": c2,
+                "action": [[0, 1], [0, 1]],
+                "beta_bar": {"x": [1] + [0] * (g - 1), "y": [0] * g},
+                "relative": {
+                    "Q": c2,
+                    "nu": {
+                        "x": [0] + [i % 2 for i in range(1, g)],
+                        "y": [0] * g,
+                    },
+                    "S": [0],
+                },
+            }
+        }
+    }
+    ws = str(tmp_path / "nr.json")
+    open(ws, "w").write(canonical_json(doc))
+    return ws
+
+
 class TestSolveVerify:
     def test_solve_writes_proper_certificate(self, tmp_path, capsys):
         ws = v4_workspace(tmp_path)
@@ -59,7 +90,7 @@ class TestSolveVerify:
         assert main(["solve", ws, "v4_plain", "--out", out]) == 0
         cert = json.loads(open(out).read())
         assert cert["outcome"] == "proper"
-        assert cert["format"] == "surfep-certificate-v1"
+        assert cert["format"] == "surfep-certificate-v2"
         assert len(cert["instance_hash"]) == 64
 
     def test_solve_stdout_is_canonical(self, tmp_path, capsys):
@@ -117,31 +148,7 @@ class TestSolveVerify:
         assert main(["solve", ws, "nope"]) == 1
 
     def test_not_reduced_exit_code(self, tmp_path, capsys):
-        # relative whose nu varies on the selected x positions: beta(N) = B
-        # but the membership scan stops the pipeline
-        g = 64
-        c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
-        doc = {
-            "problems": {
-                "p": {
-                    "genus": g,
-                    "K": c2,
-                    "H": c2,
-                    "action": [[0, 1], [0, 1]],
-                    "beta_bar": {"x": [1] + [0] * (g - 1), "y": [0] * g},
-                    "relative": {
-                        "Q": c2,
-                        "nu": {
-                            "x": [0] + [i % 2 for i in range(1, g)],
-                            "y": [0] * g,
-                        },
-                        "S": [0],
-                    },
-                }
-            }
-        }
-        ws = str(tmp_path / "nr.json")
-        open(ws, "w").write(canonical_json(doc))
+        ws = not_reduced_workspace(tmp_path)
         out = str(tmp_path / "cert.json")
         assert main(["solve", ws, "p", "--out", out]) == 3
         cert = json.loads(open(out).read())
@@ -167,6 +174,207 @@ class TestVerifyOutOfRangePhi:
         assert "Traceback" not in proc.stderr
         assert "error: shape" in proc.stderr
         assert re.search(r"^shape +FAIL", proc.stdout, re.M)
+
+    @pytest.mark.parametrize("entry", ["a", 1.5, True])
+    def test_non_integer_named_at_parse(self, tmp_path, capsys, entry):
+        ws = str(tmp_path / "gen.json")
+        out = str(tmp_path / "cert.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        assert main(["solve", ws, "ep000", "--out", out]) == 0
+        cert = json.loads(open(out).read())
+        cert["phi"]["x"][0] = entry
+        open(out, "w").write(canonical_json(cert))
+        proc = run_python("-m", "surfep", "verify", out, ws)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: certificate field phi.x[0] must be an integer" in proc.stderr
+        assert proc.stdout == ""
+
+
+def solved_gen3(tmp_path):
+    """ep000 of `gen --seed 3 --count 2 --size-h 1` and its certificate."""
+    ws = str(tmp_path / "gen.json")
+    out = str(tmp_path / "cert.json")
+    main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+    assert main(["solve", ws, "ep000", "--out", out]) == 0
+    return ws, out, json.loads(open(out).read())
+
+
+def verify_edited(ws, out, cert, capsys):
+    """Write cert to out and run `surfep verify`; (exit code, stdout, stderr)."""
+    open(out, "w").write(canonical_json(cert))
+    capsys.readouterr()
+    code = main(["verify", out, ws])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestVerifyEtaProgram:
+    """Every eta field is recomputed from gamma o beta_bar, selected included.
+
+    ep000 has genus 8 and selects all of 1..8; with the basis words of the
+    old format still in the certificate, a reversed selected verified."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda e: e.update(selected=e["selected"][::-1]),
+            lambda e: e.update(selected=[e["selected"][0]] + e["selected"][:-1]),
+            lambda e: e.update(selected=e["selected"][:-1] + [99]),
+            lambda e: e.update(selected=[j + 1 for j in e["selected"]]),
+            lambda e: e.update(kgens=[(e["kgens"][0] + 1) % 2]),
+            lambda e: e.update(m=e["m"] - 1, selected=e["selected"][:-1]),
+        ],
+        ids=["reversed", "duplicate", "out_of_range", "shifted", "kgens", "m"],
+    )
+    def test_edited_eta_fails_named_check(self, tmp_path, capsys, edit):
+        ws, out, cert = solved_gen3(tmp_path)
+        assert cert["eta"]["selected"] == list(range(1, 9))
+        edit(cert["eta"])
+        code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+        assert code == 1
+        assert re.search(r"^eta_recomputed +FAIL", stdout, re.M)
+        assert "error: eta_recomputed" in stderr
+
+    @pytest.mark.parametrize("entry", ["a", 1.5, True])
+    def test_non_integer_selected_named_at_parse(self, tmp_path, capsys, entry):
+        ws, out, cert = solved_gen3(tmp_path)
+        cert["eta"]["selected"][0] = entry
+        code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+        assert code == 1
+        assert "error: certificate field eta.selected[0] must be an integer" in stderr
+
+    def test_genuine_eta_passes(self, tmp_path, capsys):
+        ws, out, cert = solved_gen3(tmp_path)
+        code, stdout, _ = verify_edited(ws, out, cert, capsys)
+        assert code == 0
+        assert re.search(r"^eta_recomputed +pass", stdout, re.M)
+
+
+def constant_beta_workspace(tmp_path):
+    """C2 x| C2 (= V4) at genus 64 with beta_bar constant: x_i -> 1, y_i -> 0
+    on every slot, so every slot has the same values and any 16 positions
+    replay to the same tuple."""
+    g = 64
+    c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    doc = {
+        "problems": {
+            "flat": {
+                "genus": g,
+                "K": c2,
+                "H": c2,
+                "action": [[0, 1], [0, 1]],
+                "beta_bar": {"x": [1] * g, "y": [0] * g},
+            }
+        }
+    }
+    ws = str(tmp_path / "flat.json")
+    open(ws, "w").write(canonical_json(doc))
+    return ws
+
+
+class TestForgedBasis:
+    """The old format's hole: basis words that evaluate correctly but do not
+    form a basis of the surface group."""
+
+    def solved(self, tmp_path):
+        ws = constant_beta_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, "flat", "--out", out]) == 0
+        return ws, out, json.loads(open(out).read())
+
+    def test_v1_forgery_in_x1_and_y1_is_refused(self, tmp_path, capsys):
+        ws, out, cert = self.solved(tmp_path)
+        parsed = certificate_from_json(cert)
+        # every word rewritten into x1 and y1 only: the same values under
+        # the constant beta_bar, but no basis of the genus-64 surface group
+        cert["basis"] = {
+            key: [re.sub(r"([xy])\d+", r"\g<1>1", str(w)) for w in words]
+            for key, words in (
+                ("x", parsed.basis_x_words),
+                ("y", parsed.basis_y_words),
+            )
+        }
+        assert all(set(w.split()) <= {"x1", "y1", "x1^-1", "y1^-1"}
+                   for w in cert["basis"]["x"] + cert["basis"]["y"])
+        cert["format"] = "surfep-certificate-v1"
+        code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+        assert code == 1
+        assert "error: certificate format 'surfep-certificate-v1'" in stderr
+        assert stdout == ""
+
+    def test_v2_verifies_only_with_the_pigeonhole_hit(self, tmp_path, capsys):
+        ws, out, cert = self.solved(tmp_path)
+        assert "basis" not in cert
+        assert cert["eta"]["selected"] == list(range(1, 17))
+        code, _, _ = verify_edited(ws, out, cert, capsys)
+        assert code == 0
+        # same values on every slot: only the recomputation tells these apart
+        for selected in (list(range(2, 18)), list(range(49, 65))):
+            cert["eta"]["selected"] = selected
+            code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+            assert code == 1
+            assert re.search(r"^eta_recomputed +FAIL", stdout, re.M)
+            assert "error: eta_recomputed" in stderr
+
+
+def test_solved_v1_certificate_is_refused(tmp_path, capsys):
+    """A certificate as the previous format wrote it: the v2 object plus the
+    expanded basis words."""
+    ws = v4_workspace(tmp_path)
+    out = str(tmp_path / "cert.json")
+    assert main(["solve", ws, "v4_plain", "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    parsed = certificate_from_json(cert)
+    cert["basis"] = {
+        "x": [str(w) for w in parsed.basis_x_words],
+        "y": [str(w) for w in parsed.basis_y_words],
+    }
+    cert["format"] = "surfep-certificate-v1"
+    code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+    assert code == 1
+    assert stderr == (
+        "error: certificate format 'surfep-certificate-v1' is not "
+        "'surfep-certificate-v2'; re-run surfep solve to get one\n"
+    )
+
+
+class TestWordFreeHotPath:
+    """solve -> verify builds, writes, parses and evaluates no basis word."""
+
+    @pytest.fixture(autouse=True)
+    def no_basis_words(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("basis words on the certificate path")
+
+        monkeypatch.setattr(surface.Word, "conjugated_by", boom)
+        for mod in (surfep, surface, embedding, solver, serialize, cli):
+            for name in ("expand_word", "basis_words"):
+                monkeypatch.setattr(mod, name, boom, raising=False)
+        witness = re.compile(r"x1\^-1 x\d+")
+        real_parse = serialize.parse_word
+
+        def parse_witness_only(text):
+            if not witness.fullmatch(text):
+                raise AssertionError(f"parsed a non-witness word {text!r}")
+            return real_parse(text)
+
+        monkeypatch.setattr(serialize, "parse_word", parse_witness_only)
+
+    @pytest.mark.parametrize("problem", ["v4_plain", "v4"])
+    def test_solve_then_verify(self, tmp_path, capsys, problem):
+        ws = v4_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, problem, "--out", out]) == 0
+        cert = json.loads(open(out).read())
+        assert cert["witnesses"] and "basis" not in cert
+        assert main(["verify", out, ws]) == 0
+
+    def test_not_reduced(self, tmp_path, capsys):
+        ws = not_reduced_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, "p", "--out", out]) == 3
+        assert main(["verify", out, ws]) == 0
 
 
 class TestPlanGenusCount:
@@ -221,7 +429,7 @@ class TestGen:
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
 # encoding moves it; refactors must leave it alone.
-GOLDEN_GEN5_SHA256 = "de63298a37ec6513aaf8eaced61edcc80b8fa3a7d0a73b9644a7b0306d81d3ca"
+GOLDEN_GEN5_SHA256 = "c77bff57ec4ee14239fe481d65446dafe75d202945300e4fc6c822fce45e7587"
 
 
 class TestGoldenBytes:

@@ -135,6 +135,64 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             certificate_from_json({"format": "something-else"})
 
+    def test_no_basis_words_written(self, v4_instance):
+        cert = s.solve_gamma_level(v4_instance)
+        obj = certificate_to_json(cert, "p", "hash")
+        assert obj["format"] == "surfep-certificate-v2"
+        assert "basis" not in obj
+        # the words stay available, derived from genus and eta.selected
+        again = certificate_from_json(json.loads(canonical_json(obj)))
+        assert again.basis_x_words == cert.basis_x_words
+        assert len(again.basis_y_words) == cert.genus
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("genus",), True),
+            (("is_proper",), 1),
+            (("outcome",), None),
+            (("problem",), ["p"]),
+            (("phi", "y", 3), 1.0),
+            (("eta", "s"), "1"),
+            (("eta", "kgens"), 3),
+            (("eta", "kgens", 0), False),
+            (("checks", 0, "passed"), "yes"),
+            (("witnesses", 0, "word"), 7),
+            (("witnesses", 0, "value"), 2.5),
+            (("witnesses", 0, "in_n_left"), 0),
+            (("phi",), []),
+        ],
+    )
+    def test_field_types_checked(self, v4_instance, path, value):
+        obj = json.loads(canonical_json(
+            certificate_to_json(s.solve_gamma_level(v4_instance), "p", "h")
+        ))
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match="certificate field " + path[0]):
+            certificate_from_json(obj)
+
+    def test_relative_field_types_checked(self):
+        inst = next(
+            g
+            for g in generate_instances(InstanceRecipe(seed=11), 4)
+            if g.relative_valid is True
+        )
+        cert = s.solve_relative(inst.ep, inst.relative)
+        obj = json.loads(canonical_json(certificate_to_json(cert, "p", "h")))
+        for key, value in (
+            ("memberships", [[2, True]]),
+            ("memberships", [[2, True, "no"]]),
+            ("offending_index", True),
+            ("s_members", [0.0]),
+        ):
+            bad = json.loads(json.dumps(obj))
+            bad["relative"][key] = value
+            with pytest.raises(ValueError, match="certificate field relative"):
+                certificate_from_json(bad)
+
 
 class TestWorkspace:
     def test_generated_workspace_roundtrips(self, tmp_path):

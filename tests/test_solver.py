@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 import surfep as s
-from surfep.embedding import SubgroupSpec
+from surfep.embedding import CheckRecord, SubgroupSpec
 from surfep.errors import (
     BetaNRestrictionNotSurjective,
     GenusTooSmall,
     HypothesisViolated,
 )
 from surfep.oracle import GeneratedInstance
-from surfep.solver import make_eta_params
+from surfep.solver import make_eta_params, recheck_certificate
 
 
 class TestEtaParams:
@@ -151,6 +153,49 @@ class TestSolveGammaLevel:
         b = s.solve_gamma_level(v4_instance)
         assert a == b
 
+    def test_reverify_recomputes_and_replays_eta(self, v4_instance):
+        cert = s.solve_gamma_level(v4_instance)
+        fresh = s.reverify_certificate(v4_instance, cert)
+        assert fresh.checks[0] == CheckRecord(
+            "eta_recomputed", True, "s, n, m, kgens and selected"
+        )
+        assert fresh.eta == cert.eta and fresh.outcome == "proper"
+        # compatibility held on the replayed basis, which is the one the
+        # derived words spell out
+        beta_n = [s.evaluate_word(v4_instance.beta_bar, w) for w in cert.basis_x_words]
+        assert [v4_instance.alpha.map[a] for a in fresh.phi_x] == beta_n
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("selected", tuple(range(3, 19))),
+            ("selected", tuple(range(17, 1, -1))),
+            ("kgens", (0,)),
+            ("s", 2),
+        ],
+    )
+    def test_reverify_rejects_edited_eta(self, v4_instance, field, value):
+        cert = s.solve_gamma_level(v4_instance)
+        edited = replace(cert, eta=replace(cert.eta, **{field: value}))
+        fresh = s.reverify_certificate(v4_instance, edited)
+        assert fresh.outcome == "invalid" and not fresh.is_proper
+        assert [c.name for c in fresh.failed_checks()] == ["eta_recomputed"]
+        assert field in fresh.checks[0].detail
+
+    def test_missing_eta_is_the_original_basis(self, v4_instance):
+        cert = s.solve_gamma_level(v4_instance)
+        # the program selects 2..17 and moves x1 (the one slot beta_bar does
+        # not send to 0) to slot 17; without eta the same phi is read on the
+        # original basis, where it fails compatibility at x1
+        assert cert.eta.selected == tuple(range(2, 18))
+        fresh = s.reverify_certificate(v4_instance, replace(cert, eta=None))
+        assert all(c.name != "eta_recomputed" for c in fresh.checks)
+        assert not fresh.is_solution
+        direct = s.verify_solution(
+            v4_instance, cert.phi_x, cert.phi_y, witnesses=cert.witnesses
+        )
+        assert fresh == direct
+
 
 class TestSolveRelative:
     def good_instance(self):
@@ -194,6 +239,18 @@ class TestSolveRelative:
         assert cert.outcome == "not_reduced"
         assert cert.relative.offending_index is not None
         assert not cert.is_proper
+        checks = recheck_certificate(ep, cert, spec)
+        assert [c.name for c in checks] == [
+            "eta_recomputed", "beta_n_surjective", "memberships_match",
+            "offending_index",
+        ]
+        assert all(c.passed for c in checks)
+        moved = replace(
+            cert, relative=replace(cert.relative, offending_index=3)
+        )
+        assert cert.relative.memberships[1] == (3, True, True)
+        assert not recheck_certificate(ep, moved, spec)[-1].passed
+        assert not recheck_certificate(ep, cert, None)[0].passed
 
 
 class TestFreeProduct:

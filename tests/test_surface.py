@@ -12,11 +12,19 @@ from surfep.errors import (
     PositionOutOfRange,
     RelationViolated,
 )
-from surfep.surface import (
+from surfep.oracle import (
+    TrackedBasis,
     check_state_invariants,
+    move_pair_to_front,
+    tracked_basis,
+)
+from surfep.surface import (
+    basis_words,
     commutator_word,
     identity_basis_words,
     relation_value,
+    word_x,
+    word_y,
 )
 
 
@@ -177,6 +185,7 @@ class TestOpenSubgroupGenus:
 # --- basis rewriting ---------------------------------------------------------
 
 def random_state(seed: int, genus: int = 8, channels: int = 2):
+    """A basis with its words, tracked by the sequential reference."""
     rng = random.Random(seed)
     c6 = s.cyclic_group(6)
     s3 = s.symmetric_group_3()
@@ -184,79 +193,89 @@ def random_state(seed: int, genus: int = 8, channels: int = 2):
     for grp in (c6, s3)[:channels]:
         t = s.random_surface_tuple(grp, genus, seed=rng.randrange(10**6))
         tuples.append(t)
-    return s.initial_basis_state(tuples)
+    return tracked_basis(tuples)
+
+
+def normalized(basis, positions):
+    """normalize_to_front on the values, with its words from basis_words."""
+    state = s.normalize_to_front(basis.state, positions)
+    return TrackedBasis(state, *basis_words(state.genus, positions))
 
 
 class TestBasisMoves:
     def test_move_is_identity_when_src_equals_dst(self):
-        state = random_state(0)
-        assert s.move_pair_to_front(state, 4, 4) is state
+        basis = random_state(0)
+        assert move_pair_to_front(basis, 4, 4) is basis
 
     def test_move_reorders_and_preserves(self):
-        state = random_state(1)
-        moved = s.move_pair_to_front(state, 5, 2)
+        basis = random_state(1)
+        moved = move_pair_to_front(basis, 5, 2)
         check_state_invariants(moved)
-        assert moved.slots[1] == state.slots[4]
-        assert moved.slots[0] == state.slots[0]
+        for new, old in ((1, 4), (0, 0)):
+            assert moved.state.slots[new] == basis.state.slots[old]
+            assert moved.x_words[new] == basis.x_words[old]
+            assert moved.y_words[new] == basis.y_words[old]
         # the slot that was at 2 is now at 3, conjugated
-        assert moved.slots[2].xword == state.slots[1].xword.conjugated_by(
-            commutator_word(state.slots[4].xword, state.slots[4].yword)
+        assert moved.x_words[2] == basis.x_words[1].conjugated_by(
+            commutator_word(basis.x_words[4], basis.y_words[4])
         )
 
     def test_position_out_of_range(self):
-        state = random_state(2)
+        basis = random_state(2)
         with pytest.raises(PositionOutOfRange):
-            s.move_pair_to_front(state, 9, 1)
+            move_pair_to_front(basis, 9, 1)
         with pytest.raises(PositionOutOfRange):
-            s.move_pair_to_front(state, 3, 0)
+            move_pair_to_front(basis, 3, 0)
         with pytest.raises(PositionOutOfRange):
-            s.move_pair_to_front(state, 2, 5)
+            move_pair_to_front(basis, 2, 5)
 
     def test_normalize_matches_sequential_moves(self):
         for seed in range(12):
-            state = random_state(seed)
+            basis = random_state(seed)
             rng = random.Random(100 + seed)
             m = rng.randrange(1, 5)
-            positions = sorted(rng.sample(range(1, state.genus + 1), m))
-            batch = s.normalize_to_front(state, positions)
-            seq = state
+            positions = sorted(rng.sample(range(1, basis.state.genus + 1), m))
+            batch = normalized(basis, positions)
+            seq = basis
             for t, j in enumerate(positions, start=1):
-                seq = s.move_pair_to_front(seq, j, t)
+                seq = move_pair_to_front(seq, j, t)
             assert batch == seq
             check_state_invariants(batch)
 
     def test_normalize_front_images_untouched(self):
-        state = random_state(3)
+        basis = random_state(3)
         positions = [2, 5, 7]
-        batch = s.normalize_to_front(state, positions)
+        batch = normalized(basis, positions)
         for t, j in enumerate(positions):
-            assert batch.slots[t] == state.slots[j - 1]
+            assert batch.state.slots[t] == basis.state.slots[j - 1]
+            assert batch.x_words[t] == word_x(j)
+            assert batch.y_words[t] == word_y(j)
 
     def test_normalize_rejects_unsorted(self):
-        state = random_state(4)
+        state = random_state(4).state
         with pytest.raises(ValueError):
             s.normalize_to_front(state, [3, 2])
         with pytest.raises(ValueError):
             s.normalize_to_front(state, [2, 2])
 
     def test_normalize_empty_is_identity(self):
-        state = random_state(5)
+        state = random_state(5).state
         assert s.normalize_to_front(state, []) is state
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.data())
     def test_random_move_sequences_keep_invariants(self, seed, data):
-        state = random_state(seed, genus=6, channels=2)
+        basis = random_state(seed, genus=6, channels=2)
         for _ in range(data.draw(st.integers(0, 4))):
             src = data.draw(st.integers(1, 6))
             dst = data.draw(st.integers(1, src))
-            state = s.move_pair_to_front(state, src, dst)
-        check_state_invariants(state)
+            basis = move_pair_to_front(basis, src, dst)
+        check_state_invariants(basis)
 
     def test_channel_tuple_relation_always_holds(self):
-        state = random_state(6)
-        state = s.move_pair_to_front(state, 7, 1)
-        state = s.move_pair_to_front(state, 5, 2)
+        basis = random_state(6)
+        basis = move_pair_to_front(basis, 7, 1)
+        state = move_pair_to_front(basis, 5, 2).state
         for ch in range(len(state.originals)):
             t = state.channel_tuple(ch)  # would raise RelationViolated
             assert t.genus == state.genus
