@@ -4,7 +4,7 @@ Elements of a group of order n are the indices 0..n-1; all structure
 (products, inverses, subgroups, homomorphisms) is stored as index tables.
 Every table is validated exactly and deterministically, whatever its order:
 associativity by Light's test on a greedy generating set, multiplicativity
-of a map by one vectorised comparison over all pairs.  Subgroups, permutation
+of a map on a generating set of the domain.  Subgroups, permutation
 groups and images are all found by one closure under right multiplication.
 """
 
@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
-
-import numpy as np
+from operator import itemgetter
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from .errors import (
     InvalidAction,
@@ -99,32 +106,49 @@ class FiniteGroup:
         return range(self.order)
 
 
-def _check_associativity(
-    table: np.ndarray, mul: Sequence[Sequence[int]], identity: int
-) -> None:
-    """Light's test on a two-sided identity: if (x*s)*y = x*(s*y) for all x, y
-    and each s in S, the same holds for every product of elements of S, so
-    it suffices that S reaches every element from the identity.
+def _greedy_generators(mul: Sequence[Sequence[int]], identity: int) -> Iterator[int]:
+    """Yield a set S that reaches every element from the identity by right
+    multiplication: each new s is the smallest element not yet reached.
 
-    S is built greedily from the smallest element not yet reached, by right
-    multiplication only, which needs no associativity or inverses; in a
-    group each new element at least doubles the reached subgroup, so
-    |S| <= log2(n).
+    Right multiplication needs no associativity or inverses, so this is exact
+    on any table with a two-sided identity; in a group each new element at
+    least doubles the reached subgroup, so |S| <= log2(n).
     """
-    n = table.shape[0]
+    n = len(mul)
     gens: list[int] = []
     reached = {identity}
     s = 0
     while len(reached) < n:
         while s in reached:
             s += 1
+        yield s
         gens.append(s)
-        left = table[table[:, s]]       # [x, y] -> (x*s)*y
-        right = table[:, table[s]]      # [x, y] -> x*(s*y)
-        if not np.array_equal(left, right):
-            x, y = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative((x, s, y))
         reached = set(_closure(identity, gens, lambda a, b: mul[a][b]))
+
+
+def _check_associativity(mul: tuple[tuple[int, ...], ...], identity: int) -> None:
+    """Light's test on a two-sided identity: if (x*s)*y = x*(s*y) for all x, y
+    and each s in S, the same holds for every product of elements of S, so
+    it suffices that S reaches every element from the identity.
+    """
+    for s in _greedy_generators(mul, identity):
+        times_s_row = itemgetter(*mul[s])      # row of x -> [x*(s*y) for y]
+        for x, row in enumerate(mul):
+            left = mul[row[s]]                 # [(x*s)*y for y]
+            right = times_s_row(row)
+            if left != right:
+                y = next(y for y, (p, q) in enumerate(zip(left, right)) if p != q)
+                raise NotAssociative((x, s, y))
+
+
+def _indices(rows: Sequence[Sequence], bound: int) -> bool:
+    """True when every entry of rows is a plain int (never a bool or a float,
+    which compare equal to ints) in 0..bound-1."""
+    cells = itertools.chain.from_iterable
+    return (
+        set(map(type, cells(rows))) <= {int}
+        and set(cells(rows)) <= set(range(bound))
+    )
 
 
 def make_group(
@@ -133,36 +157,38 @@ def make_group(
     labels: Optional[Sequence[str]] = None,
 ) -> FiniteGroup:
     """Validate a square index table and return the group it defines."""
-    n = len(mul_table)
-    table = np.asarray(mul_table, dtype=np.int64)
-    if table.shape != (n, n) or n == 0:
-        raise ValueError(f"need a nonempty square table, got shape {table.shape}")
-    if table.min() < 0 or table.max() >= n:
-        raise ValueError("table entries must be indices 0..n-1")
+    try:
+        mul = tuple(map(tuple, mul_table))
+    except TypeError:
+        raise ValueError("table rows must be lists of indices") from None
+    n = len(mul)
+    if n == 0 or any(len(row) != n for row in mul):
+        raise ValueError(f"need a nonempty square table, got {n} rows")
+    if not _indices(mul, n):
+        raise ValueError(f"table entries must be integers in 0..{n - 1}")
 
-    if identity_hint is not None:
-        candidates = [identity_hint]
-    else:
-        candidates = list(range(n))
-    identity = None
-    idx = np.arange(n)
-    for e in candidates:
-        if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
-            identity = e
-            break
+    idx = tuple(range(n))
+    candidates = [identity_hint] if identity_hint is not None else idx
+    identity = next(
+        (e for e in candidates
+         if mul[e] == idx and all(row[e] == x for x, row in enumerate(mul))),
+        None,
+    )
     if identity is None:
         raise NoIdentity()
 
     inv = []
-    for a in range(n):
-        hits = np.nonzero(table[a] == identity)[0]
-        b = next((int(h) for h in hits if table[h, a] == identity), None)
-        if b is None:
-            raise NoInverse(a)
+    for a, row in enumerate(mul):
+        # first b with a*b = e = b*a
+        try:
+            b = row.index(identity)
+            while mul[b][a] != identity:
+                b = row.index(identity, b + 1)
+        except ValueError:
+            raise NoInverse(a) from None
         inv.append(b)
 
-    mul = tuple(map(tuple, table.tolist()))
-    _check_associativity(table, mul, identity)
+    _check_associativity(mul, identity)
 
     return FiniteGroup(
         order=n,
@@ -186,6 +212,8 @@ class SubgroupHandle:
         mem = self.members
         if list(mem) != sorted(set(mem)):
             raise NotASubgroup("members must be sorted and unique")
+        if any(not 0 <= a < self.parent.order for a in mem):
+            raise NotASubgroup("members must be elements of the parent")
         mset = set(mem)
         if self.parent.identity not in mset:
             raise NotASubgroup("identity missing")
@@ -251,26 +279,32 @@ class GroupHom:
 def make_hom(
     domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]
 ) -> GroupHom:
-    """Check f(a*b) = f(a)*f(b) on every pair at once, and wrap.
+    """Check f(a*s) = f(a)*f(s) for every a and each s in a generating set of
+    the domain, and wrap.
 
-    Raises NotAHomomorphism with the first failing pair (a, b).
+    With f(e) = e this is exact: every element is a product of generators,
+    so f(a*s1*...*sk) = f(a)*f(s1)*...*f(sk) = f(a)*f(s1*...*sk).  f(e) = e
+    is checked first, since a trivial domain has no generators.  Raises
+    NotAHomomorphism with the first failing pair (a, s).
     """
     n = domain.order
-    if len(mapping) != n:
+    f = tuple(mapping)
+    if len(f) != n:
         raise ValueError("mapping length must equal domain order")
-    m = np.asarray(mapping, dtype=np.int64)
-    if m.min() < 0 or m.max() >= codomain.order:
-        raise ValueError("mapping values out of codomain range")
-    dt = np.asarray(domain.mul, dtype=np.int64)
-    ct = np.asarray(codomain.mul, dtype=np.int64)
-    lhs = m[dt]
-    rhs = ct[np.ix_(m, m)]
-    if not np.array_equal(lhs, rhs):
-        a, b = map(int, np.argwhere(lhs != rhs)[0])
-        raise NotAHomomorphism((a, b))
-    hom = GroupHom(domain, codomain, tuple(int(x) for x in m))
-    assert hom.map[domain.identity] == codomain.identity
-    return hom
+    if not _indices((f,), codomain.order):
+        raise ValueError(
+            f"mapping values must be integers in 0..{codomain.order - 1}"
+        )
+    e = domain.identity
+    if f[e] != codomain.identity:
+        raise NotAHomomorphism((e, e))
+    cmul = codomain.mul
+    for s in _greedy_generators(domain.mul, e):
+        fs = f[s]
+        for a, row in enumerate(domain.mul):
+            if f[row[s]] != cmul[f[a]][fs]:
+                raise NotAHomomorphism((a, s))
+    return GroupHom(domain, codomain, f)
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .embedding import (
@@ -43,6 +43,54 @@ def canonical_json(obj: Any) -> str:
 
 def instance_hash(resolved_problem: dict) -> str:
     return hashlib.sha256(canonical_json(resolved_problem).encode()).hexdigest()
+
+
+# --- typed reading ------------------------------------------------------------
+
+_TYPE_NAMES = {
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+_CERT = "certificate field"
+
+
+def _typed(value: Any, kinds, path: str, what: str = _CERT) -> Any:
+    """value if it has one of the JSON types kinds (an int is never a bool),
+    else a ValueError naming the field: "<what> <path> must be ..."."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
+        return value
+    expected = " or ".join(_TYPE_NAMES[k] for k in kinds)
+    raise ValueError(f"{what} {path} must be {expected}, got {value!r}")
+
+
+def _get(obj: dict, path: str, kinds=None, what: str = _CERT) -> Any:
+    """The field of obj that path ends in (its last dotted segment), typed by
+    _typed unless kinds is None; a missing field is named too."""
+    key = path.rpartition(".")[2]
+    if key not in obj:
+        raise ValueError(f"{what} {path} is missing")
+    return obj[key] if kinds is None else _typed(obj[key], kinds, path, what)
+
+
+def _ints(value: Any, path: str, what: str = _CERT) -> tuple[int, ...]:
+    items = _typed(value, list, path, what)
+    if not set(map(type, items)) <= {int}:  # name the first offender
+        for i, v in enumerate(items):
+            _typed(v, int, f"{path}[{i}]", what)
+    return tuple(items)
+
+
+def _objects(value: Any, path: str) -> list[tuple[str, dict]]:
+    return [
+        (f"{path}[{i}]", _typed(v, dict, f"{path}[{i}]"))
+        for i, v in enumerate(_typed(value, list, path))
+    ]
 
 
 # --- groups -------------------------------------------------------------------
@@ -86,6 +134,10 @@ def group_from_json(obj: dict) -> FiniteGroup:
 
 
 def _resolve_group(spec: Any, groups: dict[str, FiniteGroup]) -> FiniteGroup:
+    """A group spec is a name in groups, an inline group object, or a group
+    already built from one (see Workspace)."""
+    if isinstance(spec, FiniteGroup):
+        return spec
     if isinstance(spec, str):
         if spec not in groups:
             raise ValueError(f"unknown group name {spec!r}")
@@ -122,28 +174,43 @@ def tuple_to_json(t: SurfaceTuple, target_name: str) -> dict:
 
 # --- problems -----------------------------------------------------------------
 
+def _surface_tuple(
+    target: FiniteGroup, obj: dict, path: str, what: str
+) -> SurfaceTuple:
+    """The surface tuple in field path of obj: an object with integer lists
+    x and y."""
+    images = _get(obj, path, dict, what)
+    x, y = (_ints(_get(images, f"{path}.{k}"), f"{path}.{k}", what) for k in "xy")
+    return make_surface_tuple(target, x, y)
+
+
 def relative_from_json(obj: dict, groups: dict[str, FiniteGroup]) -> SubgroupSpec:
-    q_group = _resolve_group(obj["Q"], groups)
-    nu = make_surface_tuple(q_group, obj["nu"]["x"], obj["nu"]["y"])
-    s_handle = SubgroupHandle(q_group, tuple(sorted(set(obj["S"]))))
+    what = "relative field"
+    q_group = _resolve_group(_get(obj, "Q", what=what), groups)
+    nu = _surface_tuple(q_group, obj, "nu", what)
+    members = _ints(_get(obj, "S", what=what), "S", what)
+    s_handle = SubgroupHandle(q_group, tuple(sorted(set(members))))
     return SubgroupSpec(q_group, nu, s_handle)
 
 
 def problem_from_json(
     obj: dict, groups: dict[str, FiniteGroup]
 ) -> tuple[SplitEP, Optional[SubgroupSpec]]:
-    k_group = _resolve_group(obj["K"], groups)
-    h_group = _resolve_group(obj["H"], groups)
-    action = ActionSpec(
-        h_group, k_group, tuple(tuple(p) for p in obj["action"])
+    what = "problem field"
+    k_group = _resolve_group(_get(obj, "K", what=what), groups)
+    h_group = _resolve_group(_get(obj, "H", what=what), groups)
+    perms = tuple(
+        _ints(p, f"action[{i}]", what)
+        for i, p in enumerate(_get(obj, "action", list, what))
     )
-    beta_bar = make_surface_tuple(
-        h_group, obj["beta_bar"]["x"], obj["beta_bar"]["y"]
-    )
-    ep = make_split_ep(k_group, h_group, action, beta_bar, genus=obj.get("genus"))
+    action = ActionSpec(h_group, k_group, perms)
+    beta_bar = _surface_tuple(h_group, obj, "beta_bar", what)
+    genus = _typed(obj.get("genus"), (int, type(None)), "genus", what)
+    ep = make_split_ep(k_group, h_group, action, beta_bar, genus=genus)
     relative = None
     if obj.get("relative") is not None:
-        relative = relative_from_json(obj["relative"], groups)
+        rel = _typed(obj["relative"], dict, "relative", what)
+        relative = relative_from_json(rel, groups)
     return ep, relative
 
 
@@ -181,11 +248,28 @@ class Workspace:
     tuples: dict[str, SurfaceTuple]
     problems: dict[str, dict]            # raw JSON objects, built on demand
     relatives: dict[str, dict]
+    # problem name -> its object with K, H and the relative Q built
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _problem(self, name: str) -> dict:
+        """Problem name's JSON object with K, H and the relative Q replaced by
+        their groups, so build_problem and problem_hash share one validation
+        of each inline group."""
+        if name not in self._built:
+            if name not in self.problems:
+                raise ValueError(f"unknown problem {name!r}")
+            obj = dict(self.problems[name])
+            for role in ("K", "H"):
+                if role in obj:
+                    obj[role] = _resolve_group(obj[role], self.groups)
+            rel = obj.get("relative")
+            if isinstance(rel, dict) and "Q" in rel:
+                obj["relative"] = {**rel, "Q": _resolve_group(rel["Q"], self.groups)}
+            self._built[name] = obj
+        return self._built[name]
 
     def build_problem(self, name: str) -> tuple[SplitEP, Optional[SubgroupSpec]]:
-        if name not in self.problems:
-            raise ValueError(f"unknown problem {name!r}")
-        return problem_from_json(self.problems[name], self.groups)
+        return problem_from_json(self._problem(name), self.groups)
 
     def build_relative(self, name: str) -> SubgroupSpec:
         if name not in self.relatives:
@@ -193,7 +277,7 @@ class Workspace:
         return relative_from_json(self.relatives[name], self.groups)
 
     def problem_hash(self, name: str) -> str:
-        return instance_hash(resolve_problem_json(self.problems[name], self.groups))
+        return instance_hash(resolve_problem_json(self._problem(name), self.groups))
 
 
 def load_workspace(path: str) -> Workspace:
@@ -265,39 +349,6 @@ def certificate_to_json(
     return obj
 
 
-_TYPE_NAMES = {
-    int: "an integer",
-    bool: "true or false",
-    str: "a string",
-    list: "a list",
-    dict: "an object",
-    type(None): "null",
-}
-
-
-def _typed(value: Any, kinds, path: str) -> Any:
-    """value if it has one of the JSON types kinds (an int is never a bool),
-    else a ValueError naming the certificate field."""
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
-        return value
-    expected = " or ".join(_TYPE_NAMES[k] for k in kinds)
-    raise ValueError(f"certificate field {path} must be {expected}, got {value!r}")
-
-
-def _ints(value: Any, path: str) -> tuple[int, ...]:
-    return tuple(
-        _typed(v, int, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path))
-    )
-
-
-def _objects(value: Any, path: str) -> list[tuple[str, dict]]:
-    return [
-        (f"{path}[{i}]", _typed(v, dict, f"{path}[{i}]"))
-        for i, v in enumerate(_typed(value, list, path))
-    ]
-
-
 def certificate_from_json(obj: Any) -> SolutionCertificate:
     """Parse a certificate, checking every field's JSON type; values are
     checked by reverification, not here."""
@@ -307,24 +358,24 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
             f"certificate format {fmt!r} is not {CERTIFICATE_FORMAT!r}; "
             f"re-run surfep solve to get one"
         )
-    _typed(obj["problem"], str, "problem")
-    _typed(obj["instance_hash"], str, "instance_hash")
-    phi = _typed(obj["phi"], dict, "phi")
+    _get(obj, "problem", str)
+    _get(obj, "instance_hash", str)
+    phi = _get(obj, "phi", dict)
     eta = None
     if "eta" in obj:
-        e = _typed(obj["eta"], dict, "eta")
+        e = _get(obj, "eta", dict)
         eta = EtaSummary(
-            s=_typed(e["s"], int, "eta.s"),
-            n=_typed(e["n"], int, "eta.n"),
-            m=_typed(e["m"], int, "eta.m"),
-            kgens=_ints(e["kgens"], "eta.kgens"),
-            selected=_ints(e["selected"], "eta.selected"),
+            s=_get(e, "eta.s", int),
+            n=_get(e, "eta.n", int),
+            m=_get(e, "eta.m", int),
+            kgens=_ints(_get(e, "eta.kgens"), "eta.kgens"),
+            selected=_ints(_get(e, "eta.selected"), "eta.selected"),
         )
     relative = None
     if "relative" in obj:
-        r = _typed(obj["relative"], dict, "relative")
+        r = _get(obj, "relative", dict)
         memberships = []
-        for i, m in enumerate(_typed(r["memberships"], list, "relative.memberships")):
+        for i, m in enumerate(_get(r, "relative.memberships", list)):
             path = f"relative.memberships[{i}]"
             if len(_typed(m, list, path)) != 3:
                 raise ValueError(f"certificate field {path} must have 3 entries")
@@ -333,38 +384,38 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
                 for k, (v, kind) in enumerate(zip(m, (int, bool, bool)))
             ))
         relative = RelativeEvidence(
-            q_order=_typed(r["q_order"], int, "relative.q_order"),
-            s_members=_ints(r["s_members"], "relative.s_members"),
-            beta_n_image=_ints(r["beta_n_image"], "relative.beta_n_image"),
-            memberships=tuple(memberships),
-            offending_index=_typed(
-                r["offending_index"], (int, type(None)), "relative.offending_index"
+            q_order=_get(r, "relative.q_order", int),
+            s_members=_ints(_get(r, "relative.s_members"), "relative.s_members"),
+            beta_n_image=_ints(
+                _get(r, "relative.beta_n_image"), "relative.beta_n_image"
             ),
+            memberships=tuple(memberships),
+            offending_index=_get(r, "relative.offending_index", (int, type(None))),
         )
     return SolutionCertificate(
-        genus=_typed(obj["genus"], int, "genus"),
-        phi_x=_ints(phi["x"], "phi.x"),
-        phi_y=_ints(phi["y"], "phi.y"),
-        is_solution=_typed(obj["is_solution"], bool, "is_solution"),
-        is_proper=_typed(obj["is_proper"], bool, "is_proper"),
-        outcome=_typed(obj["outcome"], str, "outcome"),
+        genus=_get(obj, "genus", int),
+        phi_x=_ints(_get(phi, "phi.x"), "phi.x"),
+        phi_y=_ints(_get(phi, "phi.y"), "phi.y"),
+        is_solution=_get(obj, "is_solution", bool),
+        is_proper=_get(obj, "is_proper", bool),
+        outcome=_get(obj, "outcome", str),
         checks=tuple(
             CheckRecord(
-                _typed(c["name"], str, f"{path}.name"),
-                _typed(c["passed"], bool, f"{path}.passed"),
+                _get(c, f"{path}.name", str),
+                _get(c, f"{path}.passed", bool),
                 _typed(c.get("detail", ""), str, f"{path}.detail"),
             )
-            for path, c in _objects(obj["checks"], "checks")
+            for path, c in _objects(_get(obj, "checks"), "checks")
         ),
         eta=eta,
         witnesses=tuple(
             KernelWitness(
-                parse_word(_typed(w["word"], str, f"{path}.word")),
-                _typed(w["value"], int, f"{path}.value"),
+                parse_word(_get(w, f"{path}.word", str)),
+                _get(w, f"{path}.value", int),
                 _typed(w.get("in_n_left"), (bool, type(None)), f"{path}.in_n_left"),
                 _typed(w.get("in_n_right"), (bool, type(None)), f"{path}.in_n_right"),
             )
-            for path, w in _objects(obj["witnesses"], "witnesses")
+            for path, w in _objects(_get(obj, "witnesses"), "witnesses")
         ),
         relative=relative,
     )

@@ -191,6 +191,41 @@ class TestVerifyOutOfRangePhi:
         assert proc.stdout == ""
 
 
+class TestProblemFieldTypes:
+    """Workspace integers are plain ints: a float, string or bool anywhere in
+    a problem, or an S member outside Q, is refused with a named error."""
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("K", "table", 0, 1), 1.5, "table entries must be integers"),
+            (("K", "table", 0, 1), "1", "table entries must be integers"),
+            (("K", "table", 0, 1), True, "table entries must be integers"),
+            (("action", 0, 1), 1.0, "problem field action[0][1] must be"),
+            (("beta_bar", "x", 0), 1.0, "problem field beta_bar.x[0] must be"),
+            (("beta_bar", "y", 0), True, "problem field beta_bar.y[0] must be"),
+            (("genus",), "8", "problem field genus must be"),
+            (("relative", "nu", "y", 0), 1.0, "relative field nu.y[0] must be"),
+            (("relative", "S", 0), True, "relative field S[0] must be"),
+            (("relative", "S"), [0, 99], "member set is not a subgroup: members"),
+        ],
+    )
+    def test_solve_names_the_field(self, tmp_path, path, value, message):
+        ws = str(tmp_path / "gen.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        doc = json.loads(open(ws).read())
+        target = doc["problems"]["ep000"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        open(ws, "w").write(canonical_json(doc))
+        proc = run_python("-m", "surfep", "solve", ws, "ep000")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"error: {message}" in proc.stderr
+        assert proc.stdout == ""
+
+
 def solved_gen3(tmp_path):
     """ep000 of `gen --seed 3 --count 2 --size-h 1` and its certificate."""
     ws = str(tmp_path / "gen.json")
@@ -498,3 +533,11 @@ class TestEntryPoint:
         as_module = run_python("-m", "surfep", "--help")
         assert as_module.returncode == 0, as_module.stderr
         assert as_module.stdout == proc.stdout
+
+    def test_cli_imports_no_numpy(self):
+        # surfep has no third-party runtime dependency; every CLI start
+        # pays for what `import surfep.cli` loads
+        code = "import sys, surfep.cli; print('numpy' in sys.modules)"
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

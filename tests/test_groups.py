@@ -360,3 +360,95 @@ class TestExactValidation:
             assert not has_inverses(table, 0)
             accepted = False
         assert accepted == valid
+
+    @pytest.mark.parametrize("entry", [1.5, "1", True, -1, 2])
+    def test_table_entry_must_be_an_index(self, entry):
+        table = [[0, 1], [1, 0]]
+        table[0][1] = entry
+        with pytest.raises(ValueError, match="table entries"):
+            s.make_group(table)
+
+    @pytest.mark.parametrize("entry", [1.5, "1", True, -1, 2])
+    def test_hom_image_must_be_an_index(self, entry):
+        c2 = s.cyclic_group(2)
+        with pytest.raises(ValueError, match="mapping values"):
+            make_hom(c2, c2, [0, entry])
+
+    def test_map_exposed_only_by_the_second_generator(self):
+        # V4 -> C4 with 0, 1 -> 0 and 2, 3 -> 1.  V4's greedy generators
+        # are 1 and 2: f(a*1) = f(a)*f(1) for every a, but f(2*2) = f(0) = 0
+        # while f(2)*f(2) = 2
+        v4, c4 = s.klein_four_group(), s.cyclic_group(4)
+        mapping = [0, 0, 1, 1]
+        assert all(
+            mapping[v4.mul[a][1]] == c4.mul[mapping[a]][mapping[1]]
+            for a in range(4)
+        )
+        with pytest.raises(NotAHomomorphism) as info:
+            make_hom(v4, c4, mapping)
+        assert info.value.pair == (2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_hom_verdict_matches_brute_force(self, data):
+        dom = data.draw(st.sampled_from(HOM_GROUPS))
+        cod = data.draw(st.sampled_from(HOM_GROUPS))
+        genuine = all_homs(dom, cod)
+        kind = data.draw(st.sampled_from(["genuine", "perturbed", "random"]))
+        if kind == "random":
+            mapping = data.draw(st.lists(
+                st.integers(0, cod.order - 1),
+                min_size=dom.order, max_size=dom.order,
+            ))
+        else:
+            mapping = list(data.draw(st.sampled_from(genuine)))
+            if kind == "perturbed":
+                a = data.draw(st.integers(0, dom.order - 1))
+                mapping[a] = data.draw(st.integers(0, cod.order - 1))
+        try:
+            make_hom(dom, cod, mapping)
+            accepted = True
+        except NotAHomomorphism as exc:
+            a, b = exc.pair
+            assert mapping[dom.mul[a][b]] != cod.mul[mapping[a]][mapping[b]]
+            accepted = False
+        assert accepted == is_multiplicative(dom, cod, mapping)
+        if kind == "genuine":
+            assert accepted
+
+
+HOM_GROUPS = list(s.catalog().values()) + [s.cyclic_group(5), s.cyclic_group(8)]
+
+
+def is_multiplicative(dom, cod, mapping):
+    return all(
+        mapping[dom.mul[a][b]] == cod.mul[mapping[a]][mapping[b]]
+        for a in range(dom.order) for b in range(dom.order)
+    )
+
+
+_HOMS = {}
+
+
+def all_homs(dom, cod):
+    """Every homomorphism dom -> cod: each assignment of images to a minimal
+    generating tuple, spread over the closure, kept if multiplicative on
+    all pairs.  The identity-only map is always among them."""
+    key = (dom.mul, cod.mul)
+    if key not in _HOMS:
+        _, gens = s.minimal_generator_count(full_subgroup(dom))
+        homs = []
+        for images in itertools.product(range(cod.order), repeat=len(gens)):
+            f = {dom.identity: cod.identity}
+            frontier = [dom.identity]
+            for a in frontier:
+                for g, img in zip(gens, images):
+                    b = dom.mul[a][g]
+                    if b not in f:
+                        f[b] = cod.mul[f[a]][img]
+                        frontier.append(b)
+            mapping = tuple(f[a] for a in range(dom.order))
+            if is_multiplicative(dom, cod, mapping):
+                homs.append(mapping)
+        _HOMS[key] = homs
+    return _HOMS[key]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import surfep as s
+from surfep import serialize
 from surfep.oracle import InstanceRecipe, generate_instances
 from surfep.serialize import (
     canonical_json,
@@ -111,6 +112,9 @@ class TestTupleAndProblemJson:
         assert h1 == h2
 
 
+MISSING = object()  # a field deleted instead of replaced
+
+
 class TestCertificateJson:
     def test_roundtrip(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
@@ -161,6 +165,10 @@ class TestCertificateJson:
             (("witnesses", 0, "value"), 2.5),
             (("witnesses", 0, "in_n_left"), 0),
             (("phi",), []),
+            (("phi", "x"), MISSING),
+            (("problem",), MISSING),
+            (("eta", "selected"), MISSING),
+            (("checks",), MISSING),
         ],
     )
     def test_field_types_checked(self, v4_instance, path, value):
@@ -170,8 +178,13 @@ class TestCertificateJson:
         target = obj
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
-        with pytest.raises(ValueError, match="certificate field " + path[0]):
+        if value is MISSING:
+            del target[path[-1]]
+            match = f"certificate field {'.'.join(path)} is missing"
+        else:
+            target[path[-1]] = value
+            match = "certificate field " + path[0]
+        with pytest.raises(ValueError, match=match):
             certificate_from_json(obj)
 
     def test_relative_field_types_checked(self):
@@ -218,6 +231,26 @@ class TestWorkspace:
         h1 = load_workspace(str(path)).problem_hash("ep000")
         h2 = load_workspace(str(path)).problem_hash("ep000")
         assert h1 == h2
+
+    def test_inline_groups_validated_once_per_workspace(self, tmp_path, monkeypatch):
+        inst = next(
+            g for g in generate_instances(InstanceRecipe(seed=11), 4)
+            if g.relative is not None
+        )
+        path = tmp_path / "ws.json"
+        path.write_text(canonical_json(workspace_to_json([inst])))
+        built = []
+        real = serialize.group_from_json
+        monkeypatch.setattr(
+            serialize, "group_from_json", lambda obj: built.append(obj) or real(obj)
+        )
+        for _ in range(2):
+            ws = load_workspace(str(path))
+            for _ in range(2):
+                ws.build_problem(inst.name)
+                ws.problem_hash(inst.name)
+        # K, H and Q once per load: the memo lives on the workspace only
+        assert len(built) == 6
 
     def test_unknown_names_rejected(self, tmp_path):
         path = tmp_path / "ws.json"
