@@ -10,7 +10,6 @@ from .groups import (
     catalog,
     cyclic_group,
     direct_product,
-    find_section,
     group_from_permutations,
     image,
     inversion_action,
@@ -47,10 +46,9 @@ from .embedding import (
     SplitEP,
     SubgroupSpec,
     claim_proper,
+    image_of_restriction,
     make_split_ep,
-    subgroup_image_under,
     verify_solution,
-    word_in_n,
 )
 from .solver import (
     EtaParams,

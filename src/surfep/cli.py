@@ -58,8 +58,6 @@ def cmd_solve(args) -> int:
     try:
         ws = load_workspace(args.file)
         ep, relative = ws.build_problem(args.problem)
-        if args.relative is not None:
-            relative = ws.build_relative(args.relative)
         content_hash = ws.problem_hash(args.problem)
     except (SurfepError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -100,7 +98,11 @@ def cmd_verify(args) -> int:
         name = cert_obj["problem"]
         ep, relative = ws.build_problem(name)
         if ws.problem_hash(name) != cert_obj["instance_hash"]:
-            print("error: InstanceHashMismatch", file=sys.stderr)
+            print(
+                f"error: InstanceHashMismatch: certificate field instance_hash "
+                f"is not the hash of problem {name!r}",
+                file=sys.stderr,
+            )
             return EXIT_ERROR
     except (SurfepError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -203,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a problem from a workspace file")
     p.add_argument("file", help="workspace JSON file")
     p.add_argument("problem", help="problem name inside the workspace")
-    p.add_argument("--relative", help="named relative spec overriding the inline one")
     p.add_argument("--out", help="certificate output path (default stdout)")
     p.set_defaults(func=cmd_solve)
 

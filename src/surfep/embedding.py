@@ -116,10 +116,6 @@ class SubgroupSpec:
         return replace(self, nu=nu)
 
 
-def word_in_n(spec: SubgroupSpec, word: Word) -> bool:
-    return evaluate_word(spec.nu, word) in spec.S
-
-
 def image_of_restriction(t: SurfaceTuple, spec: SubgroupSpec) -> SubgroupHandle:
     """The image of N = nu^-1(S) under the homomorphism given by t.
 
@@ -143,13 +139,6 @@ def image_of_restriction(t: SurfaceTuple, spec: SubgroupSpec) -> SubgroupHandle:
     s_members = set(spec.S.members)
     members = sorted({a for a, q in pairs if q in s_members})
     return SubgroupHandle(t.target, tuple(members))
-
-
-def subgroup_image_under(
-    beta_bar: SurfaceTuple, spec: SubgroupSpec
-) -> SubgroupHandle:
-    """beta(N) as a subgroup of B, via the fiber product in B x Q."""
-    return image_of_restriction(beta_bar, spec)
 
 
 def claim_proper(
@@ -188,7 +177,8 @@ class CheckRecord:
 class KernelWitness:
     """A word (in the certificate basis) whose phi-value is one kernel
     generator; for relative problems both membership orientations of the
-    word in N are recorded."""
+    word in N are read on nu.  Derived from the move program, never
+    written."""
 
     word: Word
     value: int
@@ -198,12 +188,12 @@ class KernelWitness:
 
 @dataclass(frozen=True)
 class RelativeEvidence:
-    q_order: int
-    s_members: tuple[int, ...]
-    beta_n_image: tuple[int, ...]
+    """Why a relative run stopped: the membership flags on the certificate
+    basis and the first position whose x-difference leaves N."""
+
     # (basis position i, x1^-1 x_i in N, x_i x1^-1 in N)
-    memberships: tuple[tuple[int, bool, bool], ...] = ()
-    offending_index: Optional[int] = None
+    memberships: tuple[tuple[int, bool, bool], ...]
+    offending_index: int
 
 
 @dataclass(frozen=True)
@@ -340,7 +330,6 @@ def verify_solution(
             )
 
     is_proper = is_solution and direct_proper
-    relative_evidence = None
     if relative is not None:
         ok_genus = relative.genus == g
         checks.append(CheckRecord("relative_genus", ok_genus, ""))
@@ -368,11 +357,6 @@ def verify_solution(
             checks.append(
                 CheckRecord("witness_memberships", mem_ok, "all witness words in N")
             )
-            relative_evidence = RelativeEvidence(
-                q_order=relative.Q.order,
-                s_members=tuple(relative.S.members),
-                beta_n_image=tuple(bn.members),
-            )
             is_proper = is_solution and bn_full and an_full and mem_ok
         else:
             is_proper = False
@@ -387,5 +371,4 @@ def verify_solution(
         outcome=outcome,
         checks=tuple(checks),
         witnesses=tuple(witnesses),
-        relative=relative_evidence,
     )

@@ -46,17 +46,6 @@ class InvalidAction(SurfepError):
         super().__init__(f"invalid group action: {detail}")
 
 
-class NotSurjective(SurfepError):
-    def __init__(self, missing: int):
-        self.missing = missing
-        super().__init__(f"homomorphism misses codomain element {missing}")
-
-
-class NotSplit(SurfepError):
-    def __init__(self) -> None:
-        super().__init__("surjection admits no multiplicative section")
-
-
 # --- surface tuples and words ----------------------------------------------
 
 class RelationViolated(SurfepError):

@@ -30,8 +30,6 @@ from .errors import (
     NotAHomomorphism,
     NotASubgroup,
     NotAssociative,
-    NotSplit,
-    NotSurjective,
 )
 
 E = TypeVar("E")
@@ -307,10 +305,6 @@ def make_hom(
     return GroupHom(domain, codomain, f)
 
 
-def identity_hom(group: FiniteGroup) -> GroupHom:
-    return GroupHom(group, group, tuple(range(group.order)))
-
-
 def kernel(hom: GroupHom) -> SubgroupHandle:
     e = hom.codomain.identity
     members = tuple(a for a in hom.domain.elements() if hom.map[a] == e)
@@ -320,56 +314,6 @@ def kernel(hom: GroupHom) -> SubgroupHandle:
 def image(hom: GroupHom) -> SubgroupHandle:
     # image of a hom is already closed; no closure pass needed
     return SubgroupHandle(hom.codomain, tuple(sorted(set(hom.map))))
-
-
-def find_section(alpha: GroupHom) -> GroupHom:
-    """Lexicographically first multiplicative right inverse of a surjection.
-
-    Backtracks over one transversal representative per codomain element in
-    ascending index order, pruning as soon as a partial assignment breaks
-    multiplicativity.
-    """
-    b_group = alpha.codomain
-    a_group = alpha.domain
-    n = b_group.order
-    fibers: list[list[int]] = [[] for _ in range(n)]
-    for a in a_group.elements():
-        fibers[alpha.map[a]].append(a)
-    for b in range(n):
-        if not fibers[b]:
-            raise NotSurjective(b)
-
-    assign: list[Optional[int]] = [None] * n
-    bmul = b_group.mul
-    amul = a_group.mul
-
-    def consistent(b: int) -> bool:
-        gb = assign[b]
-        for b2 in range(b + 1):
-            g2 = assign[b2]
-            p = bmul[b][b2]
-            if p <= b and amul[gb][g2] != assign[p]:
-                return False
-            p = bmul[b2][b]
-            if p <= b and amul[g2][gb] != assign[p]:
-                return False
-        return True
-
-    def backtrack(b: int) -> bool:
-        if b == n:
-            return True
-        for a in fibers[b]:
-            assign[b] = a
-            if consistent(b) and backtrack(b + 1):
-                return True
-        assign[b] = None
-        return False
-
-    if not backtrack(0):
-        raise NotSplit()
-    gamma = make_hom(b_group, a_group, [assign[b] for b in range(n)])
-    assert all(alpha.map[gamma.map[b]] == b for b in range(n))
-    return gamma
 
 
 class MinimalGenerators(NamedTuple):

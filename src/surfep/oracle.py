@@ -284,6 +284,12 @@ def generate_instances(
     """Deterministic stream of valid instances at genus 2|A|^2 |B| (or with
     slack); even positions carry a valid relative spec, every tenth carries
     a failing one."""
+    ks, hs, cap = recipe.size_k_choices, recipe.size_h_choices, recipe.max_order_a
+    if not any(k * h <= cap for k in ks for h in hs):
+        # the draw below would never stop
+        raise ValueError(
+            f"no size choice has |K||H| <= {cap}: |K| in {list(ks)}, |H| in {list(hs)}"
+        )
     rng = random.Random(recipe.seed)
     out = []
     for i in range(count):

@@ -1,7 +1,8 @@
-"""JSON interchange for groups, tuples, problems, and certificates.
+"""JSON interchange for groups, problems, workspaces, and certificates.
 
 All emitted JSON is canonical (sorted keys, fixed separators, trailing
-newline) so identical inputs give byte-identical outputs.
+newline) so identical inputs give byte-identical outputs.  Every field read
+is type-checked, and a malformed one is named in the error.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .embedding import (
-    CheckRecord,
     EtaSummary,
-    KernelWitness,
     RelativeEvidence,
     SolutionCertificate,
     SplitEP,
@@ -24,17 +23,14 @@ from .embedding import (
 from .groups import (
     ActionSpec,
     FiniteGroup,
-    GroupHom,
     SubgroupHandle,
     group_from_permutations,
     make_group,
-    make_hom,
 )
-from .surface import SurfaceTuple, make_surface_tuple, parse_word
+from .surface import make_surface_tuple
 
-# v2 records the certificate basis as its move program (eta.selected) only;
-# v1 also wrote every basis element out as an expanded word
-CERTIFICATE_FORMAT = "surfep-certificate-v2"
+# v3 holds only what `surfep verify` reads; older formats are refused
+CERTIFICATE_FORMAT = "surfep-certificate-v3"
 
 
 def canonical_json(obj: Any) -> str:
@@ -57,6 +53,10 @@ _TYPE_NAMES = {
 }
 
 _CERT = "certificate field"
+_WORKSPACE = "workspace field"
+_GROUP = "group field"
+_PROBLEM = "problem field"
+_RELATIVE = "relative field"
 
 
 def _typed(value: Any, kinds, path: str, what: str = _CERT) -> Any:
@@ -78,19 +78,16 @@ def _get(obj: dict, path: str, kinds=None, what: str = _CERT) -> Any:
     return obj[key] if kinds is None else _typed(obj[key], kinds, path, what)
 
 
-def _ints(value: Any, path: str, what: str = _CERT) -> tuple[int, ...]:
+def _items(value: Any, kind: type, path: str, what: str) -> tuple:
     items = _typed(value, list, path, what)
-    if not set(map(type, items)) <= {int}:  # name the first offender
+    if not set(map(type, items)) <= {kind}:  # name the first offender
         for i, v in enumerate(items):
-            _typed(v, int, f"{path}[{i}]", what)
+            _typed(v, kind, f"{path}[{i}]", what)
     return tuple(items)
 
 
-def _objects(value: Any, path: str) -> list[tuple[str, dict]]:
-    return [
-        (f"{path}[{i}]", _typed(v, dict, f"{path}[{i}]"))
-        for i, v in enumerate(_typed(value, list, path))
-    ]
+def _ints(value: Any, path: str, what: str = _CERT) -> tuple[int, ...]:
+    return _items(value, int, path, what)
 
 
 # --- groups -------------------------------------------------------------------
@@ -105,138 +102,130 @@ def group_to_json(group: FiniteGroup) -> dict:
     return obj
 
 
-def group_from_json(obj: dict) -> FiniteGroup:
+def group_from_json(obj: Any, path: str = "group") -> FiniteGroup:
+    """The group an object with a table (rows, or row-major with its order)
+    or permutations describes; path names its fields in errors."""
+    obj = _typed(obj, dict, path, _GROUP)
     has_table = "table" in obj
     has_perms = "permutations" in obj
     if has_table == has_perms:
-        raise ValueError("group object needs exactly one of 'table' or 'permutations'")
+        raise ValueError(
+            f"group {path} needs exactly one of 'table' or 'permutations'"
+        )
     labels = obj.get("labels")
+    if labels is not None:
+        labels = _items(labels, str, f"{path}.labels", _GROUP)
+    order = _get(obj, f"{path}.order", int, _GROUP) if "order" in obj else None
     if has_table:
-        table = obj["table"]
+        table = _typed(obj["table"], list, f"{path}.table", _GROUP)
         if table and isinstance(table[0], int):
             # row-major flat list
-            n = obj["order"]
+            table = _ints(table, f"{path}.table", _GROUP)
+            n = _get(obj, f"{path}.order", int, _GROUP)
             if len(table) != n * n:
                 raise ValueError("flat table length must be order squared")
             table = [table[i * n : (i + 1) * n] for i in range(n)]
+        else:
+            for i, row in enumerate(table):
+                _typed(row, list, f"{path}.table[{i}]", _GROUP)
         group = make_group(table, labels=labels)
     else:
-        group, _ = group_from_permutations(obj["permutations"])
+        perms = _typed(obj["permutations"], list, f"{path}.permutations", _GROUP)
+        group, _ = group_from_permutations([
+            _ints(p, f"{path}.permutations[{i}]", _GROUP) for i, p in enumerate(perms)
+        ])
         if labels is not None:
             group = FiniteGroup(
-                group.order, group.identity, group.mul, group.inv, tuple(labels)
+                group.order, group.identity, group.mul, group.inv, labels
             )
-    if "order" in obj and obj["order"] != group.order:
+    if order is not None and order != group.order:
         raise ValueError(
-            f"declared order {obj['order']} but the group has order {group.order}"
+            f"declared order {order} but the group has order {group.order}"
         )
     return group
 
 
-def _resolve_group(spec: Any, groups: dict[str, FiniteGroup]) -> FiniteGroup:
+def _resolve_group(
+    spec: Any, groups: dict[str, FiniteGroup], path: str, what: str
+) -> FiniteGroup:
     """A group spec is a name in groups, an inline group object, or a group
     already built from one (see Workspace)."""
     if isinstance(spec, FiniteGroup):
         return spec
-    if isinstance(spec, str):
+    if isinstance(_typed(spec, (str, dict), path, what), str):
         if spec not in groups:
             raise ValueError(f"unknown group name {spec!r}")
         return groups[spec]
-    return group_from_json(spec)
-
-
-# --- homs and tuples ----------------------------------------------------------
-
-def hom_from_json(obj: dict, groups: dict[str, FiniteGroup]) -> GroupHom:
-    return make_hom(
-        _resolve_group(obj["domain"], groups),
-        _resolve_group(obj["codomain"], groups),
-        obj["map"],
-    )
-
-
-def tuple_from_json(obj: dict, groups: dict[str, FiniteGroup]) -> SurfaceTuple:
-    target = _resolve_group(obj["target"], groups)
-    t = make_surface_tuple(target, obj["x"], obj["y"])
-    if "genus" in obj and obj["genus"] != t.genus:
-        raise ValueError("declared genus does not match image list length")
-    return t
-
-
-def tuple_to_json(t: SurfaceTuple, target_name: str) -> dict:
-    return {
-        "target": target_name,
-        "genus": t.genus,
-        "x": list(t.ximg),
-        "y": list(t.yimg),
-    }
+    return group_from_json(spec, path)
 
 
 # --- problems -----------------------------------------------------------------
 
-def _surface_tuple(
-    target: FiniteGroup, obj: dict, path: str, what: str
-) -> SurfaceTuple:
-    """The surface tuple in field path of obj: an object with integer lists
-    x and y."""
+def _images(obj: dict, path: str, what: str) -> tuple[tuple[int, ...], ...]:
+    """The x and y integer lists of the object in field path of obj."""
     images = _get(obj, path, dict, what)
-    x, y = (_ints(_get(images, f"{path}.{k}"), f"{path}.{k}", what) for k in "xy")
-    return make_surface_tuple(target, x, y)
+    return tuple(_ints(_get(images, f"{path}.{k}", what=what), f"{path}.{k}", what)
+                 for k in "xy")
+
+
+def _action(obj: dict) -> list[tuple[int, ...]]:
+    return [
+        _ints(p, f"action[{i}]", _PROBLEM)
+        for i, p in enumerate(_get(obj, "action", list, _PROBLEM))
+    ]
 
 
 def relative_from_json(obj: dict, groups: dict[str, FiniteGroup]) -> SubgroupSpec:
-    what = "relative field"
-    q_group = _resolve_group(_get(obj, "Q", what=what), groups)
-    nu = _surface_tuple(q_group, obj, "nu", what)
-    members = _ints(_get(obj, "S", what=what), "S", what)
+    q_group = _resolve_group(_get(obj, "Q", what=_RELATIVE), groups, "Q", _RELATIVE)
+    nu = make_surface_tuple(q_group, *_images(obj, "nu", _RELATIVE))
+    members = _ints(_get(obj, "S", what=_RELATIVE), "S", _RELATIVE)
     s_handle = SubgroupHandle(q_group, tuple(sorted(set(members))))
     return SubgroupSpec(q_group, nu, s_handle)
+
+
+def _relative_object(obj: dict) -> Optional[dict]:
+    rel = obj.get("relative")
+    return None if rel is None else _typed(rel, dict, "relative", _PROBLEM)
 
 
 def problem_from_json(
     obj: dict, groups: dict[str, FiniteGroup]
 ) -> tuple[SplitEP, Optional[SubgroupSpec]]:
-    what = "problem field"
-    k_group = _resolve_group(_get(obj, "K", what=what), groups)
-    h_group = _resolve_group(_get(obj, "H", what=what), groups)
-    perms = tuple(
-        _ints(p, f"action[{i}]", what)
-        for i, p in enumerate(_get(obj, "action", list, what))
-    )
-    action = ActionSpec(h_group, k_group, perms)
-    beta_bar = _surface_tuple(h_group, obj, "beta_bar", what)
-    genus = _typed(obj.get("genus"), (int, type(None)), "genus", what)
+    k_group = _resolve_group(_get(obj, "K", what=_PROBLEM), groups, "K", _PROBLEM)
+    h_group = _resolve_group(_get(obj, "H", what=_PROBLEM), groups, "H", _PROBLEM)
+    action = ActionSpec(h_group, k_group, tuple(_action(obj)))
+    beta_bar = make_surface_tuple(h_group, *_images(obj, "beta_bar", _PROBLEM))
+    genus = _typed(obj.get("genus"), (int, type(None)), "genus", _PROBLEM)
     ep = make_split_ep(k_group, h_group, action, beta_bar, genus=genus)
-    relative = None
-    if obj.get("relative") is not None:
-        rel = _typed(obj["relative"], dict, "relative", what)
-        relative = relative_from_json(rel, groups)
-    return ep, relative
+    rel = _relative_object(obj)
+    return ep, None if rel is None else relative_from_json(rel, groups)
 
 
 def resolve_problem_json(obj: dict, groups: dict[str, FiniteGroup]) -> dict:
     """Inline every group reference so the object is self-contained; this is
     what the instance hash covers."""
 
-    def inline(spec):
-        return group_to_json(_resolve_group(spec, groups))
+    def inline(o, role, what):
+        spec = _get(o, role, what=what)
+        return group_to_json(_resolve_group(spec, groups, role, what))
 
+    def images(o, path, what):
+        return dict(zip("xy", map(list, _images(o, path, what))))
+
+    beta_bar = images(obj, "beta_bar", _PROBLEM)
     resolved = {
-        "genus": obj.get("genus", len(obj["beta_bar"]["x"])),
-        "K": inline(obj["K"]),
-        "H": inline(obj["H"]),
-        "action": [list(p) for p in obj["action"]],
-        "beta_bar": {
-            "x": list(obj["beta_bar"]["x"]),
-            "y": list(obj["beta_bar"]["y"]),
-        },
+        "genus": obj.get("genus", len(beta_bar["x"])),
+        "K": inline(obj, "K", _PROBLEM),
+        "H": inline(obj, "H", _PROBLEM),
+        "action": [list(p) for p in _action(obj)],
+        "beta_bar": beta_bar,
     }
-    if obj.get("relative") is not None:
-        rel = obj["relative"]
+    rel = _relative_object(obj)
+    if rel is not None:
         resolved["relative"] = {
-            "Q": inline(rel["Q"]),
-            "nu": {"x": list(rel["nu"]["x"]), "y": list(rel["nu"]["y"])},
-            "S": sorted(set(rel["S"])),
+            "Q": inline(rel, "Q", _RELATIVE),
+            "nu": images(rel, "nu", _RELATIVE),
+            "S": sorted(set(_ints(_get(rel, "S", what=_RELATIVE), "S", _RELATIVE))),
         }
     return resolved
 
@@ -244,10 +233,7 @@ def resolve_problem_json(obj: dict, groups: dict[str, FiniteGroup]) -> dict:
 @dataclass(frozen=True)
 class Workspace:
     groups: dict[str, FiniteGroup]
-    homs: dict[str, GroupHom]
-    tuples: dict[str, SurfaceTuple]
-    problems: dict[str, dict]            # raw JSON objects, built on demand
-    relatives: dict[str, dict]
+    problems: dict[str, Any]             # raw JSON objects, built on demand
     # problem name -> its object with K, H and the relative Q built
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -258,122 +244,123 @@ class Workspace:
         if name not in self._built:
             if name not in self.problems:
                 raise ValueError(f"unknown problem {name!r}")
-            obj = dict(self.problems[name])
+            obj = _typed(self.problems[name], dict, f"problems.{name}", _WORKSPACE)
+            obj = dict(obj)
             for role in ("K", "H"):
                 if role in obj:
-                    obj[role] = _resolve_group(obj[role], self.groups)
+                    obj[role] = _resolve_group(obj[role], self.groups, role, _PROBLEM)
             rel = obj.get("relative")
             if isinstance(rel, dict) and "Q" in rel:
-                obj["relative"] = {**rel, "Q": _resolve_group(rel["Q"], self.groups)}
+                q_group = _resolve_group(rel["Q"], self.groups, "Q", _RELATIVE)
+                obj["relative"] = {**rel, "Q": q_group}
             self._built[name] = obj
         return self._built[name]
 
     def build_problem(self, name: str) -> tuple[SplitEP, Optional[SubgroupSpec]]:
         return problem_from_json(self._problem(name), self.groups)
 
-    def build_relative(self, name: str) -> SubgroupSpec:
-        if name not in self.relatives:
-            raise ValueError(f"unknown relative spec {name!r}")
-        return relative_from_json(self.relatives[name], self.groups)
-
     def problem_hash(self, name: str) -> str:
         return instance_hash(resolve_problem_json(self._problem(name), self.groups))
 
 
 def load_workspace(path: str) -> Workspace:
+    """Read a workspace: named groups and problems.  Other top-level keys
+    are ignored."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    groups = {
-        name: group_from_json(obj) for name, obj in doc.get("groups", {}).items()
-    }
-    homs = {
-        name: hom_from_json(obj, groups) for name, obj in doc.get("homs", {}).items()
-    }
-    tuples = {
-        name: tuple_from_json(obj, groups)
-        for name, obj in doc.get("tuples", {}).items()
-    }
-    return Workspace(
-        groups=groups,
-        homs=homs,
-        tuples=tuples,
-        problems=dict(doc.get("problems", {})),
-        relatives=dict(doc.get("relatives", {})),
-    )
+        doc = _typed(json.load(fh), dict, "(top level)", _WORKSPACE)
+    named = _typed(doc.get("groups", {}), dict, "groups", _WORKSPACE)
+    groups = {name: group_from_json(g, f"groups.{name}") for name, g in named.items()}
+    problems = _typed(doc.get("problems", {}), dict, "problems", _WORKSPACE)
+    return Workspace(groups=groups, problems=dict(problems))
 
 
 # --- certificates -------------------------------------------------------------
 
+# the field each outcome adds to format, problem, instance_hash, outcome, eta
+_OUTCOME_FIELD = {
+    "proper": "phi",
+    "solution": "phi",
+    "invalid": "phi",
+    "not_reduced": "relative",
+}
+
+
 def certificate_to_json(
     cert: SolutionCertificate, problem_name: str, content_hash: str
 ) -> dict:
+    eta = cert.eta
     obj: dict[str, Any] = {
         "format": CERTIFICATE_FORMAT,
         "problem": problem_name,
         "instance_hash": content_hash,
-        "genus": cert.genus,
         "outcome": cert.outcome,
-        "is_solution": cert.is_solution,
-        "is_proper": cert.is_proper,
-        "phi": {"x": list(cert.phi_x), "y": list(cert.phi_y)},
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in cert.checks
-        ],
-        "witnesses": [
-            {
-                "word": str(w.word),
-                "value": w.value,
-                "in_n_left": w.in_n_left,
-                "in_n_right": w.in_n_right,
-            }
-            for w in cert.witnesses
-        ],
+        "eta": {
+            "s": eta.s,
+            "n": eta.n,
+            "m": eta.m,
+            "kgens": list(eta.kgens),
+            "selected": list(eta.selected),
+        },
     }
-    if cert.eta is not None:
-        obj["eta"] = {
-            "s": cert.eta.s,
-            "n": cert.eta.n,
-            "m": cert.eta.m,
-            "kgens": list(cert.eta.kgens),
-            "selected": list(cert.eta.selected),
-        }
-    if cert.relative is not None:
+    if cert.outcome == "not_reduced":
         obj["relative"] = {
-            "q_order": cert.relative.q_order,
-            "s_members": list(cert.relative.s_members),
-            "beta_n_image": list(cert.relative.beta_n_image),
             "memberships": [list(m) for m in cert.relative.memberships],
             "offending_index": cert.relative.offending_index,
         }
+    else:
+        obj["phi"] = {"x": list(cert.phi_x), "y": list(cert.phi_y)}
+    return obj
+
+
+def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
+    """value as an object none of whose keys lies outside keys; path is ""
+    at the top level."""
+    obj = _typed(value, dict, path or "(top level)")
+    extra = next((k for k in obj if k not in keys), None)
+    if extra is not None:
+        name = f"{path}.{extra}" if path else extra
+        raise ValueError(
+            f"certificate field {name} is not part of a certificate with "
+            f"outcome {outcome!r}"
+        )
     return obj
 
 
 def certificate_from_json(obj: Any) -> SolutionCertificate:
-    """Parse a certificate, checking every field's JSON type; values are
-    checked by reverification, not here."""
-    fmt = _typed(obj, dict, "(top level)").get("format")
+    """Parse a certificate, checking every field's JSON type and refusing any
+    field that verify does not read; values are checked by reverification,
+    not here.  is_solution, is_proper and genus follow from outcome and phi.
+    """
+    top = _typed(obj, dict, "(top level)")
+    fmt = _get(top, "format", str)
     if fmt != CERTIFICATE_FORMAT:
         raise ValueError(
             f"certificate format {fmt!r} is not {CERTIFICATE_FORMAT!r}; "
             f"re-run surfep solve to get one"
         )
-    _get(obj, "problem", str)
-    _get(obj, "instance_hash", str)
-    phi = _get(obj, "phi", dict)
-    eta = None
-    if "eta" in obj:
-        e = _get(obj, "eta", dict)
-        eta = EtaSummary(
-            s=_get(e, "eta.s", int),
-            n=_get(e, "eta.n", int),
-            m=_get(e, "eta.m", int),
-            kgens=_ints(_get(e, "eta.kgens"), "eta.kgens"),
-            selected=_ints(_get(e, "eta.selected"), "eta.selected"),
+    outcome = _get(top, "outcome", str)
+    if outcome not in _OUTCOME_FIELD:
+        raise ValueError(
+            f"certificate field outcome must be one of "
+            f"{', '.join(_OUTCOME_FIELD)}, got {outcome!r}"
         )
+    _fields(top, "", ("format", "problem", "instance_hash", "outcome", "eta",
+                      _OUTCOME_FIELD[outcome]), outcome)
+    _get(top, "problem", str)
+    _get(top, "instance_hash", str)
+    e = _fields(_get(top, "eta"), "eta", ("s", "n", "m", "kgens", "selected"), outcome)
+    eta = EtaSummary(
+        s=_get(e, "eta.s", int),
+        n=_get(e, "eta.n", int),
+        m=_get(e, "eta.m", int),
+        kgens=_ints(_get(e, "eta.kgens"), "eta.kgens"),
+        selected=_ints(_get(e, "eta.selected"), "eta.selected"),
+    )
+    phi_x = phi_y = ()
     relative = None
-    if "relative" in obj:
-        r = _get(obj, "relative", dict)
+    if outcome == "not_reduced":
+        r = _fields(_get(top, "relative"), "relative",
+                    ("memberships", "offending_index"), outcome)
         memberships = []
         for i, m in enumerate(_get(r, "relative.memberships", list)):
             path = f"relative.memberships[{i}]"
@@ -384,39 +371,21 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
                 for k, (v, kind) in enumerate(zip(m, (int, bool, bool)))
             ))
         relative = RelativeEvidence(
-            q_order=_get(r, "relative.q_order", int),
-            s_members=_ints(_get(r, "relative.s_members"), "relative.s_members"),
-            beta_n_image=_ints(
-                _get(r, "relative.beta_n_image"), "relative.beta_n_image"
-            ),
-            memberships=tuple(memberships),
-            offending_index=_get(r, "relative.offending_index", (int, type(None))),
+            tuple(memberships), _get(r, "relative.offending_index", int)
         )
+    else:
+        phi = _fields(_get(top, "phi"), "phi", ("x", "y"), outcome)
+        phi_x = _ints(_get(phi, "phi.x"), "phi.x")
+        phi_y = _ints(_get(phi, "phi.y"), "phi.y")
     return SolutionCertificate(
-        genus=_get(obj, "genus", int),
-        phi_x=_ints(_get(phi, "phi.x"), "phi.x"),
-        phi_y=_ints(_get(phi, "phi.y"), "phi.y"),
-        is_solution=_get(obj, "is_solution", bool),
-        is_proper=_get(obj, "is_proper", bool),
-        outcome=_get(obj, "outcome", str),
-        checks=tuple(
-            CheckRecord(
-                _get(c, f"{path}.name", str),
-                _get(c, f"{path}.passed", bool),
-                _typed(c.get("detail", ""), str, f"{path}.detail"),
-            )
-            for path, c in _objects(_get(obj, "checks"), "checks")
-        ),
+        genus=len(phi_x),
+        phi_x=phi_x,
+        phi_y=phi_y,
+        is_solution=outcome in ("proper", "solution"),
+        is_proper=outcome == "proper",
+        outcome=outcome,
+        checks=(),
         eta=eta,
-        witnesses=tuple(
-            KernelWitness(
-                parse_word(_get(w, f"{path}.word", str)),
-                _get(w, f"{path}.value", int),
-                _typed(w.get("in_n_left"), (bool, type(None)), f"{path}.in_n_left"),
-                _typed(w.get("in_n_right"), (bool, type(None)), f"{path}.in_n_right"),
-            )
-            for path, w in _objects(_get(obj, "witnesses"), "witnesses")
-        ),
         relative=relative,
     )
 

@@ -10,7 +10,7 @@ with a certificate that re-verifies from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BetaNotSurjective,
@@ -23,9 +23,8 @@ from .errors import (
 from .groups import (
     ActionSpec,
     FiniteGroup,
-    GroupHom,
+    _greedy_generators,
     make_hom,
-    minimal_generator_count,
     semidirect_product,
     subgroup_closure,
     kernel,
@@ -38,14 +37,12 @@ from .embedding import (
     SolutionCertificate,
     SplitEP,
     SubgroupSpec,
-    claim_proper,
-    subgroup_image_under,
+    image_of_restriction,
     verify_solution,
 )
 from .surface import (
     BasisState,
     SurfaceTuple,
-    Word,
     evaluate_word,
     initial_basis_state,
     make_surface_tuple,
@@ -70,8 +67,11 @@ class EtaParams:
 
 
 def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaParams:
+    """kgens is the greedy generating tuple of Ker(alpha): each generator is
+    the smallest kernel member not yet reached, so s <= log2 |Ker(alpha)|."""
     ksub = ep.kernel_subgroup
-    mg = minimal_generator_count(ksub)
+    kgrp, incl = ksub.as_group()
+    kgens = tuple(incl.map[k] for k in _greedy_generators(kgrp.mul, kgrp.identity))
     n = subgroup_closure(
         ep.A, [*ksub.members, *phi.ximg, *phi.yimg]
     ).order
@@ -79,7 +79,7 @@ def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaParams:
     if two_a_sq % ep.B.order != 0:
         raise AssertionError("|B| must divide 2|A|^2")
     m = two_a_sq // ep.B.order
-    params = EtaParams(s=mg.count, n=n, m=m, kgens=mg.witness)
+    params = EtaParams(s=len(kgens), n=n, m=m, kgens=kgens)
     if params.s * params.n + params.s > params.m:
         raise AssertionError("sn + s <= m must hold for a split problem")
     return params
@@ -156,36 +156,36 @@ def eta_construct(
     return eta
 
 
-def _witnesses_for(
-    eta: SurfaceTuple,
-    params: EtaParams,
-    relative: Optional[SubgroupSpec],
-) -> tuple[KernelWitness, ...]:
-    out = []
-    for j in range(params.s):
-        word = word_x(1, -1) * word_x(j * params.n + 2)
-        value = evaluate_word(eta, word)
-        left = right = None
-        if relative is not None:
-            nu = relative.nu
-            sset = set(relative.S.members)
-            left = evaluate_word(nu, word) in sset
-            rword = word_x(j * params.n + 2) * word_x(1, -1)
-            right = evaluate_word(nu, rword) in sset
-        out.append(KernelWitness(word, value, left, right))
-    return tuple(out)
-
-
 def _memberships(
-    nu_n: SurfaceTuple, nspec: SubgroupSpec, m: int
+    rel_n: SubgroupSpec, positions: Iterable[int]
 ) -> tuple[tuple[int, bool, bool], ...]:
-    """(i, x1^-1 x_i in N, x_i x1^-1 in N) for 2 <= i <= m, on nu_n's basis."""
-    sset = set(nspec.S.members)
-    mul = nu_n.target.mul
-    inv1 = nu_n.target.inv[nu_n.ximg[0]]
+    """(i, x1^-1 x_i in N, x_i x1^-1 in N) for each basis position i, read
+    on rel_n.nu."""
+    nu = rel_n.nu
+    sset = set(rel_n.S.members)
+    mul = nu.target.mul
+    inv1 = nu.target.inv[nu.ximg[0]]
     return tuple(
-        (i, mul[inv1][nu_n.ximg[i - 1]] in sset, mul[nu_n.ximg[i - 1]][inv1] in sset)
-        for i in range(2, m + 1)
+        (i, mul[inv1][nu.ximg[i - 1]] in sset, mul[nu.ximg[i - 1]][inv1] in sset)
+        for i in positions
+    )
+
+
+def _witnesses_for(
+    eta: EtaSummary, rel_n: Optional[SubgroupSpec]
+) -> tuple[KernelWitness, ...]:
+    """The kernel witnesses a move program implies: for each j the word
+    x1^-1 x_{jn+2}, whose value on the certificate basis must be kgens[j],
+    with both membership orientations in N when there is a relative."""
+    positions = [j * eta.n + 2 for j in range(len(eta.kgens))]
+    flags = (
+        _memberships(rel_n, positions)
+        if rel_n is not None
+        else [(i, None, None) for i in positions]
+    )
+    return tuple(
+        KernelWitness(word_x(1, -1) * word_x(i), k, left, right)
+        for (i, left, right), k in zip(flags, eta.kgens)
     )
 
 
@@ -199,7 +199,7 @@ def _solve_pipeline(
     if nspec is not None:
         if nspec.genus != g:
             raise GenusMismatch(g, nspec.genus)
-        bn = subgroup_image_under(ep.beta_bar, nspec)
+        bn = image_of_restriction(ep.beta_bar, nspec)
         if bn.order != ep.B.order:
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)
 
@@ -211,6 +211,7 @@ def _solve_pipeline(
 
     pairs = list(zip(phi0.ximg, phi0.yimg))
     selected = pigeonhole_select(pairs, params.m)
+    summary = EtaSummary(params.s, params.n, params.m, params.kgens, tuple(selected))
 
     channels = [phi0, ep.beta_bar]
     if nspec is not None:
@@ -221,23 +222,15 @@ def _solve_pipeline(
     beta_n = state.channel_tuple(1)
     ep_n = ep.with_beta_bar(beta_n)
     rel_n = None
-    memberships: tuple[tuple[int, bool, bool], ...] = ()
     if nspec is not None:
         rel_n = nspec.with_nu(state.channel_tuple(2))
-        memberships = _memberships(rel_n.nu, nspec, params.m)
+        memberships = _memberships(rel_n, range(2, params.m + 1))
         offending = next(
             (i for i, left, right in memberships if not (left and right)), None
         )
         if offending is not None:
             # the finite argument stops here; escalating needs the quotient
             # construction, which is outside this solver
-            evidence = RelativeEvidence(
-                q_order=nspec.Q.order,
-                s_members=tuple(nspec.S.members),
-                beta_n_image=tuple(bn.members),
-                memberships=memberships,
-                offending_index=offending,
-            )
             return SolutionCertificate(
                 genus=g,
                 phi_x=phi_n.ximg,
@@ -252,39 +245,23 @@ def _solve_pipeline(
                         f"x-word at position {offending} leaves N",
                     ),
                 ),
-                eta=EtaSummary(
-                    params.s, params.n, params.m, params.kgens, tuple(selected)
-                ),
-                relative=evidence,
+                eta=summary,
+                relative=RelativeEvidence(memberships, offending),
             )
 
     eta = eta_construct(phi_n, params, ep_n, rel_n)
-    witnesses = _witnesses_for(eta, params, rel_n)
-
     cert = verify_solution(
         ep_n,
         eta.ximg,
         eta.yimg,
         relative=rel_n,
-        witnesses=witnesses,
-    )
-    extra_checks = list(cert.checks)
-    extra_checks.append(
-        CheckRecord(
-            "claim_proper",
-            claim_proper(ep_n, eta),
-            "Ker(alpha) inside the closure of the eta images",
-        )
+        witnesses=_witnesses_for(summary, rel_n),
     )
     if not cert.is_proper:
         raise AssertionError(
             f"pipeline produced a non-proper certificate: {cert.failed_checks()}"
         )
-    summary = EtaSummary(params.s, params.n, params.m, params.kgens, tuple(selected))
-    relative_evidence = cert.relative
-    if relative_evidence is not None:
-        relative_evidence = replace(relative_evidence, memberships=memberships)
-    return replace(cert, eta=summary, relative=relative_evidence, checks=tuple(extra_checks))
+    return replace(cert, eta=summary)
 
 
 def solve_gamma_level(ep: SplitEP) -> SolutionCertificate:
@@ -299,11 +276,13 @@ def solve_relative(ep: SplitEP, nspec: SubgroupSpec) -> SolutionCertificate:
     return _solve_pipeline(ep, nspec)
 
 
-def _eta_check(ep: SplitEP, eta: EtaSummary) -> CheckRecord:
+def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
     """The recorded move program against its recomputation from gamma o
     beta_bar: s, n, m and kgens from make_eta_params, selected from the
     pigeonhole.  Equality also makes selected a strictly increasing list of
     positions in 1..genus, so it can be replayed."""
+    if eta is None:
+        return CheckRecord("eta_recomputed", False, "no move program recorded")
     phi0 = map_tuple(ep.gamma, ep.beta_bar)
     params = make_eta_params(ep, phi0)
     try:
@@ -322,23 +301,19 @@ def _eta_check(ep: SplitEP, eta: EtaSummary) -> CheckRecord:
 
 def _replay(
     ep: SplitEP, eta: Optional[EtaSummary], nspec: Optional[SubgroupSpec]
-) -> tuple[Optional[CheckRecord], Optional[BasisState]]:
+) -> tuple[CheckRecord, Optional[BasisState]]:
     """Check the move program and replay it on beta_bar (and nu) by value.
 
-    Returns the eta check (None without eta: the program is empty and the
-    certificate basis is the original one) and the certificate-basis state,
-    or None in its place when the program fails its check.
+    Returns the eta check and the certificate-basis state, or None in its
+    place when the program fails its check.
     """
     if nspec is not None and nspec.genus != ep.genus:
         raise GenusMismatch(ep.genus, nspec.genus)
-    channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
-    state = initial_basis_state(channels)
-    if eta is None:
-        return None, state
     check = _eta_check(ep, eta)
     if not check.passed:
         return check, None
-    return check, normalize_to_front(state, eta.selected)
+    channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
+    return check, normalize_to_front(initial_basis_state(channels), eta.selected)
 
 
 def reverify_certificate(
@@ -350,7 +325,8 @@ def reverify_certificate(
 
     The move program eta is recomputed from the problem, then replayed on
     the values of the original reference maps to give them on the
-    certificate basis; no basis word is built or evaluated.  Everything
+    certificate basis; no basis word is built or evaluated.  The kernel
+    witnesses are derived from the checked program, and everything
     downstream (relation, compatibility, closures, witnesses, memberships)
     is recomputed on that basis.
     """
@@ -360,28 +336,14 @@ def reverify_certificate(
             ep.genus, cert.phi_x, cert.phi_y, False, False, "invalid", (eta_check,)
         )
     ep_n = ep.with_beta_bar(state.channel_tuple(0))
-    rel_n = None
-    witnesses = cert.witnesses
-    if nspec is not None:
-        rel_n = nspec.with_nu(state.channel_tuple(1))
-        # membership flags of each witness word, read on nu over the
-        # certificate basis
-        sset = set(nspec.S.members)
-        witnesses = tuple(
-            replace(
-                w,
-                in_n_left=evaluate_word(rel_n.nu, w.word) in sset,
-                in_n_right=evaluate_word(
-                    rel_n.nu, Word(tuple(reversed(w.word.factors)))
-                ) in sset,
-            )
-            for w in witnesses
-        )
+    rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
     fresh = verify_solution(
-        ep_n, cert.phi_x, cert.phi_y, relative=rel_n, witnesses=witnesses
+        ep_n,
+        cert.phi_x,
+        cert.phi_y,
+        relative=rel_n,
+        witnesses=_witnesses_for(cert.eta, rel_n),
     )
-    if eta_check is None:
-        return fresh
     return replace(fresh, eta=cert.eta, checks=(eta_check, *fresh.checks))
 
 
@@ -395,15 +357,14 @@ def _recheck_not_reduced(
         return (
             CheckRecord("relative_present", False, "certificate needs a relative spec"),
         )
-    if cert.eta is None:
-        return (CheckRecord("eta_recomputed", False, "no move program recorded"),)
     eta_check, state = _replay(ep, cert.eta, nspec)
     if state is None:
         return (eta_check,)
-    bn = subgroup_image_under(ep.beta_bar, nspec)
-    recomputed = _memberships(state.channel_tuple(1), nspec, cert.eta.m)
-    recorded = cert.relative.memberships if cert.relative else None
-    off = cert.relative.offending_index if cert.relative else None
+    bn = image_of_restriction(ep.beta_bar, nspec)
+    recomputed = _memberships(
+        nspec.with_nu(state.channel_tuple(1)), range(2, cert.eta.m + 1)
+    )
+    off = cert.relative.offending_index
     return (
         eta_check,
         CheckRecord(
@@ -411,7 +372,7 @@ def _recheck_not_reduced(
         ),
         CheckRecord(
             "memberships_match",
-            recomputed == recorded,
+            recomputed == cert.relative.memberships,
             "recorded membership flags reproduce",
         ),
         CheckRecord(

@@ -90,7 +90,7 @@ class TestSolveVerify:
         assert main(["solve", ws, "v4_plain", "--out", out]) == 0
         cert = json.loads(open(out).read())
         assert cert["outcome"] == "proper"
-        assert cert["format"] == "surfep-certificate-v2"
+        assert cert["format"] == "surfep-certificate-v3"
         assert len(cert["instance_hash"]) == 64
 
     def test_solve_stdout_is_canonical(self, tmp_path, capsys):
@@ -114,8 +114,14 @@ class TestSolveVerify:
         out = str(tmp_path / "cert.json")
         assert main(["solve", ws, "v4", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        assert cert["relative"] is not None
+        # the relative checks are recomputed from the problem's own relative
+        assert "relative" not in cert
+        capsys.readouterr()
         assert main(["verify", out, ws]) == 0
+        lines = capsys.readouterr().out
+        for check in ("witness_words", "kernel_containment", "beta_n_surjective",
+                      "relative_image_full", "witness_memberships"):
+            assert re.search(rf"^{check} +pass", lines, re.M)
 
     def test_verify_rejects_tampered_certificate(self, tmp_path, capsys):
         ws = v4_workspace(tmp_path)
@@ -224,6 +230,72 @@ class TestProblemFieldTypes:
         assert "Traceback" not in proc.stderr
         assert f"error: {message}" in proc.stderr
         assert proc.stdout == ""
+
+
+def problem_edit(path, value):
+    """An edit of a workspace document setting ep000's field path to value."""
+    def edit(doc):
+        target = doc["problems"]["ep000"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+class TestWorkspaceStructure:
+    """A workspace, group spec or problem of the wrong JSON shape is refused
+    with an error naming the field."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: [doc], "workspace field (top level) must be an object"),
+            (lambda doc: {**doc, "groups": []},
+             "workspace field groups must be an object"),
+            (lambda doc: {"problems": list(doc["problems"])},
+             "workspace field problems must be an object"),
+            (lambda doc: {"problems": {"ep000": [1, 2]}},
+             "workspace field problems.ep000 must be an object"),
+            (problem_edit(("K",), 5), "problem field K must be a string or an object"),
+            (problem_edit(("K", "labels"), 7), "group field K.labels must be a list"),
+            (problem_edit(("K",), {"order": "2", "table": [0, 1, 1, 0]}),
+             "group field K.order must be an integer"),
+            (problem_edit(("K",), {"order": 1, "table": [0, [1]]}),
+             "group field K.table[1] must be an integer"),
+            (problem_edit(("K",), {"table": [[0, 1], 5]}),
+             "group field K.table[1] must be a list"),
+            (problem_edit(("K",), {"permutations": [[1, 0.0]]}),
+             "group field K.permutations[0][1] must be an integer"),
+        ],
+        ids=["top_level_list", "groups_list", "problems_list", "problem_list",
+             "K_int", "labels_int", "flat_order_string", "mixed_table",
+             "row_not_a_list", "float_permutation"],
+    )
+    def test_solve_names_the_field(self, tmp_path, edit, message):
+        ws = str(tmp_path / "gen.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        doc = edit(json.loads(open(ws).read()))
+        open(ws, "w").write(canonical_json(doc))
+        proc = run_python("-m", "surfep", "solve", ws, "ep000")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"error: {message}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_unread_maps_are_ignored(self, tmp_path):
+        # named homs, tuples and relative specs are not part of a problem;
+        # a malformed one no longer stops a solve
+        ws = str(tmp_path / "gen.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        doc = json.loads(open(ws).read())
+        doc["tuples"] = {"t": {"target": "C2", "x": [1.0], "y": [0]}}
+        doc["homs"] = {"h": 5}
+        doc["relatives"] = {"r": []}
+        open(ws, "w").write(canonical_json(doc))
+        proc = run_python("-m", "surfep", "solve", ws, "ep001")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outcome"] == "proper"
 
 
 def solved_gen3(tmp_path):
@@ -354,8 +426,8 @@ class TestForgedBasis:
 
 
 def test_solved_v1_certificate_is_refused(tmp_path, capsys):
-    """A certificate as the previous format wrote it: the v2 object plus the
-    expanded basis words."""
+    """A certificate in the v1 shape: a solved one plus the expanded basis
+    words."""
     ws = v4_workspace(tmp_path)
     out = str(tmp_path / "cert.json")
     assert main(["solve", ws, "v4_plain", "--out", out]) == 0
@@ -370,7 +442,24 @@ def test_solved_v1_certificate_is_refused(tmp_path, capsys):
     assert code == 1
     assert stderr == (
         "error: certificate format 'surfep-certificate-v1' is not "
-        "'surfep-certificate-v2'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v3'; re-run surfep solve to get one\n"
+    )
+
+
+def test_solved_v2_certificate_is_refused(tmp_path, capsys):
+    """A certificate in the v2 shape: the v3 fields plus the flags, check
+    records and witnesses that verify never read."""
+    ws = v4_workspace(tmp_path)
+    out = str(tmp_path / "cert.json")
+    assert main(["solve", ws, "v4_plain", "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    cert.update(format="surfep-certificate-v2", genus=64, is_solution=True,
+                is_proper=True, checks=[], witnesses=[])
+    code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        "error: certificate format 'surfep-certificate-v2' is not "
+        "'surfep-certificate-v3'; re-run surfep solve to get one\n"
     )
 
 
@@ -384,17 +473,8 @@ class TestWordFreeHotPath:
 
         monkeypatch.setattr(surface.Word, "conjugated_by", boom)
         for mod in (surfep, surface, embedding, solver, serialize, cli):
-            for name in ("expand_word", "basis_words"):
+            for name in ("expand_word", "basis_words", "parse_word"):
                 monkeypatch.setattr(mod, name, boom, raising=False)
-        witness = re.compile(r"x1\^-1 x\d+")
-        real_parse = serialize.parse_word
-
-        def parse_witness_only(text):
-            if not witness.fullmatch(text):
-                raise AssertionError(f"parsed a non-witness word {text!r}")
-            return real_parse(text)
-
-        monkeypatch.setattr(serialize, "parse_word", parse_witness_only)
 
     @pytest.mark.parametrize("problem", ["v4_plain", "v4"])
     def test_solve_then_verify(self, tmp_path, capsys, problem):
@@ -402,7 +482,7 @@ class TestWordFreeHotPath:
         out = str(tmp_path / "cert.json")
         assert main(["solve", ws, problem, "--out", out]) == 0
         cert = json.loads(open(out).read())
-        assert cert["witnesses"] and "basis" not in cert
+        assert "witnesses" not in cert and "basis" not in cert
         assert main(["verify", out, ws]) == 0
 
     def test_not_reduced(self, tmp_path, capsys):
@@ -459,12 +539,58 @@ class TestGen:
         main(["gen", "--seed", "4", "--count", "4", "--out", c])
         assert open(a).read() != open(c).read()
 
+    def test_gen_refuses_sizes_it_cannot_draw(self):
+        # every |K||H| is 25 > 16: the draw used to loop forever
+        proc = run_python("-m", "surfep", "gen", "--size-k", "5", "--size-h", "5")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "error: no size choice has |K||H| <= 16: |K| in [5], |H| in [5]\n"
+        )
+        assert proc.stdout == ""
+
+
+def test_c2_to_the_sixth_solves_and_verifies(tmp_path):
+    """K = C2^6, H = C2, trivial action at g = 2|A|^2|B| = 65,536: the
+    kernel generators are found greedily, not by an exponential search."""
+    g = 65536
+    c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    k = {"order": 64, "table": [[a ^ b for b in range(64)] for a in range(64)]}
+    doc = {
+        "problems": {
+            "p": {
+                "genus": g,
+                "K": k,
+                "H": c2,
+                "action": [list(range(64))] * 2,
+                "beta_bar": {"x": [1] + [0] * (g - 1), "y": [0] * g},
+            }
+        }
+    }
+    ws, out = str(tmp_path / "ws.json"), str(tmp_path / "cert.json")
+    open(ws, "w").write(json.dumps(doc))
+    proc = run_python("-m", "surfep", "solve", ws, "p", "--out", out, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    eta = json.loads(open(out).read())["eta"]
+    assert eta["kgens"] == [2, 4, 8, 16, 32, 64] and eta["n"] == 128
+    proc = run_python("-m", "surfep", "verify", out, ws, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script", ["demo_v4.py", "run_suite.py"])
+def test_script_runs(script):
+    proc = run_python(str(SCRIPTS / script))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 # SHA-256 of the `gen --seed 5 --count 12` workspace followed by, for each
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
 # encoding moves it; refactors must leave it alone.
-GOLDEN_GEN5_SHA256 = "c77bff57ec4ee14239fe481d65446dafe75d202945300e4fc6c822fce45e7587"
+GOLDEN_GEN5_SHA256 = "21ae6debf9ab8a56ab8903102cb3f60f1d3c70b2b2e87b52a956afc0c376d0da"
 
 
 class TestGoldenBytes:
@@ -496,7 +622,7 @@ def declared_console_script(name):
         return tomllib.load(fh)["project"]["scripts"][name]
 
 
-def run_python(*args):
+def run_python(*args, timeout=60):
     """Run ``python *args`` against the surfep copy this test process imported.
 
     The package root goes first on PYTHONPATH and is the working directory,
@@ -511,7 +637,7 @@ def run_python(*args):
         text=True,
         env=env,
         cwd=root,
-        timeout=60,
+        timeout=timeout,
     )
 
 

@@ -51,10 +51,14 @@ class TestSplitEP:
 class TestSubgroupSpec:
     def test_word_membership(self):
         spec = relative_killing_x(4)
-        assert s.word_in_n(spec, s.parse_word("x1^-1 x2"))
-        assert s.word_in_n(spec, s.parse_word("y3"))
-        assert not s.word_in_n(spec, s.word_x(1))
-        assert s.word_in_n(spec, s.parse_word("x1 x2 y1^-1"))
+
+        def in_n(word):
+            return s.evaluate_word(spec.nu, word) in spec.S
+
+        assert in_n(s.parse_word("x1^-1 x2"))
+        assert in_n(s.parse_word("y3"))
+        assert not in_n(s.word_x(1))
+        assert in_n(s.parse_word("x1 x2 y1^-1"))
 
     def test_mismatched_parent_rejected(self, cat):
         q = s.cyclic_group(2)
@@ -70,7 +74,7 @@ class TestSubgroupSpec:
         q = s.cyclic_group(3)
         nu = s.make_surface_tuple(q, [1, 2], [0, 0])
         spec = SubgroupSpec(q, nu, s.subgroup_closure(q, [1]))
-        assert s.subgroup_image_under(beta, spec).members == (0, 1)
+        assert s.image_of_restriction(beta, spec).members == (0, 1)
 
 
 class TestImageOfRestriction:
@@ -81,7 +85,7 @@ class TestImageOfRestriction:
         c2 = s.cyclic_group(2)
         beta = s.make_surface_tuple(c2, [1, 1], [0, 1])
         spec = relative_killing_x(2)
-        got = s.subgroup_image_under(beta, spec)
+        got = s.image_of_restriction(beta, spec)
         assert got.members == (0, 1)
 
     def test_restriction_can_be_proper(self):
@@ -91,14 +95,14 @@ class TestImageOfRestriction:
         q = s.cyclic_group(2)
         nu = s.make_surface_tuple(q, [1, 1], [0, 0])
         spec = SubgroupSpec(q, nu, s.subgroup_closure(q, []))
-        got = s.subgroup_image_under(beta, spec)
+        got = s.image_of_restriction(beta, spec)
         assert got.members == (0,)
 
     def test_genus_mismatch(self):
         c2 = s.cyclic_group(2)
         beta = s.make_surface_tuple(c2, [1, 0, 0], [0, 0, 0])
         with pytest.raises(GenusMismatch):
-            s.subgroup_image_under(beta, relative_killing_x(2))
+            s.image_of_restriction(beta, relative_killing_x(2))
 
     def test_against_brute_force_enumeration(self):
         # exhaustively evaluate every genus-3 word image pair (t, nu) by
@@ -128,7 +132,7 @@ class TestImageOfRestriction:
                         for ts, ns in ((t.ximg, nu.ximg), (t.yimg, nu.yimg))
                     ))
                 spec = SubgroupSpec(q, nu, s.subgroup_closure(q, s_seeds))
-                got = set(s.subgroup_image_under(t, spec).members)
+                got = set(s.image_of_restriction(t, spec).members)
                 # reference: products of generators and their inverses,
                 # closed pairwise by hand, keeping nu-values in S
                 seen = {(s3.identity, 0)}
@@ -240,5 +244,3 @@ class TestVerifySolution:
         cert = s.verify_solution(ep, phi.ximg, phi.yimg, relative=spec)
         names = {c.name for c in cert.checks}
         assert {"relative_genus", "beta_n_surjective", "relative_image_full"} <= names
-        assert cert.relative is not None
-        assert cert.relative.q_order == 2

@@ -10,8 +10,6 @@ from surfep.errors import (
     NoInverse,
     NotAHomomorphism,
     NotAssociative,
-    NotSplit,
-    NotSurjective,
 )
 from surfep.groups import automorphism_list, make_hom
 
@@ -159,38 +157,6 @@ class TestKernelImage:
         h = s.make_hom(c6, c2, [a % 2 for a in range(6)])
         ker = s.kernel(h)
         assert ker.members == (0, 2, 4)
-
-
-class TestFindSection:
-    def test_identity_map(self, cat):
-        h = s.make_hom(cat["S3"], cat["S3"], list(range(6)))
-        assert s.find_section(h).map == tuple(range(6))
-
-    def test_v4_projection_section(self):
-        c2 = s.cyclic_group(2)
-        dp = s.direct_product(c2, c2)
-        gamma = s.find_section(dp.proj2)
-        assert all(dp.proj2.map[gamma.map[b]] == b for b in range(2))
-        # lexicographically first: identity goes to 0, generator to element 1
-        assert gamma.map == (0, 1)
-
-    def test_c4_to_c2_not_split(self):
-        c4, c2 = s.cyclic_group(4), s.cyclic_group(2)
-        h = s.make_hom(c4, c2, [a % 2 for a in range(4)])
-        with pytest.raises(NotSplit):
-            s.find_section(h)
-
-    def test_not_surjective(self):
-        c2, c4 = s.cyclic_group(2), s.cyclic_group(4)
-        h = s.make_hom(c2, c4, [0, 2])
-        with pytest.raises(NotSurjective):
-            s.find_section(h)
-
-    def test_section_property_elementwise(self, cat):
-        c3, c2 = s.cyclic_group(3), s.cyclic_group(2)
-        sd = s.semidirect_product(c3, c2, s.inversion_action(c2, c3))
-        gamma = s.find_section(sd.alpha)
-        assert all(sd.alpha.map[gamma.map[b]] == b for b in c2.elements())
 
 
 class TestMinimalGenerators:

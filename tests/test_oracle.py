@@ -97,7 +97,7 @@ class TestGenerateInstances:
         for inst in batch:
             if inst.relative_valid is True:
                 seen_good = True
-                bn = s.subgroup_image_under(inst.ep.beta_bar, inst.relative)
+                bn = s.image_of_restriction(inst.ep.beta_bar, inst.relative)
                 assert bn.order == inst.ep.B.order
         assert seen_good
 
@@ -107,7 +107,7 @@ class TestGenerateInstances:
         for inst in batch:
             if inst.relative_valid is False:
                 seen_bad = True
-                bn = s.subgroup_image_under(inst.ep.beta_bar, inst.relative)
+                bn = s.image_of_restriction(inst.ep.beta_bar, inst.relative)
                 assert bn.order < inst.ep.B.order
         assert seen_bad
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 import surfep as s
+from surfep.embedding import SubgroupSpec
+from surfep.errors import GenusMismatch
 from surfep import serialize
 from surfep.oracle import InstanceRecipe, generate_instances
 from surfep.serialize import (
@@ -15,7 +17,6 @@ from surfep.serialize import (
     load_workspace,
     problem_from_json,
     resolve_problem_json,
-    tuple_from_json,
     workspace_to_json,
 )
 
@@ -67,17 +68,15 @@ class TestGroupJson:
 
 class TestTupleAndProblemJson:
     def test_tuple_from_json_named_group(self, cat):
-        t = tuple_from_json(
-            {"target": "C2", "x": [1, 0], "y": [0, 1]}, {"C2": cat["C2"]}
-        )
-        assert t.ximg == (1, 0)
+        # beta_bar read against a group named in the workspace
+        obj = {**self.problem_obj(), "H": "C2"}
+        ep, _ = problem_from_json(obj, {"C2": cat["C2"]})
+        assert ep.B is cat["C2"] and ep.beta_bar.ximg[:2] == (1, 0)
 
-    def test_tuple_genus_mismatch(self, cat):
-        with pytest.raises(ValueError):
-            tuple_from_json(
-                {"target": "C2", "genus": 3, "x": [1, 0], "y": [0, 1]},
-                {"C2": cat["C2"]},
-            )
+    def test_tuple_genus_mismatch(self):
+        # a declared genus that differs from the length of the image lists
+        with pytest.raises(GenusMismatch):
+            problem_from_json({**self.problem_obj(), "genus": 3}, {})
 
     def problem_obj(self, genus=64):
         return {
@@ -115,12 +114,29 @@ class TestTupleAndProblemJson:
 MISSING = object()  # a field deleted instead of replaced
 
 
+def not_reduced_certificate():
+    """The stopped relative run of tests/test_solver.py: nu alternates on
+    the x generators, so a selected x-difference leaves N."""
+    c2 = s.cyclic_group(2)
+    g = 64
+    beta = s.make_surface_tuple(c2, [1] + [0] * (g - 1), [0] * g)
+    ep = s.make_split_ep(c2, c2, s.trivial_action(c2, c2), beta)
+    nu = s.make_surface_tuple(c2, [0] + [i % 2 for i in range(1, g)], [0] * g)
+    return s.solve_relative(ep, SubgroupSpec(c2, nu, s.subgroup_closure(c2, [])))
+
+
+def written(cert):
+    return canonical_json(certificate_to_json(cert, "p", "h"))
+
+
 class TestCertificateJson:
     def test_roundtrip(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
-        obj = certificate_to_json(cert, "p", "hash")
-        again = certificate_from_json(json.loads(canonical_json(obj)))
-        assert again == cert
+        again = certificate_from_json(json.loads(written(cert)))
+        assert written(again) == written(cert)
+        # the flags and the genus follow from outcome and phi
+        for name in ("genus", "is_solution", "is_proper", "eta", "phi_x", "phi_y"):
+            assert getattr(again, name) == getattr(cert, name), name
 
     def test_relative_roundtrip(self):
         inst = next(
@@ -129,11 +145,24 @@ class TestCertificateJson:
             if g.relative_valid is True
         )
         cert = s.solve_relative(inst.ep, inst.relative)
-        again = certificate_from_json(
-            json.loads(canonical_json(certificate_to_json(cert, "p", "h")))
-        )
-        assert again == cert
-        assert again.relative.memberships == cert.relative.memberships
+        assert cert.outcome == "proper"
+        obj = json.loads(written(cert))
+        # a proper certificate records no relative evidence: verify
+        # recomputes every relative check from the problem
+        assert "relative" not in obj
+        assert written(certificate_from_json(obj)) == written(cert)
+
+    def test_not_reduced_roundtrip(self):
+        cert = not_reduced_certificate()
+        assert cert.outcome == "not_reduced"
+        obj = json.loads(written(cert))
+        assert set(obj) == {
+            "format", "problem", "instance_hash", "outcome", "eta", "relative"
+        }
+        again = certificate_from_json(obj)
+        assert written(again) == written(cert)
+        assert again.relative == cert.relative and again.eta == cert.eta
+        assert not (again.is_proper or again.is_solution)
 
     def test_format_guard(self):
         with pytest.raises(ValueError):
@@ -142,7 +171,7 @@ class TestCertificateJson:
     def test_no_basis_words_written(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
         obj = certificate_to_json(cert, "p", "hash")
-        assert obj["format"] == "surfep-certificate-v2"
+        assert obj["format"] == "surfep-certificate-v3"
         assert "basis" not in obj
         # the words stay available, derived from genus and eta.selected
         again = certificate_from_json(json.loads(canonical_json(obj)))
@@ -160,18 +189,20 @@ class TestCertificateJson:
             (("eta", "s"), "1"),
             (("eta", "kgens"), 3),
             (("eta", "kgens", 0), False),
-            (("checks", 0, "passed"), "yes"),
-            (("witnesses", 0, "word"), 7),
-            (("witnesses", 0, "value"), 2.5),
-            (("witnesses", 0, "in_n_left"), 0),
+            (("checks",), "yes"),
+            (("witnesses",), 7),
+            (("is_solution",), 2.5),
+            (("eta", "witnesses"), 0),
             (("phi",), []),
             (("phi", "x"), MISSING),
             (("problem",), MISSING),
             (("eta", "selected"), MISSING),
-            (("checks",), MISSING),
+            (("eta",), MISSING),
         ],
     )
     def test_field_types_checked(self, v4_instance, path, value):
+        # genus, is_proper, is_solution, checks and witnesses are v2 fields:
+        # written into a v3 certificate they are refused by name
         obj = json.loads(canonical_json(
             certificate_to_json(s.solve_gamma_level(v4_instance), "p", "h")
         ))
@@ -188,13 +219,7 @@ class TestCertificateJson:
             certificate_from_json(obj)
 
     def test_relative_field_types_checked(self):
-        inst = next(
-            g
-            for g in generate_instances(InstanceRecipe(seed=11), 4)
-            if g.relative_valid is True
-        )
-        cert = s.solve_relative(inst.ep, inst.relative)
-        obj = json.loads(canonical_json(certificate_to_json(cert, "p", "h")))
+        obj = json.loads(written(not_reduced_certificate()))
         for key, value in (
             ("memberships", [[2, True]]),
             ("memberships", [[2, True, "no"]]),
@@ -242,7 +267,8 @@ class TestWorkspace:
         built = []
         real = serialize.group_from_json
         monkeypatch.setattr(
-            serialize, "group_from_json", lambda obj: built.append(obj) or real(obj)
+            serialize, "group_from_json",
+            lambda obj, *path: built.append(obj) or real(obj, *path),
         )
         for _ in range(2):
             ws = load_workspace(str(path))
@@ -258,5 +284,3 @@ class TestWorkspace:
         ws = load_workspace(str(path))
         with pytest.raises(ValueError):
             ws.build_problem("nope")
-        with pytest.raises(ValueError):
-            ws.build_relative("nope")

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfep as s
 from surfep.embedding import CheckRecord, SubgroupSpec
@@ -10,7 +12,7 @@ from surfep.errors import (
     HypothesisViolated,
 )
 from surfep.oracle import GeneratedInstance
-from surfep.solver import make_eta_params, recheck_certificate
+from surfep.solver import _memberships, make_eta_params, recheck_certificate
 
 
 class TestEtaParams:
@@ -31,6 +33,61 @@ class TestEtaParams:
         phi = s.map_tuple(ep.gamma, ep.beta_bar)
         params = make_eta_params(ep, phi)
         assert params.s == 0 and params.kgens == ()
+
+
+def relabelled(group, perm):
+    """group with each element a renamed perm[a]."""
+    table = [[0] * group.order for _ in group.elements()]
+    for a in group.elements():
+        for b in group.elements():
+            table[perm[a]][perm[b]] = perm[group.mul[a][b]]
+    return s.make_group(table)
+
+
+def elementary_abelian(k):
+    return s.make_group([[a ^ b for b in range(2**k)] for a in range(2**k)])
+
+
+def split_over(k_group, h_group):
+    """K x| H with the trivial action and a surjective beta_bar of genus |H|;
+    the kernel is K whatever the action."""
+    h = list(h_group.elements())
+    beta = s.make_surface_tuple(h_group, h, [h_group.identity] * len(h))
+    return s.make_split_ep(k_group, h_group, s.trivial_action(h_group, k_group), beta)
+
+
+def greedy_kgens(ep):
+    return make_eta_params(ep, s.map_tuple(ep.gamma, ep.beta_bar)).kgens
+
+
+class TestGreedyKernelGenerators:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["trivial", "C2", "C3", "C4", "V4", "C6", "S3", "D4",
+                         "Q8", "C2^4", "C2^5"]),
+        st.sampled_from(["trivial", "C2", "S3"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_generate_the_kernel_within_log2(self, cat, k_name, h_name, rnd):
+        k_group = cat.get(k_name) or elementary_abelian(int(k_name[-1]))
+        perm = list(k_group.elements())
+        rnd.shuffle(perm)
+        ep = split_over(relabelled(k_group, perm), cat[h_name])
+        kgens = greedy_kgens(ep)
+        ker = ep.kernel_subgroup
+        assert s.subgroup_closure(ep.A, kgens).members == ker.members
+        assert 2 ** len(kgens) <= ker.order
+
+    def test_need_not_be_minimal(self):
+        # C4 relabelled so that index 1 has order 2: the greedy tuple starts
+        # there and needs two generators where one suffices
+        c4 = relabelled(s.cyclic_group(4), [0, 3, 1, 2])
+        assert c4.element_order(1) == 2
+        ep = split_over(c4, s.cyclic_group(2))
+        kgens = greedy_kgens(ep)
+        assert len(kgens) == 2
+        assert s.minimal_generator_count(ep.kernel_subgroup).count == 1
+        assert s.subgroup_closure(ep.A, kgens).members == ep.kernel_subgroup.members
 
 
 class TestEtaConstruct:
@@ -182,19 +239,15 @@ class TestSolveGammaLevel:
         assert [c.name for c in fresh.failed_checks()] == ["eta_recomputed"]
         assert field in fresh.checks[0].detail
 
-    def test_missing_eta_is_the_original_basis(self, v4_instance):
+    def test_missing_eta_fails_the_eta_check(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
-        # the program selects 2..17 and moves x1 (the one slot beta_bar does
-        # not send to 0) to slot 17; without eta the same phi is read on the
-        # original basis, where it fails compatibility at x1
-        assert cert.eta.selected == tuple(range(2, 18))
+        # without a move program there is no certificate basis to read phi
+        # on, and no kernel witness to check
         fresh = s.reverify_certificate(v4_instance, replace(cert, eta=None))
-        assert all(c.name != "eta_recomputed" for c in fresh.checks)
-        assert not fresh.is_solution
-        direct = s.verify_solution(
-            v4_instance, cert.phi_x, cert.phi_y, witnesses=cert.witnesses
+        assert fresh.outcome == "invalid" and not fresh.is_solution
+        assert fresh.checks == (
+            CheckRecord("eta_recomputed", False, "no move program recorded"),
         )
-        assert fresh == direct
 
 
 class TestSolveRelative:
@@ -207,9 +260,9 @@ class TestSolveRelative:
         inst = self.good_instance()
         cert = s.solve_relative(inst.ep, inst.relative)
         assert cert.outcome == "proper"
-        assert cert.relative is not None
-        for i, left, right in cert.relative.memberships:
-            assert left and right
+        assert cert.witnesses
+        for w in cert.witnesses:
+            assert w.in_n_left and w.in_n_right
         fresh = s.reverify_certificate(inst.ep, cert, inst.relative)
         assert fresh.outcome == "proper"
 
@@ -234,7 +287,7 @@ class TestSolveRelative:
         nu_x = [0] + [i % 2 for i in range(1, g)]
         nu = s.make_surface_tuple(q, nu_x, [0] * g)
         spec = SubgroupSpec(q, nu, s.subgroup_closure(q, []))
-        assert s.subgroup_image_under(ep.beta_bar, spec).order == 2
+        assert s.image_of_restriction(ep.beta_bar, spec).order == 2
         cert = s.solve_relative(ep, spec)
         assert cert.outcome == "not_reduced"
         assert cert.relative.offending_index is not None
@@ -251,6 +304,22 @@ class TestSolveRelative:
         assert cert.relative.memberships[1] == (3, True, True)
         assert not recheck_certificate(ep, moved, spec)[-1].passed
         assert not recheck_certificate(ep, cert, None)[0].passed
+
+
+def test_memberships_read_both_orientations(cat):
+    # in S3 the two products x1^-1 x_i and x_i x1^-1 can fall on different
+    # sides of an order-2 subgroup S
+    s3 = cat["S3"]
+    subgroup = s.subgroup_closure(s3, [next(a for a in s3.elements()
+                                            if s3.element_order(a) == 2)])
+    for a in s3.elements():
+        for b in s3.elements():
+            nu = s.make_surface_tuple(s3, [a, b], [s3.identity] * 2)
+            flags = _memberships(SubgroupSpec(s3, nu, subgroup), [2])
+            words = ("x1^-1 x2", "x2 x1^-1")
+            assert flags == ((2, *(
+                s.evaluate_word(nu, s.parse_word(w)) in subgroup for w in words
+            )),)
 
 
 class TestFreeProduct:
