@@ -9,7 +9,6 @@ stdout or the requested output file.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -25,6 +24,7 @@ from .serialize import (
     certificate_from_json,
     certificate_to_json,
     load_workspace,
+    read_json,
     workspace_to_json,
 )
 from .surface import open_subgroup_genus
@@ -33,18 +33,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BOUND = 2
 EXIT_NOT_REDUCED = 3
-
-_CHECK_ERROR_NAMES = {
-    "surface_relation": "RelationViolated",
-    "compatibility": "CompatibilityFailed",
-    "witness_words": "WitnessMismatch",
-    "witness_memberships": "MembershipFailed",
-    "beta_n_surjective": "BetaNRestrictionNotSurjective",
-    "image_closure": "NotProper",
-    "relative_image_full": "NotProper",
-    "kernel_containment": "KernelNotCovered",
-}
-
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
@@ -59,7 +47,7 @@ def cmd_solve(args) -> int:
         ws = load_workspace(args.file)
         ep, relative = ws.build_problem(args.problem)
         content_hash = ws.problem_hash(args.problem)
-    except (SurfepError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SurfepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -92,8 +80,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     try:
         ws = load_workspace(args.instance)
-        with open(args.certificate, encoding="utf-8") as fh:
-            cert_obj = json.load(fh)
+        cert_obj = read_json(args.certificate)
         cert = certificate_from_json(cert_obj)
         name = cert_obj["problem"]
         ep, relative = ws.build_problem(name)
@@ -104,12 +91,12 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_ERROR
-    except (SurfepError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (SurfepError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     try:
-        checks = solver.recheck_certificate(ep, cert, relative)
+        checks = solver.reverify_certificate(ep, cert, relative).checks
     except SurfepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -121,10 +108,9 @@ def cmd_verify(args) -> int:
         if c.detail:
             line += f"  {c.detail}"
         print(line)
-    failing = [c for c in checks if not c.passed]
-    if failing:
-        label = _CHECK_ERROR_NAMES.get(failing[0].name, failing[0].name)
-        print(f"error: {label}", file=sys.stderr)
+    failing = next((c for c in checks if not c.passed), None)
+    if failing is not None:
+        print(f"error: {failing.name}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
 

@@ -214,19 +214,29 @@ class SolutionCertificate:
     eta.selected (the original basis itself when eta is None).
     basis_x_words / basis_y_words spell that basis out as words in the
     original one, derived on first use; nothing on the solve or verify path
-    needs them.
+    needs them.  genus, is_solution and is_proper follow from phi and
+    outcome.
     """
 
-    genus: int
     phi_x: tuple[int, ...]
     phi_y: tuple[int, ...]
-    is_solution: bool
-    is_proper: bool
     outcome: str  # "proper" | "solution" | "invalid" | "not_reduced"
-    checks: tuple[CheckRecord, ...]
+    checks: tuple[CheckRecord, ...] = ()
     eta: Optional[EtaSummary] = None
     witnesses: tuple[KernelWitness, ...] = ()
     relative: Optional[RelativeEvidence] = None
+
+    @property
+    def genus(self) -> int:
+        return len(self.phi_x)
+
+    @property
+    def is_solution(self) -> bool:
+        return self.outcome in ("proper", "solution")
+
+    @property
+    def is_proper(self) -> bool:
+        return self.outcome == "proper"
 
     def failed_checks(self) -> tuple[CheckRecord, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -267,9 +277,7 @@ def verify_solution(
     )
     checks.append(CheckRecord("shape", ok_shape, f"genus {g}"))
     if not ok_shape:
-        return SolutionCertificate(
-            g, tuple(phi_x), tuple(phi_y), False, False, "invalid", tuple(checks)
-        )
+        return SolutionCertificate(tuple(phi_x), tuple(phi_y), "invalid", tuple(checks))
 
     value = relation_value(ep.A, phi_x, phi_y)
     ok_relation = value == ep.A.identity
@@ -363,11 +371,8 @@ def verify_solution(
 
     outcome = "proper" if is_proper else ("solution" if is_solution else "invalid")
     return SolutionCertificate(
-        genus=g,
         phi_x=tuple(phi_x),
         phi_y=tuple(phi_y),
-        is_solution=is_solution,
-        is_proper=is_proper,
         outcome=outcome,
         checks=tuple(checks),
         witnesses=tuple(witnesses),

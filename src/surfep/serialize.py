@@ -263,11 +263,20 @@ class Workspace:
         return instance_hash(resolve_problem_json(self._problem(name), self.groups))
 
 
+def read_json(path: str) -> Any:
+    """The JSON document in file path; one nested too deeply to decode is a
+    ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read") from None
+
+
 def load_workspace(path: str) -> Workspace:
     """Read a workspace: named groups and problems.  Other top-level keys
     are ignored."""
-    with open(path, encoding="utf-8") as fh:
-        doc = _typed(json.load(fh), dict, "(top level)", _WORKSPACE)
+    doc = _typed(read_json(path), dict, "(top level)", _WORKSPACE)
     named = _typed(doc.get("groups", {}), dict, "groups", _WORKSPACE)
     groups = {name: group_from_json(g, f"groups.{name}") for name, g in named.items()}
     problems = _typed(doc.get("problems", {}), dict, "problems", _WORKSPACE)
@@ -329,7 +338,7 @@ def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
 def certificate_from_json(obj: Any) -> SolutionCertificate:
     """Parse a certificate, checking every field's JSON type and refusing any
     field that verify does not read; values are checked by reverification,
-    not here.  is_solution, is_proper and genus follow from outcome and phi.
+    not here.
     """
     top = _typed(obj, dict, "(top level)")
     fmt = _get(top, "format", str)
@@ -378,13 +387,9 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
         phi_x = _ints(_get(phi, "phi.x"), "phi.x")
         phi_y = _ints(_get(phi, "phi.y"), "phi.y")
     return SolutionCertificate(
-        genus=len(phi_x),
         phi_x=phi_x,
         phi_y=phi_y,
-        is_solution=outcome in ("proper", "solution"),
-        is_proper=outcome == "proper",
         outcome=outcome,
-        checks=(),
         eta=eta,
         relative=relative,
     )

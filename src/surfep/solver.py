@@ -41,7 +41,6 @@ from .embedding import (
     verify_solution,
 )
 from .surface import (
-    BasisState,
     SurfaceTuple,
     evaluate_word,
     initial_basis_state,
@@ -87,7 +86,7 @@ def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaParams:
 
 def eta_construct(
     phi: SurfaceTuple,
-    params: EtaParams,
+    params: EtaParams | EtaSummary,
     ep: SplitEP,
     relative: Optional[SubgroupSpec] = None,
 ) -> SurfaceTuple:
@@ -189,6 +188,21 @@ def _witnesses_for(
     )
 
 
+def _move_program(ep: SplitEP) -> tuple[SurfaceTuple, EtaSummary]:
+    """phi0 = gamma o beta_bar and the move program derived from it: s, n, m
+    and kgens from make_eta_params, selected from the pigeonhole (which
+    raises NoRepeatedPair when no image pair repeats among the first m)."""
+    phi0 = map_tuple(ep.gamma, ep.beta_bar)
+    params = make_eta_params(ep, phi0)
+    # with phi = gamma o beta_bar and beta_bar surjective, K phi(Gamma) = A
+    if params.n != ep.A.order:
+        raise AssertionError("K phi(Gamma) must be all of A in this pipeline")
+    selected = pigeonhole_select(list(zip(phi0.ximg, phi0.yimg)), params.m)
+    return phi0, EtaSummary(
+        params.s, params.n, params.m, params.kgens, tuple(selected)
+    )
+
+
 def _solve_pipeline(
     ep: SplitEP, nspec: Optional[SubgroupSpec]
 ) -> SolutionCertificate:
@@ -203,20 +217,11 @@ def _solve_pipeline(
         if bn.order != ep.B.order:
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)
 
-    phi0 = map_tuple(ep.gamma, ep.beta_bar)
-    params = make_eta_params(ep, phi0)
-    # with phi = gamma o beta_bar and beta_bar surjective, K phi(Gamma) = A
-    if params.n != ep.A.order:
-        raise AssertionError("K phi(Gamma) must be all of A in this pipeline")
-
-    pairs = list(zip(phi0.ximg, phi0.yimg))
-    selected = pigeonhole_select(pairs, params.m)
-    summary = EtaSummary(params.s, params.n, params.m, params.kgens, tuple(selected))
-
+    phi0, summary = _move_program(ep)
     channels = [phi0, ep.beta_bar]
     if nspec is not None:
         channels.append(nspec.nu)
-    state = normalize_to_front(initial_basis_state(channels), selected)
+    state = normalize_to_front(initial_basis_state(channels), summary.selected)
 
     phi_n = state.channel_tuple(0)
     beta_n = state.channel_tuple(1)
@@ -224,7 +229,7 @@ def _solve_pipeline(
     rel_n = None
     if nspec is not None:
         rel_n = nspec.with_nu(state.channel_tuple(2))
-        memberships = _memberships(rel_n, range(2, params.m + 1))
+        memberships = _memberships(rel_n, range(2, summary.m + 1))
         offending = next(
             (i for i, left, right in memberships if not (left and right)), None
         )
@@ -232,24 +237,14 @@ def _solve_pipeline(
             # the finite argument stops here; escalating needs the quotient
             # construction, which is outside this solver
             return SolutionCertificate(
-                genus=g,
                 phi_x=phi_n.ximg,
                 phi_y=phi_n.yimg,
-                is_solution=False,
-                is_proper=False,
                 outcome="not_reduced",
-                checks=(
-                    CheckRecord(
-                        "memberships",
-                        False,
-                        f"x-word at position {offending} leaves N",
-                    ),
-                ),
                 eta=summary,
                 relative=RelativeEvidence(memberships, offending),
             )
 
-    eta = eta_construct(phi_n, params, ep_n, rel_n)
+    eta = eta_construct(phi_n, summary, ep_n, rel_n)
     cert = verify_solution(
         ep_n,
         eta.ximg,
@@ -277,19 +272,15 @@ def solve_relative(ep: SplitEP, nspec: SubgroupSpec) -> SolutionCertificate:
 
 
 def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
-    """The recorded move program against its recomputation from gamma o
-    beta_bar: s, n, m and kgens from make_eta_params, selected from the
-    pigeonhole.  Equality also makes selected a strictly increasing list of
-    positions in 1..genus, so it can be replayed."""
+    """The recorded move program against its recomputation.  Equality also
+    makes selected a strictly increasing list of positions in 1..genus, so
+    it can be replayed."""
     if eta is None:
         return CheckRecord("eta_recomputed", False, "no move program recorded")
-    phi0 = map_tuple(ep.gamma, ep.beta_bar)
-    params = make_eta_params(ep, phi0)
     try:
-        selected = pigeonhole_select(list(zip(phi0.ximg, phi0.yimg)), params.m)
+        _, fresh = _move_program(ep)
     except NoRepeatedPair as exc:
         return CheckRecord("eta_recomputed", False, str(exc))
-    fresh = EtaSummary(params.s, params.n, params.m, params.kgens, tuple(selected))
     wrong = [f for f in ("s", "n", "m", "kgens", "selected")
              if getattr(eta, f) != getattr(fresh, f)]
     if wrong:
@@ -299,23 +290,6 @@ def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
     return CheckRecord("eta_recomputed", True, "s, n, m, kgens and selected")
 
 
-def _replay(
-    ep: SplitEP, eta: Optional[EtaSummary], nspec: Optional[SubgroupSpec]
-) -> tuple[CheckRecord, Optional[BasisState]]:
-    """Check the move program and replay it on beta_bar (and nu) by value.
-
-    Returns the eta check and the certificate-basis state, or None in its
-    place when the program fails its check.
-    """
-    if nspec is not None and nspec.genus != ep.genus:
-        raise GenusMismatch(ep.genus, nspec.genus)
-    check = _eta_check(ep, eta)
-    if not check.passed:
-        return check, None
-    channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
-    return check, normalize_to_front(initial_basis_state(channels), eta.selected)
-
-
 def reverify_certificate(
     ep: SplitEP,
     cert: SolutionCertificate,
@@ -323,87 +297,74 @@ def reverify_certificate(
 ) -> SolutionCertificate:
     """Re-check a certificate from raw data, trusting none of its flags.
 
-    The move program eta is recomputed from the problem, then replayed on
-    the values of the original reference maps to give them on the
-    certificate basis; no basis word is built or evaluated.  The kernel
-    witnesses are derived from the checked program, and everything
-    downstream (relation, compatibility, closures, witnesses, memberships)
-    is recomputed on that basis.
+    Returns the certificate with the recomputed outcome and, in order, every
+    check `surfep verify` prints.  First the move program eta is recomputed
+    from the problem (eta_recomputed) and replayed on the values of beta_bar
+    (and nu) to give them on the certificate basis; no basis word is built
+    or evaluated.  A stopped relative run (outcome "not_reduced") must then
+    have beta(N) = B and reproduce its recorded membership flags, the
+    offending one really failing; it keeps its outcome only if all of that
+    holds.  Any other certificate goes through verify_solution on the
+    replayed basis, with the kernel witnesses derived from the checked
+    program, and its recorded outcome must match the recomputed one
+    (outcome_matches).
     """
-    eta_check, state = _replay(ep, cert.eta, nspec)
-    if state is None:
-        return SolutionCertificate(
-            ep.genus, cert.phi_x, cert.phi_y, False, False, "invalid", (eta_check,)
-        )
-    ep_n = ep.with_beta_bar(state.channel_tuple(0))
-    rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
-    fresh = verify_solution(
-        ep_n,
-        cert.phi_x,
-        cert.phi_y,
-        relative=rel_n,
-        witnesses=_witnesses_for(cert.eta, rel_n),
-    )
-    return replace(fresh, eta=cert.eta, checks=(eta_check, *fresh.checks))
+    if nspec is not None and nspec.genus != ep.genus:
+        raise GenusMismatch(ep.genus, nspec.genus)
+    checks = [_eta_check(ep, cert.eta)]
+    state = None
+    if checks[0].passed:
+        channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
+        state = normalize_to_front(initial_basis_state(channels), cert.eta.selected)
 
-
-def _recheck_not_reduced(
-    ep: SplitEP, cert: SolutionCertificate, nspec: Optional[SubgroupSpec]
-) -> tuple[CheckRecord, ...]:
-    """Confirm a stopped relative run: the move program recomputes,
-    beta(N) = B, and the recorded membership flags reproduce with the
-    offending one really failing."""
-    if nspec is None:
-        return (
-            CheckRecord("relative_present", False, "certificate needs a relative spec"),
-        )
-    eta_check, state = _replay(ep, cert.eta, nspec)
-    if state is None:
-        return (eta_check,)
-    bn = image_of_restriction(ep.beta_bar, nspec)
-    recomputed = _memberships(
-        nspec.with_nu(state.channel_tuple(1)), range(2, cert.eta.m + 1)
-    )
-    off = cert.relative.offending_index
-    return (
-        eta_check,
-        CheckRecord(
-            "beta_n_surjective", bn.order == ep.B.order, f"|beta(N)| = {bn.order}"
-        ),
-        CheckRecord(
-            "memberships_match",
-            recomputed == cert.relative.memberships,
-            "recorded membership flags reproduce",
-        ),
-        CheckRecord(
-            "offending_index",
-            any(i == off and not (left and right) for i, left, right in recomputed),
-            f"position {off} leaves N",
-        ),
-    )
-
-
-def recheck_certificate(
-    ep: SplitEP,
-    cert: SolutionCertificate,
-    nspec: Optional[SubgroupSpec] = None,
-) -> tuple[CheckRecord, ...]:
-    """Every check `surfep verify` reports for a certificate of this problem.
-
-    A stopped relative run (outcome "not_reduced") is confirmed as stopped;
-    any other certificate is reverified and its recorded outcome must match.
-    """
     if cert.outcome == "not_reduced":
-        return _recheck_not_reduced(ep, cert, nspec)
-    fresh = reverify_certificate(ep, cert, nspec)
-    return (
-        *fresh.checks,
-        CheckRecord(
-            "outcome_matches",
-            fresh.outcome == cert.outcome and fresh.is_proper == cert.is_proper,
-            f"recomputed outcome {fresh.outcome}",
-        ),
-    )
+        if nspec is None:
+            checks.append(CheckRecord(
+                "relative_present", False, "certificate needs a relative spec"
+            ))
+        elif state is not None:
+            bn = image_of_restriction(ep.beta_bar, nspec)
+            recomputed = _memberships(
+                nspec.with_nu(state.channel_tuple(1)), range(2, cert.eta.m + 1)
+            )
+            off = cert.relative.offending_index
+            checks += [
+                CheckRecord(
+                    "beta_n_surjective", bn.order == ep.B.order,
+                    f"|beta(N)| = {bn.order}",
+                ),
+                CheckRecord(
+                    "memberships_match",
+                    recomputed == cert.relative.memberships,
+                    "recorded membership flags reproduce",
+                ),
+                CheckRecord(
+                    "offending_index",
+                    any(i == off and not (left and right)
+                        for i, left, right in recomputed),
+                    f"position {off} leaves N",
+                ),
+            ]
+        outcome = "not_reduced" if all(c.passed for c in checks) else "invalid"
+        return replace(cert, outcome=outcome, checks=tuple(checks))
+
+    fresh = SolutionCertificate(cert.phi_x, cert.phi_y, "invalid")
+    if state is not None:
+        rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
+        fresh = verify_solution(
+            ep.with_beta_bar(state.channel_tuple(0)),
+            cert.phi_x,
+            cert.phi_y,
+            relative=rel_n,
+            witnesses=_witnesses_for(cert.eta, rel_n),
+        )
+        checks += fresh.checks
+    checks.append(CheckRecord(
+        "outcome_matches",
+        fresh.outcome == cert.outcome,
+        f"recomputed outcome {fresh.outcome}",
+    ))
+    return replace(fresh, eta=cert.eta, checks=tuple(checks))
 
 
 # --- free products -------------------------------------------------------------

@@ -196,6 +196,19 @@ class TestVerifyOutOfRangePhi:
         assert "error: certificate field phi.x[0] must be an integer" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("depth", [1_100, 200_000])
+    def test_deeply_nested_certificate_is_named(self, tmp_path, depth):
+        # deeper than the JSON decoder's recursion limit
+        ws = str(tmp_path / "gen.json")
+        out = str(tmp_path / "cert.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        open(out, "w").write("[" * depth + "]" * depth)
+        proc = run_python("-m", "surfep", "verify", out, ws)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {out} is nested too deeply to read\n"
+        assert proc.stdout == ""
+
 
 class TestProblemFieldTypes:
     """Workspace integers are plain ints: a float, string or bool anywhere in
@@ -296,6 +309,16 @@ class TestWorkspaceStructure:
         proc = run_python("-m", "surfep", "solve", ws, "ep001")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outcome"] == "proper"
+
+    @pytest.mark.parametrize("depth", [1_100, 200_000])
+    def test_deeply_nested_workspace_is_named(self, tmp_path, depth):
+        ws = str(tmp_path / "deep.json")
+        open(ws, "w").write("[" * depth + "]" * depth)
+        proc = run_python("-m", "surfep", "solve", ws, "ep000")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {ws} is nested too deeply to read\n"
+        assert proc.stdout == ""
 
 
 def solved_gen3(tmp_path):
@@ -591,6 +614,10 @@ def test_script_runs(script):
 # stdout.  Any change to group indexing, the solver or the certificate
 # encoding moves it; refactors must leave it alone.
 GOLDEN_GEN5_SHA256 = "21ae6debf9ab8a56ab8903102cb3f60f1d3c70b2b2e87b52a956afc0c376d0da"
+# SHA-256 of `surfep verify` stdout and exit codes on the certificates of
+# test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
+# verdict moves it; moving the checks between modules must leave it alone.
+GOLDEN_VERIFY_SHA256 = "e0fff83f4cddc340047ce26d4962395833bb66bac0c2481eb032ec25faa632fb"
 
 
 class TestGoldenBytes:
@@ -606,6 +633,53 @@ class TestGoldenBytes:
             digest.update(f"\n{name} {rc}\n".encode())
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == GOLDEN_GEN5_SHA256
+
+    def test_verify_bytes_are_pinned(self, tmp_path, capsys):
+        """`surfep verify` stdout and exit code on every certificate of
+        `gen --seed 5 --count 12`, the not_reduced certificate of
+        tests/test_mutations.py, and two edits of each: phi.x[0] changed
+        (where there is a phi) and eta.selected reversed.  stderr is not
+        pinned."""
+        ws = str(tmp_path / "gen5.json")
+        assert main(["gen", "--seed", "5", "--count", "12", "--out", ws]) == 0
+        cases = [(ws, name) for name in sorted(load_workspace(ws).problems)]
+        ws3 = str(tmp_path / "gen3.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws3])
+        doc = json.loads(open(ws3).read())
+        g = doc["problems"]["ep001"]["genus"]
+        doc["problems"]["ep001"]["relative"] = {
+            "Q": {"order": 2, "table": [[0, 1], [1, 0]]},
+            "nu": {"x": [0, 1] + [0] * (g - 2), "y": [0] * g},
+            "S": [0],
+        }
+        open(ws3, "w").write(canonical_json(doc))
+        cases.append((ws3, "ep001"))
+
+        out = str(tmp_path / "cert.json")
+        digest = hashlib.sha256()
+
+        def verify(label, cert):
+            open(out, "w").write(canonical_json(cert))
+            capsys.readouterr()
+            rc = main(["verify", out, workspace])
+            digest.update(f"\n{label} {rc}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+
+        for workspace, name in cases:
+            if main(["solve", workspace, name, "--out", out]) not in (0, 3):
+                continue  # refused (beta(N) != B): no certificate
+            cert = json.loads(open(out).read())
+            verify(name, cert)
+            if "phi" in cert:
+                problem = json.loads(open(workspace).read())["problems"][name]
+                order = problem["K"]["order"] * problem["H"]["order"]
+                edited = json.loads(json.dumps(cert))
+                edited["phi"]["x"][0] = (edited["phi"]["x"][0] + 1) % order
+                verify(f"{name} phi.x[0]", edited)
+            edited = json.loads(json.dumps(cert))
+            edited["eta"]["selected"].reverse()
+            verify(f"{name} eta.selected", edited)
+        assert digest.hexdigest() == GOLDEN_VERIFY_SHA256
 
 
 SUBCOMMANDS = {"solve", "verify", "plan", "genus", "count", "gen"}

@@ -12,7 +12,7 @@ from surfep.errors import (
     HypothesisViolated,
 )
 from surfep.oracle import GeneratedInstance
-from surfep.solver import _memberships, make_eta_params, recheck_certificate
+from surfep.solver import _memberships, make_eta_params
 
 
 class TestEtaParams:
@@ -236,7 +236,9 @@ class TestSolveGammaLevel:
         edited = replace(cert, eta=replace(cert.eta, **{field: value}))
         fresh = s.reverify_certificate(v4_instance, edited)
         assert fresh.outcome == "invalid" and not fresh.is_proper
-        assert [c.name for c in fresh.failed_checks()] == ["eta_recomputed"]
+        assert [c.name for c in fresh.failed_checks()] == [
+            "eta_recomputed", "outcome_matches",
+        ]
         assert field in fresh.checks[0].detail
 
     def test_missing_eta_fails_the_eta_check(self, v4_instance):
@@ -247,6 +249,7 @@ class TestSolveGammaLevel:
         assert fresh.outcome == "invalid" and not fresh.is_solution
         assert fresh.checks == (
             CheckRecord("eta_recomputed", False, "no move program recorded"),
+            CheckRecord("outcome_matches", False, "recomputed outcome invalid"),
         )
 
 
@@ -292,7 +295,9 @@ class TestSolveRelative:
         assert cert.outcome == "not_reduced"
         assert cert.relative.offending_index is not None
         assert not cert.is_proper
-        checks = recheck_certificate(ep, cert, spec)
+        fresh = s.reverify_certificate(ep, cert, spec)
+        assert fresh.outcome == "not_reduced"
+        checks = fresh.checks
         assert [c.name for c in checks] == [
             "eta_recomputed", "beta_n_surjective", "memberships_match",
             "offending_index",
@@ -302,8 +307,12 @@ class TestSolveRelative:
             cert, relative=replace(cert.relative, offending_index=3)
         )
         assert cert.relative.memberships[1] == (3, True, True)
-        assert not recheck_certificate(ep, moved, spec)[-1].passed
-        assert not recheck_certificate(ep, cert, None)[0].passed
+        fresh = s.reverify_certificate(ep, moved, spec)
+        assert fresh.outcome == "invalid" and not fresh.checks[-1].passed
+        fresh = s.reverify_certificate(ep, cert, None)
+        assert fresh.checks[-1] == CheckRecord(
+            "relative_present", False, "certificate needs a relative spec"
+        )
 
 
 def test_memberships_read_both_orientations(cat):
