@@ -86,7 +86,7 @@ def cmd_verify(args) -> int:
         ep, relative = ws.build_problem(name)
         if ws.problem_hash(name) != cert_obj["instance_hash"]:
             print(
-                f"error: InstanceHashMismatch: certificate field instance_hash "
+                f"error: instance_hash: certificate field instance_hash "
                 f"is not the hash of problem {name!r}",
                 file=sys.stderr,
             )

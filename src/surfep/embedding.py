@@ -205,6 +205,10 @@ class EtaSummary:
     selected: tuple[int, ...]
 
 
+# (1-based basis position, value) pairs, positions strictly increasing
+Overrides = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class SolutionCertificate:
     """A claimed solution plus everything needed to re-check it from scratch.
@@ -212,7 +216,11 @@ class SolutionCertificate:
     The candidate images and the reference map are expressed on the
     certificate basis: the original basis after the move program
     eta.selected (the original basis itself when eta is None).
-    basis_x_words / basis_y_words spell that basis out as words in the
+    phi_overrides (x, y) records phi as the positions where it differs from
+    gamma o beta_bar on that basis; it is what a certificate file holds.
+    phi_x / phi_y hold phi in full, except on a parsed certificate, where
+    they are empty until reverify_certificate expands the overrides.
+    basis_x_words / basis_y_words spell the basis out as words in the
     original one, derived on first use; nothing on the solve or verify path
     needs them.  genus, is_solution and is_proper follow from phi and
     outcome.
@@ -225,6 +233,7 @@ class SolutionCertificate:
     eta: Optional[EtaSummary] = None
     witnesses: tuple[KernelWitness, ...] = ()
     relative: Optional[RelativeEvidence] = None
+    phi_overrides: Optional[tuple[Overrides, Overrides]] = None
 
     @property
     def genus(self) -> int:

@@ -1,8 +1,11 @@
 """JSON interchange for groups, problems, workspaces, and certificates.
 
-All emitted JSON is canonical (sorted keys, fixed separators, trailing
-newline) so identical inputs give byte-identical outputs.  Every field read
-is type-checked, and a malformed one is named in the error.
+Every file surfep writes is canonical_json (sorted keys, indent=2, trailing
+newline), so identical inputs give byte-identical outputs.  The instance
+hash is over the compact encoding instead (sorted keys, "," and ":"
+separators), which equals RFC 8785 on the documents surfep writes: integers,
+booleans, null and ASCII strings.  Every field read is type-checked, and a
+malformed one is named in the error.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Any, Optional
 
 from .embedding import (
     EtaSummary,
+    Overrides,
     RelativeEvidence,
     SolutionCertificate,
     SplitEP,
@@ -29,8 +33,9 @@ from .groups import (
 )
 from .surface import make_surface_tuple
 
-# v3 holds only what `surfep verify` reads; older formats are refused
-CERTIFICATE_FORMAT = "surfep-certificate-v3"
+# v4 writes phi as its overrides of gamma o beta_bar on the certificate
+# basis; older formats are refused
+CERTIFICATE_FORMAT = "surfep-certificate-v4"
 
 
 def canonical_json(obj: Any) -> str:
@@ -38,7 +43,9 @@ def canonical_json(obj: Any) -> str:
 
 
 def instance_hash(resolved_problem: dict) -> str:
-    return hashlib.sha256(canonical_json(resolved_problem).encode()).hexdigest()
+    """SHA-256 of the compact sorted JSON of a resolved problem."""
+    text = json.dumps(resolved_problem, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # --- typed reading ------------------------------------------------------------
@@ -317,8 +324,32 @@ def certificate_to_json(
             "offending_index": cert.relative.offending_index,
         }
     else:
-        obj["phi"] = {"x": list(cert.phi_x), "y": list(cert.phi_y)}
+        obj["phi"] = {
+            key: [list(pair) for pair in pairs]
+            for key, pairs in zip("xy", cert.phi_overrides)
+        }
     return obj
+
+
+def _overrides(value: Any, path: str) -> Overrides:
+    """[[position, value], ...] with the positions strictly increasing from 1;
+    whether they lie within the genus is checked by reverification."""
+    pairs = []
+    last = 0
+    for k, pair in enumerate(_typed(value, list, path)):
+        item = f"{path}[{k}]"
+        if len(_typed(pair, list, item)) != 2:
+            raise ValueError(
+                f"certificate field {item} must be a [position, value] pair"
+            )
+        i, a = _ints(pair, item)
+        if i <= last:
+            raise ValueError(
+                f"certificate field {item}[0] must be greater than {last}, got {i}"
+            )
+        pairs.append((i, a))
+        last = i
+    return tuple(pairs)
 
 
 def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
@@ -338,7 +369,8 @@ def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
 def certificate_from_json(obj: Any) -> SolutionCertificate:
     """Parse a certificate, checking every field's JSON type and refusing any
     field that verify does not read; values are checked by reverification,
-    not here.
+    not here.  phi comes back as its overrides only: expanding them needs
+    the problem (reverify_certificate).
     """
     top = _typed(obj, dict, "(top level)")
     fmt = _get(top, "format", str)
@@ -365,8 +397,7 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
         kgens=_ints(_get(e, "eta.kgens"), "eta.kgens"),
         selected=_ints(_get(e, "eta.selected"), "eta.selected"),
     )
-    phi_x = phi_y = ()
-    relative = None
+    overrides = relative = None
     if outcome == "not_reduced":
         r = _fields(_get(top, "relative"), "relative",
                     ("memberships", "offending_index"), outcome)
@@ -384,14 +415,16 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
         )
     else:
         phi = _fields(_get(top, "phi"), "phi", ("x", "y"), outcome)
-        phi_x = _ints(_get(phi, "phi.x"), "phi.x")
-        phi_y = _ints(_get(phi, "phi.y"), "phi.y")
+        overrides = tuple(
+            _overrides(_get(phi, f"phi.{k}"), f"phi.{k}") for k in "xy"
+        )
     return SolutionCertificate(
-        phi_x=phi_x,
-        phi_y=phi_y,
+        phi_x=(),
+        phi_y=(),
         outcome=outcome,
         eta=eta,
         relative=relative,
+        phi_overrides=overrides,
     )
 
 

@@ -33,6 +33,7 @@ from .embedding import (
     CheckRecord,
     EtaSummary,
     KernelWitness,
+    Overrides,
     RelativeEvidence,
     SolutionCertificate,
     SplitEP,
@@ -188,6 +189,33 @@ def _witnesses_for(
     )
 
 
+def _overrides(base: Sequence[int], full: Sequence[int]) -> Overrides:
+    """(i, full value) at each 1-based position i where full differs from
+    base."""
+    return tuple((i, a) for i, (b, a) in enumerate(zip(base, full), 1) if a != b)
+
+
+def _expanded(
+    base: SurfaceTuple, overrides: tuple[Overrides, Overrides]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """base's x and y images with the overrides applied.  Each override must
+    lie in positions 1..genus and change the image there, which makes the
+    recorded overrides unique; a ValueError names the first that does not."""
+    out = []
+    for ch, images, pairs in zip("xy", (base.ximg, base.yimg), overrides):
+        images = list(images)
+        for i, a in pairs:
+            if not 1 <= i <= base.genus:
+                raise ValueError(
+                    f"override position {ch}{i} outside 1..{base.genus}"
+                )
+            if images[i - 1] == a:
+                raise ValueError(f"override at {ch}{i} repeats gamma o beta_bar")
+            images[i - 1] = a
+        out.append(tuple(images))
+    return out[0], out[1]
+
+
 def _move_program(ep: SplitEP) -> tuple[SurfaceTuple, EtaSummary]:
     """phi0 = gamma o beta_bar and the move program derived from it: s, n, m
     and kgens from make_eta_params, selected from the pigeonhole (which
@@ -256,7 +284,9 @@ def _solve_pipeline(
         raise AssertionError(
             f"pipeline produced a non-proper certificate: {cert.failed_checks()}"
         )
-    return replace(cert, eta=summary)
+    # phi_n = gamma o beta_n, since gamma is a homomorphism
+    overrides = (_overrides(phi_n.ximg, eta.ximg), _overrides(phi_n.yimg, eta.yimg))
+    return replace(cert, eta=summary, phi_overrides=overrides)
 
 
 def solve_gamma_level(ep: SplitEP) -> SolutionCertificate:
@@ -304,10 +334,12 @@ def reverify_certificate(
     or evaluated.  A stopped relative run (outcome "not_reduced") must then
     have beta(N) = B and reproduce its recorded membership flags, the
     offending one really failing; it keeps its outcome only if all of that
-    holds.  Any other certificate goes through verify_solution on the
-    replayed basis, with the kernel witnesses derived from the checked
-    program, and its recorded outcome must match the recomputed one
-    (outcome_matches).
+    holds.  Any other certificate has phi = gamma o beta_bar on that basis
+    with the recorded overrides applied (a bad override fails shape), goes
+    through verify_solution on the replayed basis, with the kernel
+    witnesses derived from the checked program, and its recorded outcome
+    must match the recomputed one (outcome_matches).  The returned
+    certificate carries phi in full.
     """
     if nspec is not None and nspec.genus != ep.genus:
         raise GenusMismatch(ep.genus, nspec.genus)
@@ -350,21 +382,28 @@ def reverify_certificate(
 
     fresh = SolutionCertificate(cert.phi_x, cert.phi_y, "invalid")
     if state is not None:
-        rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
-        fresh = verify_solution(
-            ep.with_beta_bar(state.channel_tuple(0)),
-            cert.phi_x,
-            cert.phi_y,
-            relative=rel_n,
-            witnesses=_witnesses_for(cert.eta, rel_n),
-        )
-        checks += fresh.checks
+        beta_n = state.channel_tuple(0)
+        try:
+            phi = _expanded(map_tuple(ep.gamma, beta_n), cert.phi_overrides)
+        except ValueError as exc:
+            checks.append(CheckRecord("shape", False, str(exc)))
+        else:
+            rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
+            fresh = verify_solution(
+                ep.with_beta_bar(beta_n),
+                *phi,
+                relative=rel_n,
+                witnesses=_witnesses_for(cert.eta, rel_n),
+            )
+            checks += fresh.checks
     checks.append(CheckRecord(
         "outcome_matches",
         fresh.outcome == cert.outcome,
         f"recomputed outcome {fresh.outcome}",
     ))
-    return replace(fresh, eta=cert.eta, checks=tuple(checks))
+    return replace(
+        fresh, eta=cert.eta, phi_overrides=cert.phi_overrides, checks=tuple(checks)
+    )
 
 
 # --- free products -------------------------------------------------------------

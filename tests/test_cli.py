@@ -90,8 +90,11 @@ class TestSolveVerify:
         assert main(["solve", ws, "v4_plain", "--out", out]) == 0
         cert = json.loads(open(out).read())
         assert cert["outcome"] == "proper"
-        assert cert["format"] == "surfep-certificate-v3"
+        assert cert["format"] == "surfep-certificate-v4"
         assert len(cert["instance_hash"]) == 64
+        # s = 1, n = |A| = 4: eta_construct changes x2..x5 only
+        assert [i for i, _ in cert["phi"]["x"]] == [2, 3, 4, 5]
+        assert cert["phi"]["y"] == []
 
     def test_solve_stdout_is_canonical(self, tmp_path, capsys):
         ws = v4_workspace(tmp_path)
@@ -128,7 +131,7 @@ class TestSolveVerify:
         out = str(tmp_path / "cert.json")
         main(["solve", ws, "v4_plain", "--out", out])
         cert = json.loads(open(out).read())
-        cert["phi"]["x"][0] = (cert["phi"]["x"][0] + 1) % 4
+        cert["phi"]["x"][0][1] = (cert["phi"]["x"][0][1] + 1) % 4
         open(out, "w").write(canonical_json(cert))
         assert main(["verify", out, ws]) == 1
         err = capsys.readouterr().err
@@ -141,8 +144,12 @@ class TestSolveVerify:
         cert = json.loads(open(out).read())
         cert["instance_hash"] = "0" * 64
         open(out, "w").write(canonical_json(cert))
+        capsys.readouterr()
         assert main(["verify", out, ws]) == 1
-        assert "InstanceHashMismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: instance_hash: certificate field instance_hash is not the "
+            "hash of problem 'v4_plain'\n"
+        )
 
     def test_bound_failure_exit_code(self, tmp_path, capsys):
         ws = v4_workspace(tmp_path)
@@ -173,7 +180,7 @@ class TestVerifyOutOfRangePhi:
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
         assert main(["solve", ws, "ep000", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        cert["phi"]["x"][0] = entry
+        cert["phi"]["x"][0][1] = entry
         open(out, "w").write(canonical_json(cert))
         proc = run_python("-m", "surfep", "verify", out, ws)
         assert proc.returncode == 1
@@ -188,12 +195,12 @@ class TestVerifyOutOfRangePhi:
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
         assert main(["solve", ws, "ep000", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        cert["phi"]["x"][0] = entry
+        cert["phi"]["x"][0][1] = entry
         open(out, "w").write(canonical_json(cert))
         proc = run_python("-m", "surfep", "verify", out, ws)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "error: certificate field phi.x[0] must be an integer" in proc.stderr
+        assert "error: certificate field phi.x[0][1] must be an integer" in proc.stderr
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("depth", [1_100, 200_000])
@@ -415,14 +422,12 @@ class TestForgedBasis:
 
     def test_v1_forgery_in_x1_and_y1_is_refused(self, tmp_path, capsys):
         ws, out, cert = self.solved(tmp_path)
-        parsed = certificate_from_json(cert)
         # every word rewritten into x1 and y1 only: the same values under
         # the constant beta_bar, but no basis of the genus-64 surface group
         cert["basis"] = {
             key: [re.sub(r"([xy])\d+", r"\g<1>1", str(w)) for w in words]
-            for key, words in (
-                ("x", parsed.basis_x_words),
-                ("y", parsed.basis_y_words),
+            for key, words in zip(
+                "xy", surface.basis_words(64, cert["eta"]["selected"])
             )
         }
         assert all(set(w.split()) <= {"x1", "y1", "x1^-1", "y1^-1"}
@@ -455,17 +460,16 @@ def test_solved_v1_certificate_is_refused(tmp_path, capsys):
     out = str(tmp_path / "cert.json")
     assert main(["solve", ws, "v4_plain", "--out", out]) == 0
     cert = json.loads(open(out).read())
-    parsed = certificate_from_json(cert)
     cert["basis"] = {
-        "x": [str(w) for w in parsed.basis_x_words],
-        "y": [str(w) for w in parsed.basis_y_words],
+        key: [str(w) for w in words]
+        for key, words in zip("xy", surface.basis_words(64, cert["eta"]["selected"]))
     }
     cert["format"] = "surfep-certificate-v1"
     code, stdout, stderr = verify_edited(ws, out, cert, capsys)
     assert code == 1
     assert stderr == (
         "error: certificate format 'surfep-certificate-v1' is not "
-        "'surfep-certificate-v3'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v4'; re-run surfep solve to get one\n"
     )
 
 
@@ -482,7 +486,25 @@ def test_solved_v2_certificate_is_refused(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v2' is not "
-        "'surfep-certificate-v3'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v4'; re-run surfep solve to get one\n"
+    )
+
+
+def test_solved_v3_certificate_is_refused(tmp_path, capsys):
+    """A certificate in the v3 shape: phi written in full, not as overrides."""
+    ws = v4_workspace(tmp_path)
+    out = str(tmp_path / "cert.json")
+    assert main(["solve", ws, "v4_plain", "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    ep, _ = load_workspace(ws).build_problem("v4_plain")
+    phi = solver.reverify_certificate(ep, certificate_from_json(cert))
+    cert.update(format="surfep-certificate-v3",
+                phi={"x": list(phi.phi_x), "y": list(phi.phi_y)})
+    code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        "error: certificate format 'surfep-certificate-v3' is not "
+        "'surfep-certificate-v4'; re-run surfep solve to get one\n"
     )
 
 
@@ -612,12 +634,13 @@ def test_script_runs(script):
 # SHA-256 of the `gen --seed 5 --count 12` workspace followed by, for each
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
-# encoding moves it; refactors must leave it alone.
-GOLDEN_GEN5_SHA256 = "21ae6debf9ab8a56ab8903102cb3f60f1d3c70b2b2e87b52a956afc0c376d0da"
+# encoding moves it; refactors must leave it alone.  Both pins were last
+# derived from the v3 output by scripts/repin_v4_goldens.py.
+GOLDEN_GEN5_SHA256 = "c9eab28dda1468c842e2e429e2f2416bfc8baf8a73790950bcbcb91bf452c17d"
 # SHA-256 of `surfep verify` stdout and exit codes on the certificates of
 # test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
 # verdict moves it; moving the checks between modules must leave it alone.
-GOLDEN_VERIFY_SHA256 = "e0fff83f4cddc340047ce26d4962395833bb66bac0c2481eb032ec25faa632fb"
+GOLDEN_VERIFY_SHA256 = "39855a95ae9052a27f34193187a7c9c9f104e4113e5192047208e4c82c0e13b8"
 
 
 class TestGoldenBytes:
@@ -637,9 +660,9 @@ class TestGoldenBytes:
     def test_verify_bytes_are_pinned(self, tmp_path, capsys):
         """`surfep verify` stdout and exit code on every certificate of
         `gen --seed 5 --count 12`, the not_reduced certificate of
-        tests/test_mutations.py, and two edits of each: phi.x[0] changed
-        (where there is a phi) and eta.selected reversed.  stderr is not
-        pinned."""
+        tests/test_mutations.py, and two edits of each: the value of the
+        first x override changed (where there is a phi) and eta.selected
+        reversed.  stderr is not pinned."""
         ws = str(tmp_path / "gen5.json")
         assert main(["gen", "--seed", "5", "--count", "12", "--out", ws]) == 0
         cases = [(ws, name) for name in sorted(load_workspace(ws).problems)]
@@ -674,7 +697,7 @@ class TestGoldenBytes:
                 problem = json.loads(open(workspace).read())["problems"][name]
                 order = problem["K"]["order"] * problem["H"]["order"]
                 edited = json.loads(json.dumps(cert))
-                edited["phi"]["x"][0] = (edited["phi"]["x"][0] + 1) % order
+                edited["phi"]["x"][0][1] = (edited["phi"]["x"][0][1] + 1) % order
                 verify(f"{name} phi.x[0]", edited)
             edited = json.loads(json.dumps(cert))
             edited["eta"]["selected"].reverse()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,25 @@ class TestCanonicalJson:
         obj = {"genus": 2, "K": {"order": 1, "table": [[0]]}}
         assert instance_hash(obj) == instance_hash(json.loads(json.dumps(obj)))
         assert instance_hash(obj) != instance_hash({**obj, "genus": 3})
+
+    def test_hash_is_over_compact_sorted_json(self):
+        # the definition, pinned: SHA-256 of the encoding with sorted keys
+        # and no whitespace, which RFC 8785 gives on such a document
+        obj = {
+            "genus": 1,
+            "K": {"order": 2, "table": [[0, 1], [1, 0]]},
+            "H": {"order": 1, "table": [[0]]},
+            "action": [[0, 1]],
+            "beta_bar": {"x": [0], "y": [0]},
+        }
+        text = (
+            '{"H":{"order":1,"table":[[0]]},"K":{"order":2,"table":[[0,1],[1,0]]},'
+            '"action":[[0,1]],"beta_bar":{"x":[0],"y":[0]},"genus":1}'
+        )
+        assert instance_hash(obj) == hashlib.sha256(text.encode()).hexdigest()
+        assert instance_hash(obj) == (
+            "ba84488c4728f50d87b8b7a746e3bb770d100702cfdcec3fcca0fedb04f598e2"
+        )
 
 
 class TestGroupJson:
@@ -134,9 +154,14 @@ class TestCertificateJson:
         cert = s.solve_gamma_level(v4_instance)
         again = certificate_from_json(json.loads(written(cert)))
         assert written(again) == written(cert)
-        # the flags and the genus follow from outcome and phi
-        for name in ("genus", "is_solution", "is_proper", "eta", "phi_x", "phi_y"):
+        # the flags follow from outcome; phi is read as its overrides
+        for name in ("is_solution", "is_proper", "eta", "phi_overrides"):
             assert getattr(again, name) == getattr(cert, name), name
+        assert again.phi_x == again.phi_y == ()
+        # reverification expands phi in full, and with it the genus
+        fresh = s.reverify_certificate(v4_instance, again)
+        for name in ("genus", "phi_x", "phi_y", "phi_overrides"):
+            assert getattr(fresh, name) == getattr(cert, name), name
 
     def test_relative_roundtrip(self):
         inst = next(
@@ -171,10 +196,12 @@ class TestCertificateJson:
     def test_no_basis_words_written(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
         obj = certificate_to_json(cert, "p", "hash")
-        assert obj["format"] == "surfep-certificate-v3"
+        assert obj["format"] == "surfep-certificate-v4"
         assert "basis" not in obj
         # the words stay available, derived from genus and eta.selected
-        again = certificate_from_json(json.loads(canonical_json(obj)))
+        again = s.reverify_certificate(
+            v4_instance, certificate_from_json(json.loads(canonical_json(obj)))
+        )
         assert again.basis_x_words == cert.basis_x_words
         assert len(again.basis_y_words) == cert.genus
 
@@ -185,7 +212,7 @@ class TestCertificateJson:
             (("is_proper",), 1),
             (("outcome",), None),
             (("problem",), ["p"]),
-            (("phi", "y", 3), 1.0),
+            (("phi", "x", 0, 1), 1.0),
             (("eta", "s"), "1"),
             (("eta", "kgens"), 3),
             (("eta", "kgens", 0), False),

@@ -90,6 +90,40 @@ class TestGreedyKernelGenerators:
         assert s.subgroup_closure(ep.A, kgens).members == ep.kernel_subgroup.members
 
 
+def replayed(t, selected):
+    """t on the basis the move program selected leads to."""
+    state = s.normalize_to_front(s.initial_basis_state([t]), selected)
+    return state.channel_tuple(0)
+
+
+class TestOverridesOfGammaBetaBar:
+    """A certificate writes phi as its overrides of gamma o beta_bar on the
+    certificate basis.  Verify takes that base as gamma applied to the
+    replayed beta_bar, the solver as the replayed gamma o beta_bar; they
+    agree because gamma is a homomorphism."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.randoms(use_true_random=False))
+    def test_gamma_commutes_with_the_replay(self, seed, rnd):
+        ep = s.generate_instances(s.InstanceRecipe(seed=seed), 1)[0].ep
+        selected = sorted(rnd.sample(range(1, ep.genus + 1), rnd.randint(0, 12)))
+        assert s.map_tuple(ep.gamma, replayed(ep.beta_bar, selected)) == replayed(
+            s.map_tuple(ep.gamma, ep.beta_bar), selected
+        )
+
+        cert = s.solve_gamma_level(ep)
+        base = s.map_tuple(ep.gamma, replayed(ep.beta_bar, cert.eta.selected))
+        x_overrides, y_overrides = cert.phi_overrides
+        # eta_construct sets x_{in+j+1} = phi(x1) k_{i+1}, with k_{i+1} != 1
+        span = cert.eta.s * cert.eta.n
+        assert [i for i, _ in x_overrides] == list(range(2, span + 2))
+        assert y_overrides == () and cert.phi_y == base.yimg
+        phi_x = list(base.ximg)
+        for i, a in x_overrides:
+            phi_x[i - 1] = a
+        assert tuple(phi_x) == cert.phi_x
+
+
 class TestEtaConstruct:
     def eta_setup(self):
         """V4 problem with phi constant on the needed prefix: beta_bar puts
@@ -198,9 +232,11 @@ class TestSolveGammaLevel:
     def test_tampered_certificate_fails_reverify(self, v4_instance):
         from dataclasses import replace
         cert = s.solve_gamma_level(v4_instance)
-        bad_x = list(cert.phi_x)
-        bad_x[0] = (bad_x[0] + 1) % v4_instance.A.order
-        tampered = replace(cert, phi_x=tuple(bad_x))
+        # phi(x1) changed: an override at position 1, which eta_construct
+        # leaves alone
+        bad = (1, (cert.phi_x[0] + 1) % v4_instance.A.order)
+        x_overrides, y_overrides = cert.phi_overrides
+        tampered = replace(cert, phi_overrides=((bad, *x_overrides), y_overrides))
         fresh = s.reverify_certificate(v4_instance, tampered)
         assert not fresh.is_proper
         assert fresh.failed_checks()
