@@ -15,7 +15,7 @@ from surfep.serialize import (
     certificate_from_json,
     certificate_to_json,
     instance_hash,
-    resolve_problem_json,
+    problem_from_json,
 )
 
 
@@ -47,7 +47,7 @@ def main() -> int:
         "action": [[0, 1], [0, 1]],
         "beta_bar": {"x": list(beta.ximg), "y": list(beta.yimg)},
     }
-    content_hash = instance_hash(resolve_problem_json(problem_json, {}))
+    content_hash = instance_hash(problem_from_json(problem_json, {})[2])
     text = canonical_json(certificate_to_json(cert, "v4", content_hash))
     print(f"certificate: {len(text)} bytes, instance hash {content_hash[:16]}...")
 

@@ -51,7 +51,6 @@ from .embedding import (
     verify_solution,
 )
 from .solver import (
-    EtaParams,
     ExtensionPlan,
     eta_construct,
     make_eta_params,

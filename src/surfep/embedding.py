@@ -141,6 +141,20 @@ def image_of_restriction(t: SurfaceTuple, spec: SubgroupSpec) -> SubgroupHandle:
     return SubgroupHandle(t.target, tuple(members))
 
 
+def _first_incompatible(
+    ep: SplitEP, phi_x: Sequence[int], phi_y: Sequence[int]
+) -> Optional[str]:
+    """The first generator ("x3", "y1", ...) where alpha o phi differs from
+    beta_bar, x before y at each position; None when they agree."""
+    amap, bx, by = ep.alpha.map, ep.beta_bar.ximg, ep.beta_bar.yimg
+    for i in range(ep.genus):
+        if amap[phi_x[i]] != bx[i]:
+            return f"x{i + 1}"
+        if amap[phi_y[i]] != by[i]:
+            return f"y{i + 1}"
+    return None
+
+
 def claim_proper(
     ep: SplitEP, phi: SurfaceTuple, extra_image_elements: Sequence[int] = ()
 ) -> bool:
@@ -152,11 +166,9 @@ def claim_proper(
     is surjective, that closure then maps onto B, so containing the kernel
     forces it to be all of A.
     """
-    for i in range(ep.genus):
-        if ep.alpha.map[phi.ximg[i]] != ep.beta_bar.ximg[i]:
-            raise NotASolution(f"x{i + 1}")
-        if ep.alpha.map[phi.yimg[i]] != ep.beta_bar.yimg[i]:
-            raise NotASolution(f"y{i + 1}")
+    bad = _first_incompatible(ep, phi.ximg, phi.yimg)
+    if bad is not None:
+        raise NotASolution(bad)
     closure = subgroup_closure(
         ep.A, [*phi.ximg, *phi.yimg, *extra_image_elements]
     )
@@ -294,18 +306,12 @@ def verify_solution(
         CheckRecord("surface_relation", ok_relation, f"product evaluates to {value}")
     )
 
-    ok_compat = True
-    for i in range(g):
-        if ep.alpha.map[phi_x[i]] != ep.beta_bar.ximg[i]:
-            ok_compat = False
-            checks.append(CheckRecord("compatibility", False, f"fails at x{i + 1}"))
-            break
-        if ep.alpha.map[phi_y[i]] != ep.beta_bar.yimg[i]:
-            ok_compat = False
-            checks.append(CheckRecord("compatibility", False, f"fails at y{i + 1}"))
-            break
-    if ok_compat:
-        checks.append(CheckRecord("compatibility", True, "alpha o phi = beta_bar"))
+    bad = _first_incompatible(ep, phi_x, phi_y)
+    ok_compat = bad is None
+    checks.append(CheckRecord(
+        "compatibility", ok_compat,
+        "alpha o phi = beta_bar" if ok_compat else f"fails at {bad}",
+    ))
 
     is_solution = ok_relation and ok_compat
 

@@ -266,9 +266,6 @@ class GroupHom:
     codomain: FiniteGroup
     map: tuple[int, ...]
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
     @property
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.codomain.order
@@ -437,9 +434,6 @@ class SemidirectProduct:
 
     def encode(self, k: int, h: int) -> int:
         return k * self.alpha.codomain.order + h
-
-    def decode(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.alpha.codomain.order)
 
 
 def semidirect_product(

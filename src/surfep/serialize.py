@@ -155,10 +155,7 @@ def group_from_json(obj: Any, path: str = "group") -> FiniteGroup:
 def _resolve_group(
     spec: Any, groups: dict[str, FiniteGroup], path: str, what: str
 ) -> FiniteGroup:
-    """A group spec is a name in groups, an inline group object, or a group
-    already built from one (see Workspace)."""
-    if isinstance(spec, FiniteGroup):
-        return spec
+    """A group spec is a name in groups or an inline group object."""
     if isinstance(_typed(spec, (str, dict), path, what), str):
         if spec not in groups:
             raise ValueError(f"unknown group name {spec!r}")
@@ -182,92 +179,68 @@ def _action(obj: dict) -> list[tuple[int, ...]]:
     ]
 
 
-def relative_from_json(obj: dict, groups: dict[str, FiniteGroup]) -> SubgroupSpec:
-    q_group = _resolve_group(_get(obj, "Q", what=_RELATIVE), groups, "Q", _RELATIVE)
-    nu = make_surface_tuple(q_group, *_images(obj, "nu", _RELATIVE))
-    members = _ints(_get(obj, "S", what=_RELATIVE), "S", _RELATIVE)
-    s_handle = SubgroupHandle(q_group, tuple(sorted(set(members))))
-    return SubgroupSpec(q_group, nu, s_handle)
-
-
-def _relative_object(obj: dict) -> Optional[dict]:
-    rel = obj.get("relative")
-    return None if rel is None else _typed(rel, dict, "relative", _PROBLEM)
-
-
 def problem_from_json(
     obj: dict, groups: dict[str, FiniteGroup]
-) -> tuple[SplitEP, Optional[SubgroupSpec]]:
+) -> tuple[SplitEP, Optional[SubgroupSpec], dict]:
+    """The problem obj describes, its relative (None without one), and the
+    resolved problem the instance hash covers: every group inlined and the
+    genus explicit, built from the values read.  Each field is read once."""
     k_group = _resolve_group(_get(obj, "K", what=_PROBLEM), groups, "K", _PROBLEM)
     h_group = _resolve_group(_get(obj, "H", what=_PROBLEM), groups, "H", _PROBLEM)
     action = ActionSpec(h_group, k_group, tuple(_action(obj)))
-    beta_bar = make_surface_tuple(h_group, *_images(obj, "beta_bar", _PROBLEM))
+    beta = _images(obj, "beta_bar", _PROBLEM)
     genus = _typed(obj.get("genus"), (int, type(None)), "genus", _PROBLEM)
-    ep = make_split_ep(k_group, h_group, action, beta_bar, genus=genus)
-    rel = _relative_object(obj)
-    return ep, None if rel is None else relative_from_json(rel, groups)
-
-
-def resolve_problem_json(obj: dict, groups: dict[str, FiniteGroup]) -> dict:
-    """Inline every group reference so the object is self-contained; this is
-    what the instance hash covers."""
-
-    def inline(o, role, what):
-        spec = _get(o, role, what=what)
-        return group_to_json(_resolve_group(spec, groups, role, what))
-
-    def images(o, path, what):
-        return dict(zip("xy", map(list, _images(o, path, what))))
-
-    beta_bar = images(obj, "beta_bar", _PROBLEM)
+    ep = make_split_ep(
+        k_group, h_group, action, make_surface_tuple(h_group, *beta), genus=genus
+    )
     resolved = {
-        "genus": obj.get("genus", len(beta_bar["x"])),
-        "K": inline(obj, "K", _PROBLEM),
-        "H": inline(obj, "H", _PROBLEM),
-        "action": [list(p) for p in _action(obj)],
-        "beta_bar": beta_bar,
+        "genus": ep.genus,
+        "K": group_to_json(k_group),
+        "H": group_to_json(h_group),
+        "action": [list(p) for p in action.perms],
+        "beta_bar": dict(zip("xy", map(list, beta))),
     }
-    rel = _relative_object(obj)
-    if rel is not None:
-        resolved["relative"] = {
-            "Q": inline(rel, "Q", _RELATIVE),
-            "nu": images(rel, "nu", _RELATIVE),
-            "S": sorted(set(_ints(_get(rel, "S", what=_RELATIVE), "S", _RELATIVE))),
-        }
-    return resolved
+    rel = obj.get("relative")
+    if rel is None:
+        return ep, None, resolved
+    rel = _typed(rel, dict, "relative", _PROBLEM)
+    q_group = _resolve_group(_get(rel, "Q", what=_RELATIVE), groups, "Q", _RELATIVE)
+    nu = _images(rel, "nu", _RELATIVE)
+    members = sorted(set(_ints(_get(rel, "S", what=_RELATIVE), "S", _RELATIVE)))
+    relative = SubgroupSpec(
+        q_group,
+        make_surface_tuple(q_group, *nu),
+        SubgroupHandle(q_group, tuple(members)),
+    )
+    resolved["relative"] = {
+        "Q": group_to_json(q_group),
+        "nu": dict(zip("xy", map(list, nu))),
+        "S": members,
+    }
+    return ep, relative, resolved
 
 
 @dataclass(frozen=True)
 class Workspace:
     groups: dict[str, FiniteGroup]
     problems: dict[str, Any]             # raw JSON objects, built on demand
-    # problem name -> its object with K, H and the relative Q built
+    # problem name -> problem_from_json's (ep, relative, resolved)
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _problem(self, name: str) -> dict:
-        """Problem name's JSON object with K, H and the relative Q replaced by
-        their groups, so build_problem and problem_hash share one validation
-        of each inline group."""
+    def _problem(self, name: str) -> tuple:
+        """Problem name read once, for both build_problem and problem_hash."""
         if name not in self._built:
             if name not in self.problems:
                 raise ValueError(f"unknown problem {name!r}")
             obj = _typed(self.problems[name], dict, f"problems.{name}", _WORKSPACE)
-            obj = dict(obj)
-            for role in ("K", "H"):
-                if role in obj:
-                    obj[role] = _resolve_group(obj[role], self.groups, role, _PROBLEM)
-            rel = obj.get("relative")
-            if isinstance(rel, dict) and "Q" in rel:
-                q_group = _resolve_group(rel["Q"], self.groups, "Q", _RELATIVE)
-                obj["relative"] = {**rel, "Q": q_group}
-            self._built[name] = obj
+            self._built[name] = problem_from_json(obj, self.groups)
         return self._built[name]
 
     def build_problem(self, name: str) -> tuple[SplitEP, Optional[SubgroupSpec]]:
-        return problem_from_json(self._problem(name), self.groups)
+        return self._problem(name)[:2]
 
     def problem_hash(self, name: str) -> str:
-        return instance_hash(resolve_problem_json(self._problem(name), self.groups))
+        return instance_hash(self._problem(name)[2])
 
 
 def read_json(path: str) -> Any:

@@ -38,12 +38,12 @@ from .embedding import (
     SolutionCertificate,
     SplitEP,
     SubgroupSpec,
+    _first_incompatible,
     image_of_restriction,
     verify_solution,
 )
 from .surface import (
     SurfaceTuple,
-    evaluate_word,
     initial_basis_state,
     make_surface_tuple,
     map_tuple,
@@ -55,31 +55,19 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class EtaParams:
-    """Sizes driving the kernel-redistribution step: s kernel generators,
-    blocks of length n = |K phi(Gamma)|, all fitting below m."""
-
-    s: int
-    n: int
-    m: int
-    kgens: tuple[int, ...]  # generating tuple of Ker(alpha), as elements of A
-
-
-def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaParams:
-    """kgens is the greedy generating tuple of Ker(alpha): each generator is
-    the smallest kernel member not yet reached, so s <= log2 |Ker(alpha)|."""
-    ksub = ep.kernel_subgroup
-    kgrp, incl = ksub.as_group()
+def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaSummary:
+    """s, n, m and kgens of the move program, with selected left empty
+    (_move_program fills it from the pigeonhole).  n = |A|: for any phi
+    with alpha o phi = beta_bar, K phi(Gamma) = alpha^-1(B) = A because
+    beta_bar is onto B.  kgens is the greedy generating tuple of Ker(alpha):
+    each generator is the smallest kernel member not yet reached, so
+    s <= log2 |Ker(alpha)|."""
+    kgrp, incl = ep.kernel_subgroup.as_group()
     kgens = tuple(incl.map[k] for k in _greedy_generators(kgrp.mul, kgrp.identity))
-    n = subgroup_closure(
-        ep.A, [*ksub.members, *phi.ximg, *phi.yimg]
-    ).order
     two_a_sq = 2 * ep.A.order * ep.A.order
     if two_a_sq % ep.B.order != 0:
         raise AssertionError("|B| must divide 2|A|^2")
-    m = two_a_sq // ep.B.order
-    params = EtaParams(s=len(kgens), n=n, m=m, kgens=kgens)
+    params = EtaSummary(len(kgens), ep.A.order, two_a_sq // ep.B.order, kgens, ())
     if params.s * params.n + params.s > params.m:
         raise AssertionError("sn + s <= m must hold for a split problem")
     return params
@@ -87,7 +75,7 @@ def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaParams:
 
 def eta_construct(
     phi: SurfaceTuple,
-    params: EtaParams | EtaSummary,
+    params: EtaSummary,
     ep: SplitEP,
     relative: Optional[SubgroupSpec] = None,
 ) -> SurfaceTuple:
@@ -97,7 +85,8 @@ def eta_construct(
     ep.beta_bar (all on the same basis), and, in the relative case, both
     x_1^-1 x_i and x_i x_1^-1 inside N for 2 <= i <= sn+s.  Returns the
     modified tuple with x_{in+j+1} set to phi(x_1) * k_{i+1}; the per-block
-    power identities and the surface relation are asserted on the way out.
+    power identities are asserted on the way out; the pipeline checks the
+    result with _phi_checks.
     """
     s, n = params.s, params.n
     g = phi.genus
@@ -108,22 +97,13 @@ def eta_construct(
     for i in range(1, span):
         if phi.ximg[i] != x1 or phi.yimg[i] != y1:
             raise HypothesisViolated("equal_images", i + 1)
-    for i in range(g):
-        if (
-            ep.alpha.map[phi.ximg[i]] != ep.beta_bar.ximg[i]
-            or ep.alpha.map[phi.yimg[i]] != ep.beta_bar.yimg[i]
-        ):
-            raise HypothesisViolated("not_a_solution", i + 1)
+    bad = _first_incompatible(ep, phi.ximg, phi.yimg)
+    if bad is not None:
+        raise HypothesisViolated("not_a_solution", bad)
     if relative is not None:
-        nu = relative.nu
-        nx1 = nu.ximg[0]
-        inv1 = nu.target.inv[nx1]
-        sset = set(relative.S.members)
-        for i in range(1, span):
-            left = nu.target.mul[inv1][nu.ximg[i]]
-            right = nu.target.mul[nu.ximg[i]][inv1]
-            if left not in sset or right not in sset:
-                raise HypothesisViolated("membership", i + 1)
+        for i, left, right in _memberships(relative, range(2, span + 1)):
+            if not (left and right):
+                raise HypothesisViolated("membership", i)
 
     a_group = phi.target
     new_x = list(phi.ximg)
@@ -141,19 +121,7 @@ def eta_construct(
             if a_group.power(c, n) != a_group.identity:
                 raise AssertionError(f"block identity fails at block {i}")
 
-    eta = make_surface_tuple(a_group, new_x, phi.yimg)
-
-    for i in range(g):
-        if (
-            ep.alpha.map[eta.ximg[i]] != ep.beta_bar.ximg[i]
-            or ep.alpha.map[eta.yimg[i]] != ep.beta_bar.yimg[i]
-        ):
-            raise AssertionError("eta lost compatibility with beta_bar")
-    for j in range(s):
-        word = word_x(1, -1) * word_x(j * n + 2)
-        if evaluate_word(eta, word) != params.kgens[j]:
-            raise AssertionError("kernel generator witness fails")
-    return eta
+    return make_surface_tuple(a_group, new_x, phi.yimg)
 
 
 def _memberships(
@@ -216,18 +184,45 @@ def _expanded(
     return out[0], out[1]
 
 
-def _move_program(ep: SplitEP) -> tuple[SurfaceTuple, EtaSummary]:
-    """phi0 = gamma o beta_bar and the move program derived from it: s, n, m
-    and kgens from make_eta_params, selected from the pigeonhole (which
-    raises NoRepeatedPair when no image pair repeats among the first m)."""
+def _move_program(ep: SplitEP) -> EtaSummary:
+    """The move program of ep: s, n, m and kgens from make_eta_params, and
+    selected from the pigeonhole on phi0 = gamma o beta_bar (which raises
+    NoRepeatedPair when no image pair repeats among the first m)."""
     phi0 = map_tuple(ep.gamma, ep.beta_bar)
     params = make_eta_params(ep, phi0)
-    # with phi = gamma o beta_bar and beta_bar surjective, K phi(Gamma) = A
-    if params.n != ep.A.order:
-        raise AssertionError("K phi(Gamma) must be all of A in this pipeline")
     selected = pigeonhole_select(list(zip(phi0.ximg, phi0.yimg)), params.m)
-    return phi0, EtaSummary(
-        params.s, params.n, params.m, params.kgens, tuple(selected)
+    return replace(params, selected=tuple(selected))
+
+
+def _replay(
+    ep: SplitEP, nspec: Optional[SubgroupSpec], selected: Sequence[int]
+) -> tuple[SplitEP, Optional[SubgroupSpec]]:
+    """ep and nspec with beta_bar and nu replayed through the moves selected,
+    i.e. read on the certificate basis; no basis word is built."""
+    channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
+    state = normalize_to_front(initial_basis_state(channels), selected)
+    rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
+    return ep.with_beta_bar(state.channel_tuple(0)), rel_n
+
+
+def _phi_checks(
+    ep_n: SplitEP,
+    rel_n: Optional[SubgroupSpec],
+    eta: EtaSummary,
+    base: SurfaceTuple,
+    overrides: tuple[Overrides, Overrides],
+) -> SolutionCertificate:
+    """phi = base (gamma o beta_bar on the certificate basis) with the
+    overrides applied, through verify_solution on the replayed problem with
+    the kernel witnesses eta implies; a bad override is a failing shape
+    check instead."""
+    try:
+        phi = _expanded(base, overrides)
+    except ValueError as exc:
+        shape = CheckRecord("shape", False, str(exc))
+        return SolutionCertificate((), (), "invalid", (shape,))
+    return verify_solution(
+        ep_n, *phi, relative=rel_n, witnesses=_witnesses_for(eta, rel_n)
     )
 
 
@@ -245,48 +240,34 @@ def _solve_pipeline(
         if bn.order != ep.B.order:
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)
 
-    phi0, summary = _move_program(ep)
-    channels = [phi0, ep.beta_bar]
-    if nspec is not None:
-        channels.append(nspec.nu)
-    state = normalize_to_front(initial_basis_state(channels), summary.selected)
-
-    phi_n = state.channel_tuple(0)
-    beta_n = state.channel_tuple(1)
-    ep_n = ep.with_beta_bar(beta_n)
-    rel_n = None
-    if nspec is not None:
-        rel_n = nspec.with_nu(state.channel_tuple(2))
-        memberships = _memberships(rel_n, range(2, summary.m + 1))
+    eta = _move_program(ep)
+    ep_n, rel_n = _replay(ep, nspec, eta.selected)
+    phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
+    if rel_n is not None:
+        memberships = _memberships(rel_n, range(2, eta.m + 1))
         offending = next(
             (i for i, left, right in memberships if not (left and right)), None
         )
         if offending is not None:
             # the finite argument stops here; escalating needs the quotient
-            # construction, which is outside this solver
+            # construction, which is outside this solver.  phi stays in
+            # full: the certificate's genus is read from it
             return SolutionCertificate(
                 phi_x=phi_n.ximg,
                 phi_y=phi_n.yimg,
                 outcome="not_reduced",
-                eta=summary,
+                eta=eta,
                 relative=RelativeEvidence(memberships, offending),
             )
 
-    eta = eta_construct(phi_n, summary, ep_n, rel_n)
-    cert = verify_solution(
-        ep_n,
-        eta.ximg,
-        eta.yimg,
-        relative=rel_n,
-        witnesses=_witnesses_for(summary, rel_n),
-    )
+    built = eta_construct(phi_n, eta, ep_n, rel_n)
+    overrides = (_overrides(phi_n.ximg, built.ximg), _overrides(phi_n.yimg, built.yimg))
+    cert = _phi_checks(ep_n, rel_n, eta, phi_n, overrides)
     if not cert.is_proper:
         raise AssertionError(
             f"pipeline produced a non-proper certificate: {cert.failed_checks()}"
         )
-    # phi_n = gamma o beta_n, since gamma is a homomorphism
-    overrides = (_overrides(phi_n.ximg, eta.ximg), _overrides(phi_n.yimg, eta.yimg))
-    return replace(cert, eta=summary, phi_overrides=overrides)
+    return replace(cert, eta=eta, phi_overrides=overrides)
 
 
 def solve_gamma_level(ep: SplitEP) -> SolutionCertificate:
@@ -308,7 +289,7 @@ def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
     if eta is None:
         return CheckRecord("eta_recomputed", False, "no move program recorded")
     try:
-        _, fresh = _move_program(ep)
+        fresh = _move_program(ep)
     except NoRepeatedPair as exc:
         return CheckRecord("eta_recomputed", False, str(exc))
     wrong = [f for f in ("s", "n", "m", "kgens", "selected")
@@ -334,31 +315,26 @@ def reverify_certificate(
     or evaluated.  A stopped relative run (outcome "not_reduced") must then
     have beta(N) = B and reproduce its recorded membership flags, the
     offending one really failing; it keeps its outcome only if all of that
-    holds.  Any other certificate has phi = gamma o beta_bar on that basis
-    with the recorded overrides applied (a bad override fails shape), goes
-    through verify_solution on the replayed basis, with the kernel
-    witnesses derived from the checked program, and its recorded outcome
-    must match the recomputed one (outcome_matches).  The returned
-    certificate carries phi in full.
+    holds.  Any other certificate goes through _phi_checks, the solver's own
+    final check: phi = gamma o beta_bar on that basis with the recorded
+    overrides applied (a bad override fails shape), through verify_solution
+    with the kernel witnesses derived from the checked program.  Its
+    recorded outcome must match the recomputed one (outcome_matches).  The
+    returned certificate carries phi in full.
     """
     if nspec is not None and nspec.genus != ep.genus:
         raise GenusMismatch(ep.genus, nspec.genus)
     checks = [_eta_check(ep, cert.eta)]
-    state = None
-    if checks[0].passed:
-        channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
-        state = normalize_to_front(initial_basis_state(channels), cert.eta.selected)
+    replayed = _replay(ep, nspec, cert.eta.selected) if checks[0].passed else None
 
     if cert.outcome == "not_reduced":
         if nspec is None:
             checks.append(CheckRecord(
                 "relative_present", False, "certificate needs a relative spec"
             ))
-        elif state is not None:
+        elif replayed is not None:
             bn = image_of_restriction(ep.beta_bar, nspec)
-            recomputed = _memberships(
-                nspec.with_nu(state.channel_tuple(1)), range(2, cert.eta.m + 1)
-            )
+            recomputed = _memberships(replayed[1], range(2, cert.eta.m + 1))
             off = cert.relative.offending_index
             checks += [
                 CheckRecord(
@@ -381,21 +357,11 @@ def reverify_certificate(
         return replace(cert, outcome=outcome, checks=tuple(checks))
 
     fresh = SolutionCertificate(cert.phi_x, cert.phi_y, "invalid")
-    if state is not None:
-        beta_n = state.channel_tuple(0)
-        try:
-            phi = _expanded(map_tuple(ep.gamma, beta_n), cert.phi_overrides)
-        except ValueError as exc:
-            checks.append(CheckRecord("shape", False, str(exc)))
-        else:
-            rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
-            fresh = verify_solution(
-                ep.with_beta_bar(beta_n),
-                *phi,
-                relative=rel_n,
-                witnesses=_witnesses_for(cert.eta, rel_n),
-            )
-            checks += fresh.checks
+    if replayed is not None:
+        ep_n, rel_n = replayed
+        base = map_tuple(ep.gamma, ep_n.beta_bar)
+        fresh = _phi_checks(ep_n, rel_n, cert.eta, base, cert.phi_overrides)
+        checks += fresh.checks
     checks.append(CheckRecord(
         "outcome_matches",
         fresh.outcome == cert.outcome,

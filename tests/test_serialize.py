@@ -17,7 +17,6 @@ from surfep.serialize import (
     instance_hash,
     load_workspace,
     problem_from_json,
-    resolve_problem_json,
     workspace_to_json,
 )
 
@@ -90,7 +89,7 @@ class TestTupleAndProblemJson:
     def test_tuple_from_json_named_group(self, cat):
         # beta_bar read against a group named in the workspace
         obj = {**self.problem_obj(), "H": "C2"}
-        ep, _ = problem_from_json(obj, {"C2": cat["C2"]})
+        ep, _, _ = problem_from_json(obj, {"C2": cat["C2"]})
         assert ep.B is cat["C2"] and ep.beta_bar.ximg[:2] == (1, 0)
 
     def test_tuple_genus_mismatch(self):
@@ -107,7 +106,7 @@ class TestTupleAndProblemJson:
         }
 
     def test_problem_from_json(self):
-        ep, relative = problem_from_json(self.problem_obj(), {})
+        ep, relative, _ = problem_from_json(self.problem_obj(), {})
         assert ep.A.order == 4 and ep.genus == 64
         assert relative is None
 
@@ -118,7 +117,7 @@ class TestTupleAndProblemJson:
             "nu": {"x": [0] * 64, "y": [1] + [0] * 63},
             "S": [0],
         }
-        ep, relative = problem_from_json(obj, {})
+        ep, relative, _ = problem_from_json(obj, {})
         assert relative is not None and relative.Q.order == 2
         assert relative.S.members == (0,)
 
@@ -126,9 +125,21 @@ class TestTupleAndProblemJson:
         obj_named = dict(self.problem_obj())
         obj_named["K"] = "C2"
         groups = {"C2": cat["C2"]}
-        h1 = instance_hash(resolve_problem_json(obj_named, groups))
-        h2 = instance_hash(resolve_problem_json(self.problem_obj(), {}))
+        h1 = instance_hash(problem_from_json(obj_named, groups)[2])
+        h2 = instance_hash(problem_from_json(self.problem_obj(), {})[2])
         assert h1 == h2
+
+    def test_genus_spellings_hash_alike(self, tmp_path):
+        # "genus": null, the genus itself and no genus field pose one problem
+        problems = {
+            "null": {**self.problem_obj(), "genus": None},
+            "given": {**self.problem_obj(), "genus": 64},
+            "omitted": self.problem_obj(),
+        }
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({"problems": problems}))
+        ws = load_workspace(str(path))
+        assert len({ws.problem_hash(name) for name in problems}) == 1
 
 
 MISSING = object()  # a field deleted instead of replaced

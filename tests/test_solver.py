@@ -35,6 +35,28 @@ class TestEtaParams:
         assert params.s == 0 and params.kgens == ()
 
 
+class TestBlockLengthIsTheWholeGroup:
+    """make_eta_params takes n = |A|: for any phi with alpha o phi = beta_bar
+    the group K phi(Gamma) is alpha^-1(B), all of A, since beta_bar is onto
+    B."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.randoms(use_true_random=False))
+    def test_kernel_and_any_solution_generate_a(self, seed, rnd):
+        ep = s.generate_instances(s.InstanceRecipe(seed=seed), 1)[0].ep
+        # a solution as acceptance test_08 builds them: gamma o beta_bar with
+        # each image multiplied by a kernel element
+        ker = list(ep.kernel_subgroup.members)
+        base = s.map_tuple(ep.gamma, ep.beta_bar)
+        phi = s.SurfaceTuple(
+            ep.A, ep.genus,
+            tuple(ep.A.mul[rnd.choice(ker)][a] for a in base.ximg),
+            tuple(ep.A.mul[rnd.choice(ker)][a] for a in base.yimg),
+        )
+        closure = s.subgroup_closure(ep.A, [*ker, *phi.ximg, *phi.yimg])
+        assert closure.order == ep.A.order == make_eta_params(ep, phi).n
+
+
 def relabelled(group, perm):
     """group with each element a renamed perm[a]."""
     table = [[0] * group.order for _ in group.elements()]
@@ -122,6 +144,44 @@ class TestOverridesOfGammaBetaBar:
         for i, a in x_overrides:
             phi_x[i - 1] = a
         assert tuple(phi_x) == cert.phi_x
+
+
+def staged(ep, relative=None):
+    """The solver's stages composed from public functions on the channels
+    [phi0, beta_bar, nu], the way perfbench/tracing.py's replay_stages runs
+    them under --trace 1: (selected, eta)."""
+    phi0 = s.map_tuple(ep.gamma, ep.beta_bar)
+    params = make_eta_params(ep, phi0)
+    selected = s.pigeonhole_select(list(zip(phi0.ximg, phi0.yimg)), params.m)
+    channels = [phi0, ep.beta_bar] + ([relative.nu] if relative else [])
+    state = s.normalize_to_front(s.initial_basis_state(channels), selected)
+    rel_n = relative.with_nu(state.channel_tuple(2)) if relative else None
+    eta = s.eta_construct(
+        state.channel_tuple(0), params, ep.with_beta_bar(state.channel_tuple(1)), rel_n
+    )
+    return tuple(selected), eta
+
+
+class TestStagedReplay:
+    """The public stages, composed as the traced benchmark composes them,
+    reproduce what the solver writes."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_gamma_level(self, seed):
+        ep = s.generate_instances(s.InstanceRecipe(seed=seed), 1)[0].ep
+        cert = s.solve_gamma_level(ep)
+        selected, eta = staged(ep)
+        assert selected == cert.eta.selected
+        assert (eta.ximg, eta.yimg) == (cert.phi_x, cert.phi_y)
+
+    def test_good_relative(self):
+        inst = TestSolveRelative().good_instance()
+        cert = s.solve_relative(inst.ep, inst.relative)
+        assert cert.outcome == "proper"
+        selected, eta = staged(inst.ep, inst.relative)
+        assert selected == cert.eta.selected
+        assert (eta.ximg, eta.yimg) == (cert.phi_x, cert.phi_y)
 
 
 class TestEtaConstruct:
@@ -331,6 +391,8 @@ class TestSolveRelative:
         assert cert.outcome == "not_reduced"
         assert cert.relative.offending_index is not None
         assert not cert.is_proper
+        # phi stays in full: the genus and basis words are read from it
+        assert cert.genus == g and len(cert.basis_x_words) == g
         fresh = s.reverify_certificate(ep, cert, spec)
         assert fresh.outcome == "not_reduced"
         checks = fresh.checks
