@@ -47,6 +47,8 @@ def enumerate_surface_tuples(
     group: FiniteGroup, genus: int, budget: int = 10**8
 ) -> int:
     """Count 2g-tuples satisfying the surface relation, by full enumeration."""
+    if genus < 0:
+        raise ValueError(f"genus must be non-negative, got {genus}")
     n = group.order
     candidates = n ** (2 * genus)
     if candidates > budget:
@@ -284,6 +286,8 @@ def generate_instances(
     """Deterministic stream of valid instances at genus 2|A|^2 |B| (or with
     slack); even positions carry a valid relative spec, every tenth carries
     a failing one."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     ks, hs, cap = recipe.size_k_choices, recipe.size_h_choices, recipe.max_order_a
     if not any(k * h <= cap for k in ks for h in hs):
         # the draw below would never stop

@@ -328,6 +328,129 @@ class TestWorkspaceStructure:
         assert proc.stdout == ""
 
 
+class TestReadErrors:
+    """A certificate or workspace that is not JSON, or not UTF-8, is refused
+    with an error naming the file."""
+
+    @pytest.mark.parametrize("which", ["certificate", "workspace"])
+    @pytest.mark.parametrize(
+        "data,message",
+        [(b'{"problems": {', "is not JSON: Expecting property name"),
+         (b'\xff{}', "is not UTF-8: 'utf-8' codec can't decode byte 0xff")],
+        ids=["truncated", "invalid_utf8"],
+    )
+    def test_named_file(self, tmp_path, which, data, message):
+        ws, out, _ = solved_gen3(tmp_path)
+        bad = ws if which == "workspace" else out
+        open(bad, "wb").write(data)
+        proc = run_python("-m", "surfep", "verify", out, ws)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {bad} {message}")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
+class TestNegativeCounts:
+    def test_count_negative_genus(self, capsys):
+        assert main(["count", "--group", "S3", "--genus", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: genus must be non-negative, got -1\n"
+        )
+
+    def test_gen_negative_count(self, tmp_path, capsys):
+        ws = tmp_path / "gen.json"
+        assert main(["gen", "--count", "-1", "--out", str(ws)]) == 1
+        assert capsys.readouterr().err == (
+            "error: count must be non-negative, got -1\n"
+        )
+        assert not ws.exists()
+
+
+class TestWorkspaceSlot:
+    """load_workspace reuses the document of the last workspace bytes it
+    decoded; the reuse must be invisible from the outside."""
+
+    def test_rewrite_with_restored_mtime_is_seen(self, tmp_path, capsys):
+        ws = str(tmp_path / "gen.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        assert main(["solve", ws, "ep001"]) == 0
+        stat = os.stat(ws)
+        data = open(ws, "rb").read()
+        edited = data.replace(b'"ep001"', b'"ep101"')
+        assert len(edited) == len(data) and edited != data
+        open(ws, "wb").write(edited)
+        os.utime(ws, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(ws).st_mtime_ns == stat.st_mtime_ns
+        capsys.readouterr()
+        assert main(["solve", ws, "ep001"]) == 1
+        assert capsys.readouterr().err == "error: unknown problem 'ep001'\n"
+        assert main(["solve", ws, "ep101"]) == 0
+        assert json.loads(capsys.readouterr().out)["problem"] == "ep101"
+
+    def test_equal_nested_bytes_name_their_own_path(self, tmp_path, capsys):
+        data = "[" * 1_100 + "]" * 1_100
+        for name in ("a.json", "b.json", "a.json"):
+            ws = str(tmp_path / name)
+            open(ws, "w").write(data)
+            assert main(["solve", ws, "ep000"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {ws} is nested too deeply to read\n"
+            )
+
+    def test_equal_bytes_share_only_the_document(self, tmp_path):
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", a])
+        open(b, "w").write(open(a).read())
+        ws_a, ws_b = load_workspace(a), load_workspace(b)
+        assert ws_a.problems["ep000"] is ws_b.problems["ep000"]
+        ws_a.build_problem("ep000")
+        assert "ep000" in ws_a._built and not ws_b._built
+
+    def test_document_is_never_mutated(self, tmp_path, capsys):
+        ws = str(tmp_path / "gen.json")
+        out = tmp_path / "cert.json"
+        assert main(["gen", "--seed", "5", "--count", "6", "--out", ws]) == 0
+        for name in json.loads(open(ws).read())["problems"]:
+            out.unlink(missing_ok=True)
+            main(["solve", ws, name, "--out", str(out)])
+            if out.exists():
+                assert main(["verify", str(out), ws]) == 0
+        capsys.readouterr()
+        data, doc = serialize._last_workspace
+        assert data == open(ws, "rb").read()
+        assert doc == json.loads(data)
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    """solve and verify on two workspaces with the same problem names,
+    interleaved A, B, A in one process, give the certificate bytes, verify
+    output and exit codes of a fresh process per call."""
+    spaces = {}
+    for seed in (3, 5):
+        ws = str(tmp_path / f"gen{seed}.json")
+        main(["gen", "--seed", str(seed), "--count", "2", "--size-h", "1",
+              "--out", ws])
+        spaces[ws] = {}
+        for name in ("ep000", "ep001"):
+            cert = str(tmp_path / f"fresh{seed}_{name}.json")
+            solved = run_python("-m", "surfep", "solve", ws, name, "--out", cert)
+            verified = run_python("-m", "surfep", "verify", cert, ws)
+            spaces[ws][name] = (solved.returncode, open(cert, "rb").read(),
+                                verified.returncode, verified.stdout)
+    a, b = spaces
+    capsys.readouterr()
+    cert = tmp_path / "cert.json"
+    for ws in (a, b, a):
+        for name, fresh in spaces[ws].items():
+            # to stdout: no --out may linger from an earlier call
+            solved = main(["solve", ws, name])
+            cert.write_text(capsys.readouterr().out)
+            verified = main(["verify", str(cert), ws])
+            stdout = capsys.readouterr().out
+            assert (solved, cert.read_bytes(), verified, stdout) == fresh
+
+
 def solved_gen3(tmp_path):
     """ep000 of `gen --seed 3 --count 2 --size-h 1` and its certificate."""
     ws = str(tmp_path / "gen.json")
