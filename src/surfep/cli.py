@@ -9,7 +9,6 @@ stdout or the requested output file.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import Optional, Sequence
 
@@ -181,10 +180,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The surfep argument parser, built once per process and shared by
-    every main call; each subcommand dispatches through its func default."""
     parser = argparse.ArgumentParser(
         prog="surfep",
         description="Solve and verify finite split embedding problems over "

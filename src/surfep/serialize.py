@@ -10,9 +10,11 @@ malformed one is named in the error.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import json
+import re
+from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -222,12 +224,31 @@ def problem_from_json(
     return ep, relative, resolved
 
 
+class _Members(Mapping):
+    """The members of a JSON object in a file's text, by name: where each
+    value starts, decoded afresh whenever it is read."""
+
+    def __init__(self, text: str, starts: dict[str, int], path: str):
+        self._text, self._starts, self._path = text, starts, path
+
+    def __getitem__(self, name: str) -> Any:
+        return _value_at(self._text, self._starts[name], self._path)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._starts
+
+    def __iter__(self):
+        return iter(self._starts)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+
 @dataclass(frozen=True)
 class Workspace:
     groups: dict[str, FiniteGroup]
-    # raw JSON objects, built on demand; shared with every other Workspace
-    # loaded from the same bytes in this process, so read-only
-    problems: dict[str, Any]
+    # raw JSON values by name, decoded from the file when read
+    problems: Mapping[str, Any]
     # problem name -> problem_from_json's (ep, relative, resolved)
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -247,12 +268,12 @@ class Workspace:
         return instance_hash(self._problem(name)[2])
 
 
-def _decode(data: bytes, path: str) -> Any:
-    """The JSON document data (the bytes of file path) holds; one that is
-    not UTF-8, not JSON, or nested too deeply to decode is a ValueError
-    naming the file."""
+@contextmanager
+def _reading(path: str):
+    """Turn a file that is not UTF-8, not JSON, or nested too deeply to
+    decode into a ValueError naming path."""
     try:
-        return json.loads(data.decode("utf-8"))
+        yield
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -262,42 +283,112 @@ def _decode(data: bytes, path: str) -> Any:
 
 
 def read_json(path: str) -> Any:
-    """The JSON document in file path, decoded afresh on every call."""
-    return _decode(Path(path).read_bytes(), path)
+    """The JSON document in file path."""
+    with _reading(path):
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
 
 
-# the last workspace file decoded in this process, as (bytes, document): a
-# load of equal bytes reuses the document, which nothing may mutate
-_last_workspace: tuple[Optional[bytes], Any] = (None, None)
+_BLANK = re.compile(r"[ \t\n\r]*")
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_DECODER = json.JSONDecoder()
 
 
-@atexit.register
-def _forget_workspace() -> None:
-    """Free the remembered document before interpreter shutdown, whose
-    garbage collections would otherwise walk all of it: about 30 ms more
-    per process for an 11 MB workspace, paid even by a single call."""
-    global _last_workspace
-    _last_workspace = (None, None)
+def _value_at(text: str, start: int, path: str) -> Any:
+    """The JSON value at offset start of text (the file path), decoded in
+    full; a ',' or '}' must follow it."""
+    with _reading(path):
+        value, end = _DECODER.raw_decode(text, start)
+        end = _BLANK.match(text, end).end()
+        if not text.startswith((",", "}"), end):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+    return value
+
+
+def _outline(text: str, start: int) -> tuple[dict[str, int], dict[str, int]]:
+    """Where the values start of the members of the object at offset start
+    of text and of the members of its "problems" object, by name; a
+    repeated name keeps its last value, as json.loads does.
+
+    Only quotes and braces are read, not the values: a string left open,
+    braces that do not close, or anything after the object is a
+    JSONDecodeError."""
+    top: dict[str, int] = {}
+    problems: dict[str, int] = {}
+    n = len(text)
+
+    def following(char: str, i: int) -> int:
+        """Offset of the next char from offset i on; n if there is none."""
+        j = text.find(char, i)
+        return n if j < 0 else j
+
+    quote, opening, closing = (following(char, start) for char in '"{}')
+    depth, in_problems = 0, False
+    while True:
+        if quote < opening and quote < closing:
+            end = text.find('"', quote + 1) + 1
+            if end == 0 or text[end - 2] == "\\":  # open, or an escape to read
+                string = _STRING.match(text, quote)
+                if string is None:
+                    raise json.JSONDecodeError(
+                        "Unterminated string starting at", text, quote
+                    )
+                end = string.end()
+            if depth <= 2:
+                colon = _BLANK.match(text, end).end()
+                if text.startswith(":", colon):  # a member name
+                    name = json.decoder.scanstring(text, quote + 1)[0]
+                    value = _BLANK.match(text, colon + 1).end()
+                    if depth == 1:
+                        top[name] = value
+                        in_problems = name == "problems"
+                        if in_problems:
+                            problems = {}
+                    elif in_problems:
+                        problems[name] = value
+            # braces inside the string are not structure
+            quote = following('"', end)
+            if opening < end:
+                opening = following("{", end)
+            if closing < end:
+                closing = following("}", end)
+        elif opening < closing:
+            depth += 1
+            opening = following("{", opening + 1)
+        elif closing < n:
+            depth -= 1
+            if depth == 0:
+                break
+            closing = following("}", closing + 1)
+        else:
+            raise json.JSONDecodeError("Expecting '}' to close the object", text, n)
+    after = _BLANK.match(text, closing + 1).end()
+    if after != n:
+        raise json.JSONDecodeError("Extra data", text, after)
+    return top, problems
 
 
 def load_workspace(path: str) -> Workspace:
     """Read a workspace: named groups and problems.  Other top-level keys
     are ignored.
 
-    The file is read on every call, but bytes equal to the last workspace
-    decoded in this process reuse its document; groups are still validated
-    and problems still built per call, on a fresh Workspace."""
-    global _last_workspace
-    data = Path(path).read_bytes()
-    last_data, doc = _last_workspace  # one read: the pair stays consistent
-    if data != last_data:
-        doc = _decode(data, path)
-        _last_workspace = (data, doc)
-    doc = _typed(doc, dict, "(top level)", _WORKSPACE)
-    named = _typed(doc.get("groups", {}), dict, "groups", _WORKSPACE)
+    The named groups are decoded and validated on every load, and a problem
+    when it is built; the rest of the file is only checked for closed
+    strings and balanced braces, not decoded."""
+    with _reading(path):
+        text = Path(path).read_bytes().decode("utf-8")
+        start = _BLANK.match(text).end()
+        if not text.startswith("{", start):
+            # not an object: decoding it all says what it is instead
+            _typed(json.loads(text), dict, "(top level)", _WORKSPACE)
+        top, problems = _outline(text, start)
+    named = _typed(
+        _value_at(text, top["groups"], path) if "groups" in top else {},
+        dict, "groups", _WORKSPACE,
+    )
     groups = {name: group_from_json(g, f"groups.{name}") for name, g in named.items()}
-    problems = _typed(doc.get("problems", {}), dict, "problems", _WORKSPACE)
-    return Workspace(groups=groups, problems=dict(problems))
+    if "problems" in top and not text.startswith("{", top["problems"]):
+        _typed(_value_at(text, top["problems"], path), dict, "problems", _WORKSPACE)
+    return Workspace(groups=groups, problems=_Members(text, problems, path))
 
 
 # --- certificates -------------------------------------------------------------

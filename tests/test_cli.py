@@ -335,7 +335,7 @@ class TestReadErrors:
     @pytest.mark.parametrize("which", ["certificate", "workspace"])
     @pytest.mark.parametrize(
         "data,message",
-        [(b'{"problems": {', "is not JSON: Expecting property name"),
+        [(b'{"problems": {', "is not JSON: "),
          (b'\xff{}', "is not UTF-8: 'utf-8' codec can't decode byte 0xff")],
         ids=["truncated", "invalid_utf8"],
     )
@@ -367,88 +367,51 @@ class TestNegativeCounts:
         assert not ws.exists()
 
 
-class TestWorkspaceSlot:
-    """load_workspace reuses the document of the last workspace bytes it
-    decoded; the reuse must be invisible from the outside."""
+class TestUnusedProblemsAreNotDecoded:
+    """solve and verify decode the named groups and their own problem; the
+    other problems are only outlined, and a fault in one is reported when
+    that problem is used, naming the file."""
 
-    def test_rewrite_with_restored_mtime_is_seen(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "broken,message",
+        [("[1 2]", "is not JSON: Expecting ',' delimiter"),
+         ("{} 7", "is not JSON: Expecting ',' delimiter"),
+         ("[" * 1_100 + "]" * 1_100, "is nested too deeply to read")],
+        ids=["syntax", "trailing_value", "deep"],
+    )
+    def test_fault_in_another_problem(self, tmp_path, capsys, broken, message):
         ws = str(tmp_path / "gen.json")
+        out = str(tmp_path / "cert.json")
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
-        assert main(["solve", ws, "ep001"]) == 0
-        stat = os.stat(ws)
-        data = open(ws, "rb").read()
-        edited = data.replace(b'"ep001"', b'"ep101"')
-        assert len(edited) == len(data) and edited != data
-        open(ws, "wb").write(edited)
-        os.utime(ws, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert os.stat(ws).st_mtime_ns == stat.st_mtime_ns
+        text = open(ws).read().replace(
+            '"ep001": {', '"ep002": ' + broken + ', "ep001": {'
+        )
+        open(ws, "w").write(text)
+        assert main(["solve", ws, "ep001", "--out", out]) == 0
+        assert main(["verify", out, ws]) == 0
         capsys.readouterr()
-        assert main(["solve", ws, "ep001"]) == 1
-        assert capsys.readouterr().err == "error: unknown problem 'ep001'\n"
-        assert main(["solve", ws, "ep101"]) == 0
-        assert json.loads(capsys.readouterr().out)["problem"] == "ep101"
+        assert main(["solve", ws, "ep002"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {ws} {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
-    def test_equal_nested_bytes_name_their_own_path(self, tmp_path, capsys):
-        data = "[" * 1_100 + "]" * 1_100
-        for name in ("a.json", "b.json", "a.json"):
-            ws = str(tmp_path / name)
-            open(ws, "w").write(data)
-            assert main(["solve", ws, "ep000"]) == 1
-            assert capsys.readouterr().err == (
-                f"error: {ws} is nested too deeply to read\n"
-            )
-
-    def test_equal_bytes_share_only_the_document(self, tmp_path):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", a])
-        open(b, "w").write(open(a).read())
-        ws_a, ws_b = load_workspace(a), load_workspace(b)
-        assert ws_a.problems["ep000"] is ws_b.problems["ep000"]
-        ws_a.build_problem("ep000")
-        assert "ep000" in ws_a._built and not ws_b._built
-
-    def test_document_is_never_mutated(self, tmp_path, capsys):
-        ws = str(tmp_path / "gen.json")
-        out = tmp_path / "cert.json"
-        assert main(["gen", "--seed", "5", "--count", "6", "--out", ws]) == 0
-        for name in json.loads(open(ws).read())["problems"]:
-            out.unlink(missing_ok=True)
-            main(["solve", ws, name, "--out", str(out)])
-            if out.exists():
-                assert main(["verify", str(out), ws]) == 0
-        capsys.readouterr()
-        data, doc = serialize._last_workspace
-        assert data == open(ws, "rb").read()
-        assert doc == json.loads(data)
-
-
-def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
-    """solve and verify on two workspaces with the same problem names,
-    interleaved A, B, A in one process, give the certificate bytes, verify
-    output and exit codes of a fresh process per call."""
-    spaces = {}
-    for seed in (3, 5):
-        ws = str(tmp_path / f"gen{seed}.json")
-        main(["gen", "--seed", str(seed), "--count", "2", "--size-h", "1",
-              "--out", ws])
-        spaces[ws] = {}
-        for name in ("ep000", "ep001"):
-            cert = str(tmp_path / f"fresh{seed}_{name}.json")
-            solved = run_python("-m", "surfep", "solve", ws, name, "--out", cert)
-            verified = run_python("-m", "surfep", "verify", cert, ws)
-            spaces[ws][name] = (solved.returncode, open(cert, "rb").read(),
-                                verified.returncode, verified.stdout)
-    a, b = spaces
-    capsys.readouterr()
-    cert = tmp_path / "cert.json"
-    for ws in (a, b, a):
-        for name, fresh in spaces[ws].items():
-            # to stdout: no --out may linger from an earlier call
-            solved = main(["solve", ws, name])
-            cert.write_text(capsys.readouterr().out)
-            verified = main(["verify", str(cert), ws])
-            stdout = capsys.readouterr().out
-            assert (solved, cert.read_bytes(), verified, stdout) == fresh
+    @pytest.mark.parametrize(
+        "text,message",
+        [('{"problems": {}} {}', "Extra data: line 1 column 18"),
+         ('{"problems": {"ep000": {}}', "Expecting '}' to close the object"),
+         ('{"problems": {"ep000": "}}', "Unterminated string starting at"),
+         ('{"problems": {"ep000": {}}}}', "Extra data: line 1 column 28")],
+        ids=["second_object", "unclosed", "open_string", "extra_brace"],
+    )
+    def test_outline_faults_name_the_file(self, tmp_path, text, message):
+        ws = str(tmp_path / "ws.json")
+        open(ws, "w").write(text)
+        proc = run_python("-m", "surfep", "solve", ws, "ep000")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {ws} is not JSON: {message}")
+        assert proc.stdout == ""
 
 
 def solved_gen3(tmp_path):

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfep as s
 from surfep.embedding import SubgroupSpec
@@ -270,6 +274,16 @@ class TestCertificateJson:
                 certificate_from_json(bad)
 
 
+# JSON text that could mislead an outline read from quotes and braces
+_NAMES = st.text(alphabet='ab{}[]":,\\ \n\u00e9\u2603', max_size=5)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=10,
+)
+
+
 class TestWorkspace:
     def test_generated_workspace_roundtrips(self, tmp_path):
         instances = generate_instances(InstanceRecipe(seed=6), 4)
@@ -315,6 +329,50 @@ class TestWorkspace:
                 ws.problem_hash(inst.name)
         # K, H and Q once per load: the memo lives on the workspace only
         assert len(built) == 6
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        problems=st.dictionaries(_NAMES, _VALUES, max_size=4),
+        others=st.dictionaries(_NAMES.filter(lambda k: k != "groups"), _VALUES,
+                               max_size=3),
+        problems_first=st.booleans(),
+        layout=st.sampled_from([
+            {"indent": 2}, {"indent": 0}, {"separators": (",", ":")}, {},
+            {"indent": 2, "ensure_ascii": False},
+        ]),
+    )
+    def test_problems_read_as_json_loads_reads_them(
+        self, problems, others, problems_first, layout
+    ):
+        # names and values full of quotes, braces, escapes and non-ASCII,
+        # laid out compact or indented, before or after other top-level keys
+        doc = {**others, "problems": problems}
+        if problems_first:
+            doc = {"problems": problems, **others}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "ws.json")
+            path.write_text(json.dumps(doc, **layout), encoding="utf-8")
+            ws = load_workspace(str(path))
+            assert list(ws.problems) == list(doc["problems"])
+            assert {k: ws.problems[k] for k in ws.problems} == doc["problems"]
+
+    @pytest.mark.parametrize(
+        "text,names",
+        [('{"problems": {"a": 1, "b": 2, "a": 3}}', {"a": 3, "b": 2}),
+         ('{"problems": {"a": 1}, "problems": {"b": {"c": 2}}}', {"b": {"c": 2}}),
+         ('{"problems": 5, "problems": {"b": 2}}', {"b": 2}),
+         ('{"x": [{"a": 1}], "problems": {"p\\u0041": [{"q": 1}]}}',
+          {"pA": [{"q": 1}]}),
+         (' \n{"problems": {}}\n ', {})],
+        ids=["repeated_problem", "repeated_problems", "problems_not_object_first",
+             "nested_and_escaped", "blank_around"],
+    )
+    def test_outline_keeps_what_json_loads_keeps(self, tmp_path, text, names):
+        assert json.loads(text)["problems"] == names
+        path = tmp_path / "ws.json"
+        path.write_text(text)
+        ws = load_workspace(str(path))
+        assert dict(ws.problems.items()) == names
 
     def test_unknown_names_rejected(self, tmp_path):
         path = tmp_path / "ws.json"
