@@ -300,6 +300,8 @@ def verify_solution(
     if not ok_shape:
         return SolutionCertificate(tuple(phi_x), tuple(phi_y), "invalid", tuple(checks))
 
+    # the one relation check on the way out: the tuples phi is derived from
+    # are built without one (see SurfaceTuple)
     value = relation_value(ep.A, phi_x, phi_y)
     ok_relation = value == ep.A.identity
     checks.append(

@@ -4,8 +4,10 @@ Elements of a group of order n are the indices 0..n-1; all structure
 (products, inverses, subgroups, homomorphisms) is stored as index tables.
 Every table is validated exactly and deterministically, whatever its order:
 associativity by Light's test on a greedy generating set, multiplicativity
-of a map on a generating set of the domain.  Subgroups, permutation
-groups and images are all found by one closure under right multiplication.
+of a map on a generating set of the domain.  Subgroups and images are
+found by one closure under right multiplication over the seeds that add
+something; permutation groups by a breadth-first search over every
+generator, whose order fixes their element indices.
 """
 
 from __future__ import annotations
@@ -37,23 +39,40 @@ E = TypeVar("E")
 
 def _closure(identity: E, seeds: Iterable[E], mul: Callable[[E, E], E]) -> list[E]:
     """Elements reached from the identity by right multiplication by the
-    distinct seeds, in discovery order.
+    seeds, in discovery order.
 
-    In a finite group this is the subgroup the seeds generate: the reached
-    set is a submonoid, and a finite submonoid of a group is a subgroup.
+    A seed already reached is skipped.  When a seed s adds something, every
+    element found so far is multiplied by s, and each element found from
+    then on by every generator kept, s included; so the work is |H| times
+    the number of generators kept, not the number of distinct seeds.  Every
+    element ends up multiplied by every kept generator, so without skips the
+    result is the exact right-multiplication closure of any table with an
+    identity: _greedy_generators, which runs before associativity is
+    checked, only passes seeds not yet reached.  Skipping needs a group: the
+    reached set is then a subgroup (a finite submonoid of a group is one),
+    and a seed inside it maps it onto itself.
     """
-    gens = list(dict.fromkeys(seeds))
     elems = [identity]
     seen = {identity}
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        i += 1
-        for s in gens:
+    gens: list[E] = []
+    for s in seeds:
+        if s in seen:
+            continue
+        gens.append(s)
+        i = len(elems)
+        for a in elems[:i]:
             p = mul(a, s)
             if p not in seen:
                 seen.add(p)
                 elems.append(p)
+        while i < len(elems):
+            a = elems[i]
+            i += 1
+            for t in gens:
+                p = mul(a, t)
+                if p not in seen:
+                    seen.add(p)
+                    elems.append(p)
     return elems
 
 
@@ -483,8 +502,18 @@ def group_from_permutations(
         # (p * q)(i) = p(q(i))
         return tuple(p[q[i]] for i in range(deg))
 
-    elems = _closure(tuple(range(deg)), gens, mul)
-    index = {p: i for i, p in enumerate(elems)}
+    # Breadth-first over every generator, written out rather than through
+    # _closure, which finds elements in another order: the element indices
+    # are this discovery order, and the instance hash of every workspace
+    # problem whose group is given by permutations pins them.
+    elems = [tuple(range(deg))]
+    index = {elems[0]: 0}
+    for p in elems:  # grows while it is read
+        for q in gens:
+            r = mul(p, q)
+            if r not in index:
+                index[r] = len(elems)
+                elems.append(r)
     table = [[index[mul(p, q)] for q in elems] for p in elems]
     labels = ["(" + " ".join(map(str, p)) + ")" for p in elems]
     return make_group(table, identity_hint=0, labels=labels), elems

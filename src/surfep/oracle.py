@@ -160,7 +160,11 @@ def check_state_invariants(basis: TrackedBasis) -> None:
     state = basis.state
     assert len(basis.x_words) == len(basis.y_words) == len(state.slots)
     for ch, original in enumerate(state.originals):
-        current = state.channel_tuple(ch)  # raises RelationViolated if broken
+        current = state.channel_tuple(ch)
+        # channel_tuple does not check the relation: it is asserted here
+        assert relation_value(current.target, current.ximg, current.yimg) == (
+            current.target.identity
+        )
         for slot, xw, yw in zip(state.slots, basis.x_words, basis.y_words):
             assert evaluate_word(original, xw) == slot[ch][0]
             assert evaluate_word(original, yw) == slot[ch][1]
@@ -289,6 +293,10 @@ def generate_instances(
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     ks, hs, cap = recipe.size_k_choices, recipe.size_h_choices, recipe.max_order_a
+    for option, choices in (("size-k", ks), ("size-h", hs)):
+        bad = next((c for c in choices if c < 1), None)
+        if bad is not None:
+            raise ValueError(f"{option} must be positive, got {bad}")
     if not any(k * h <= cap for k in ks for h in hs):
         # the draw below would never stop
         raise ValueError(

@@ -35,7 +35,8 @@ from .groups import (
     group_from_permutations,
     make_group,
 )
-from .surface import make_surface_tuple
+from .errors import RelationViolated
+from .surface import SurfaceTuple, make_surface_tuple
 
 # v4 writes phi as its overrides of gamma o beta_bar on the certificate
 # basis; older formats are refused
@@ -176,6 +177,18 @@ def _images(obj: dict, path: str, what: str) -> tuple[tuple[int, ...], ...]:
                  for k in "xy")
 
 
+def _surface_tuple(
+    group: FiniteGroup, images: tuple[tuple[int, ...], ...], path: str, what: str
+) -> SurfaceTuple:
+    """make_surface_tuple on the images read from field path: the one place
+    a tuple from input has its relation checked, every error naming the
+    field."""
+    try:
+        return make_surface_tuple(group, *images)
+    except (RelationViolated, ValueError) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
 def _action(obj: dict) -> list[tuple[int, ...]]:
     return [
         _ints(p, f"action[{i}]", _PROBLEM)
@@ -194,9 +207,8 @@ def problem_from_json(
     action = ActionSpec(h_group, k_group, tuple(_action(obj)))
     beta = _images(obj, "beta_bar", _PROBLEM)
     genus = _typed(obj.get("genus"), (int, type(None)), "genus", _PROBLEM)
-    ep = make_split_ep(
-        k_group, h_group, action, make_surface_tuple(h_group, *beta), genus=genus
-    )
+    beta_bar = _surface_tuple(h_group, beta, "beta_bar", _PROBLEM)
+    ep = make_split_ep(k_group, h_group, action, beta_bar, genus=genus)
     resolved = {
         "genus": ep.genus,
         "K": group_to_json(k_group),
@@ -213,7 +225,7 @@ def problem_from_json(
     members = sorted(set(_ints(_get(rel, "S", what=_RELATIVE), "S", _RELATIVE)))
     relative = SubgroupSpec(
         q_group,
-        make_surface_tuple(q_group, *nu),
+        _surface_tuple(q_group, nu, "nu", _RELATIVE),
         SubgroupHandle(q_group, tuple(members)),
     )
     resolved["relative"] = {

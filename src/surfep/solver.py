@@ -85,8 +85,11 @@ def eta_construct(
     ep.beta_bar (all on the same basis), and, in the relative case, both
     x_1^-1 x_i and x_i x_1^-1 inside N for 2 <= i <= sn+s.  Returns the
     modified tuple with x_{in+j+1} set to phi(x_1) * k_{i+1}; the per-block
-    power identities are asserted on the way out; the pipeline checks the
-    result with _phi_checks.
+    power identities are asserted on the way out.  The relation is not
+    checked here: block i is n equal pairs, so it contributes c^n for its
+    commutator c before the change and after it, and both powers are
+    trivial; the pipeline checks the result, relation included, with
+    _phi_checks.
     """
     s, n = params.s, params.n
     g = phi.genus
@@ -121,7 +124,7 @@ def eta_construct(
             if a_group.power(c, n) != a_group.identity:
                 raise AssertionError(f"block identity fails at block {i}")
 
-    return make_surface_tuple(a_group, new_x, phi.yimg)
+    return SurfaceTuple(a_group, g, tuple(new_x), phi.yimg)
 
 
 def _memberships(

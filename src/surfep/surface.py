@@ -133,7 +133,15 @@ def identity_basis_words(genus: int) -> tuple[tuple[Word, ...], tuple[Word, ...]
 class SurfaceTuple:
     """Images of a genus-g surface basis in a finite group.
 
-    Built through make_surface_tuple, which checks the defining relation.
+    Tuples read from input (beta_bar and nu of a workspace problem, the
+    oracle's samples, the free-product restriction) are built through
+    make_surface_tuple, which checks the defining relation.  Tuples derived
+    from a checked one are built directly: map_tuple pushes it through a
+    validated homomorphism, BasisState.channel_tuple rewrites it by basis
+    moves, which are automorphisms of the surface group, and
+    solver.eta_construct keeps each block's commutator power trivial.  Each
+    of these keeps the relation, and verify_solution checks it once more on
+    the final phi.
     """
 
     target: FiniteGroup
@@ -155,9 +163,11 @@ class SurfaceTuple:
 def relation_value(
     target: FiniteGroup, ximg: Sequence[int], yimg: Sequence[int]
 ) -> int:
+    # acc * [a, b] = acc a^-1 b^-1 a b, one table lookup per factor
+    mul, inv = target.mul, target.inv
     acc = target.identity
     for a, b in zip(ximg, yimg):
-        acc = target.mul[acc][target.commutator(a, b)]
+        acc = mul[mul[mul[mul[acc][inv[a]]][inv[b]]][a]][b]
     return acc
 
 
@@ -191,13 +201,18 @@ def tuple_image(t: SurfaceTuple) -> SubgroupHandle:
 
 
 def map_tuple(hom: GroupHom, t: SurfaceTuple) -> SurfaceTuple:
-    """Push a surface tuple through a homomorphism."""
+    """Push a surface tuple through a homomorphism.
+
+    The relation is not checked again: a homomorphism sends the product of
+    commutators of t, which is the identity, to that of the image."""
     if hom.domain != t.target:
         raise ValueError("homomorphism domain does not match tuple target")
-    return make_surface_tuple(
+    f = hom.map
+    return SurfaceTuple(
         hom.codomain,
-        [hom.map[a] for a in t.ximg],
-        [hom.map[a] for a in t.yimg],
+        t.genus,
+        tuple(f[a] for a in t.ximg),
+        tuple(f[a] for a in t.yimg),
     )
 
 
@@ -243,11 +258,14 @@ class BasisState:
     slots: tuple[tuple[tuple[int, int], ...], ...]
 
     def channel_tuple(self, channel: int) -> SurfaceTuple:
-        target = self.originals[channel].target
-        return make_surface_tuple(
-            target,
-            [slot[channel][0] for slot in self.slots],
-            [slot[channel][1] for slot in self.slots],
+        """The images of the current basis under channel.  The relation is
+        not checked again: the moves are automorphisms of the surface group,
+        so the tuple is the checked original composed with one."""
+        return SurfaceTuple(
+            self.originals[channel].target,
+            self.genus,
+            tuple(slot[channel][0] for slot in self.slots),
+            tuple(slot[channel][1] for slot in self.slots),
         )
 
 
@@ -301,23 +319,31 @@ def normalize_to_front(state: BasisState, positions: Sequence[int]) -> BasisStat
     if not m:
         return state
     targets = [t.target for t in state.originals]
+    tables = [(g.mul, g.inv) for g in targets]
     slots = state.slots
 
-    # suffix[t][ch] = c_{t+1} * ... * c_m in channel ch; suffix[m] is empty
+    # suffix[t][ch] = c_{t+1} * ... * c_m in channel ch; suffix[m] is empty;
+    # c = [x, y] = x^-1 y^-1 x y
     suffix = [tuple(g.identity for g in targets)] * (m + 1)
     for t in range(m - 1, -1, -1):
-        c = [g.commutator(*pair) for g, pair in zip(targets, slots[positions[t] - 1])]
+        pairs = slots[positions[t] - 1]
         suffix[t] = tuple(
-            g.mul[ct][st] for g, ct, st in zip(targets, c, suffix[t + 1])
+            mul[mul[mul[mul[inv[x]][inv[y]]][x]][y]][st]
+            for (mul, inv), (x, y), st in zip(tables, pairs, suffix[t + 1])
         )
 
+    # x^C = C^-1 x C; conj[a][ch] is (table, row of C^-1, C) for C = suffix[a]
+    conj = [
+        tuple((mul, mul[inv[c]], c) for (mul, inv), c in zip(tables, cs))
+        for cs in suffix
+    ]
     new_slots = []
     for p, a in program:
         slot = slots[p - 1]
         if a < m:
             slot = tuple(
-                (g.conjugate(x, ca), g.conjugate(y, ca))
-                for g, (x, y), ca in zip(targets, slot, suffix[a])
+                (mul[left[x]][c], mul[left[y]][c])
+                for (mul, left, c), (x, y) in zip(conj[a], slot)
             )
         new_slots.append(slot)
     return BasisState(state.genus, state.originals, tuple(new_slots))

@@ -367,6 +367,119 @@ class TestNegativeCounts:
         assert not ws.exists()
 
 
+class TestNonPositiveSizes:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--size-k", "0"], "size-k must be positive, got 0"),
+            (["--size-h", "2", "-2"], "size-h must be positive, got -2"),
+        ],
+        ids=["size_k_0", "size_h_minus_2"],
+    )
+    def test_gen_names_the_option(self, tmp_path, capsys, argv, message):
+        ws = tmp_path / "gen.json"
+        assert main(["gen", "--count", "1", *argv, "--out", str(ws)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ws.exists()
+
+
+def s3_inversion_workspace(tmp_path, name, edit=None):
+    """Workspace with one problem "p": K = C3, H = C2 acting by inversion
+    (so A = S3 is not abelian), beta_bar = (1, ..., 1; 0, ..., 0) at genus
+    2|A|^2|B| = 144.  edit, if given, changes the problem object first."""
+    g = 144
+    problem = {
+        "genus": g,
+        "K": {"order": 3, "table": [[(a + b) % 3 for b in range(3)] for a in range(3)]},
+        "H": {"order": 2, "table": [[0, 1], [1, 0]]},
+        "action": [[0, 1, 2], [0, 2, 1]],
+        "beta_bar": {"x": [1] * g, "y": [0] * g},
+    }
+    if edit is not None:
+        edit(problem)
+    path = tmp_path / name
+    path.write_text(canonical_json({"problems": {"p": problem}}))
+    return str(path)
+
+
+def s3_breaking_pair():
+    """S3 as a workspace group, and a transposition and a 3-cycle: their
+    commutator is not the identity, so a first pair (x1, y1) of these breaks
+    the relation whatever the trivial pairs after it."""
+    s3 = surfep.symmetric_group_3()
+    trans = next(a for a in s3.elements() if s3.element_order(a) == 2)
+    cycle = next(a for a in s3.elements() if s3.element_order(a) == 3)
+    return serialize.group_to_json(s3), trans, cycle
+
+
+def break_beta_bar(problem):
+    """H = S3, acting trivially, with beta_bar starting at the breaking pair."""
+    table, trans, cycle = s3_breaking_pair()
+    problem["H"] = table
+    problem["action"] = [[0, 1, 2]] * 6
+    problem["beta_bar"]["x"][0] = trans
+    problem["beta_bar"]["y"][0] = cycle
+
+
+def break_nu(problem):
+    """A relative part over Q = S3 whose nu starts at the breaking pair."""
+    table, trans, cycle = s3_breaking_pair()
+    g = problem["genus"]
+    problem["relative"] = {
+        "Q": table,
+        "nu": {"x": [trans] + [0] * (g - 1), "y": [cycle] + [0] * (g - 1)},
+        "S": [0],
+    }
+
+
+class TestBrokenRelation:
+    """Only the tuples read from input and the final phi have the surface
+    relation checked; each is refused by name when it breaks the relation."""
+
+    RELATION = r"product of commutators is element \d+, not the identity\n"
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [(break_beta_bar, "problem field beta_bar"), (break_nu, "relative field nu")],
+        ids=["beta_bar", "nu"],
+    )
+    def test_solve_and_verify_name_the_field(self, tmp_path, capsys, edit, field):
+        good = s3_inversion_workspace(tmp_path, "good.json")
+        bad = s3_inversion_workspace(tmp_path, "bad.json", edit)
+        cert = str(tmp_path / "cert.json")
+        assert main(["solve", good, "p", "--out", cert]) == 0
+        capsys.readouterr()
+        for argv in (["solve", bad, "p"], ["verify", cert, bad]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert re.fullmatch(f"error: {field}: {self.RELATION}", err), err
+
+    def test_phi_override_breaking_the_relation_fails_surface_relation(
+        self, tmp_path, capsys
+    ):
+        ws = s3_inversion_workspace(tmp_path, "ws.json")
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, "p", "--out", out]) == 0
+        cert = json.loads(open(out).read())
+        ep, _ = load_workspace(ws).build_problem("p")
+        # phi(x_144) is the involution gamma(1); a kernel element of order 3
+        # on y_144 keeps alpha o phi = beta_bar but not the relation
+        kernel_elem = next(
+            k for k in ep.kernel_subgroup.members if k != ep.A.identity
+        )
+        assert cert["phi"]["y"] == []
+        cert["phi"]["y"] = [[ep.genus, kernel_elem]]
+        open(out, "w").write(canonical_json(cert))
+        capsys.readouterr()
+        assert main(["verify", out, ws]) == 1
+        out_text, err = capsys.readouterr()
+        failed = re.findall(r"^(\S+) +FAIL", out_text, re.M)
+        assert failed[0] == "surface_relation"
+        assert "compatibility" not in failed
+        assert err == "error: surface_relation\n"
+
+
 class TestUnusedProblemsAreNotDecoded:
     """solve and verify decode the named groups and their own problem; the
     other problems are only outlined, and a fault in one is reported when

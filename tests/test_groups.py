@@ -11,7 +11,7 @@ from surfep.errors import (
     NotAHomomorphism,
     NotAssociative,
 )
-from surfep.groups import automorphism_list, make_hom
+from surfep.groups import _closure, automorphism_list, make_hom
 
 
 def full_subgroup(group):
@@ -140,6 +140,91 @@ class TestSubgroupClosure:
         assert first.members == again.members
 
 
+def breadth_first_closure(identity, seeds, mul):
+    """Reference for _closure: the plain breadth-first closure, every element
+    reached, in discovery order, times every distinct seed."""
+    gens = list(dict.fromkeys(seeds))
+    elems = [identity]
+    seen = {identity}
+    i = 0
+    while i < len(elems):
+        a = elems[i]
+        i += 1
+        for s_ in gens:
+            p = mul(a, s_)
+            if p not in seen:
+                seen.add(p)
+                elems.append(p)
+    return elems
+
+
+def a4_group():
+    """V4 x| C3 with C3 rotating the three involutions: A4, order 12."""
+    c3, v4 = s.cyclic_group(3), s.klein_four_group()
+    action = s.ActionSpec(c3, v4, ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)))
+    return s.semidirect_product(v4, c3, action).group
+
+
+CLOSURE_GROUPS = list(s.catalog().values()) + [a4_group()]
+
+
+class TestClosure:
+    """_closure skips seeds already reached; it must reach exactly what the
+    plain breadth-first closure over every distinct seed reaches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_breadth_first_reference(self, data):
+        grp = data.draw(st.sampled_from(CLOSURE_GROUPS))
+        element = st.integers(0, grp.order - 1)
+        seeds = data.draw(st.lists(element, max_size=8))
+        # repeat some seeds and add products of earlier ones, which the
+        # closure already holds when they come
+        for _ in range(data.draw(st.integers(0, 3))):
+            if seeds:
+                a = data.draw(st.sampled_from(seeds))
+                b = data.draw(st.sampled_from(seeds))
+                seeds.append(data.draw(st.sampled_from([a, grp.mul[a][b]])))
+        mul = lambda a, b: grp.mul[a][b]
+        got = _closure(grp.identity, seeds, mul)
+        want = breadth_first_closure(grp.identity, seeds, mul)
+        assert got[0] == grp.identity
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(want)
+        assert s.subgroup_closure(grp, seeds).members == tuple(sorted(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pairs_match_breadth_first_reference(self, data):
+        # image_of_restriction closes (t, nu) pairs in a product of two groups
+        g1 = data.draw(st.sampled_from(CLOSURE_GROUPS))
+        g2 = data.draw(st.sampled_from(CLOSURE_GROUPS))
+        pair = st.tuples(st.integers(0, g1.order - 1), st.integers(0, g2.order - 1))
+        seeds = data.draw(st.lists(pair, max_size=10))
+        seeds += seeds[: data.draw(st.integers(0, len(seeds)))]
+        mul = lambda p, q: (g1.mul[p[0]][q[0]], g2.mul[p[1]][q[1]])
+        identity = (g1.identity, g2.identity)
+        got = _closure(identity, iter(seeds), mul)
+        want = breadth_first_closure(identity, seeds, mul)
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(want)
+
+    @pytest.mark.parametrize("grp", CLOSURE_GROUPS, ids=lambda g: str(g.order))
+    def test_empty_redundant_and_repeated_seeds(self, grp):
+        mul = lambda a, b: grp.mul[a][b]
+        e = grp.identity
+        assert _closure(e, [], mul) == [e]
+        assert _closure(e, [e, e], mul) == [e]
+        everything = list(grp.elements()) * 2
+        assert sorted(_closure(e, everything, mul)) == list(grp.elements())
+        # powers of one element after it add nothing
+        a = grp.order - 1
+        powers = [grp.power(a, k) for k in range(1, 5)]
+        assert sorted(_closure(e, powers, mul)) == sorted(
+            breadth_first_closure(e, [a], mul)
+        )
+
+
 class TestKernelImage:
     def test_identity_hom(self, cat):
         h = s.make_hom(cat["S3"], cat["S3"], list(range(6)))
@@ -210,6 +295,41 @@ class TestGroupProperties:
         grp, elems = s.group_from_permutations([(1, 2, 0)])
         assert grp.order == 3
         assert elems[0] == (0, 1, 2)
+
+    def test_permutation_group_keeps_breadth_first_indices(self):
+        # (2, 0, 1) is the square of (1, 2, 0), a redundant generator that
+        # still takes part in the breadth-first order; that order fixes the
+        # indices an instance hash covers, which the literals pin.
+        grp, elems = s.group_from_permutations([(1, 2, 0), (2, 0, 1), (1, 0, 2)])
+        assert elems == [
+            (0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1),
+        ]
+        assert [list(row) for row in grp.mul] == [
+            [0, 1, 2, 3, 4, 5],
+            [1, 2, 0, 4, 5, 3],
+            [2, 0, 1, 5, 3, 4],
+            [3, 5, 4, 0, 2, 1],
+            [4, 3, 5, 1, 0, 2],
+            [5, 4, 3, 2, 1, 0],
+        ]
+        # D4 with its rotation repeated and its square given as well
+        grp, elems = s.group_from_permutations(
+            [(1, 2, 3, 0), (1, 2, 3, 0), (3, 2, 1, 0), (2, 3, 0, 1)]
+        )
+        assert elems == [
+            (0, 1, 2, 3), (1, 2, 3, 0), (3, 2, 1, 0), (2, 3, 0, 1),
+            (0, 3, 2, 1), (3, 0, 1, 2), (2, 1, 0, 3), (1, 0, 3, 2),
+        ]
+        assert [list(row) for row in grp.mul] == [
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [1, 3, 4, 5, 7, 0, 2, 6],
+            [2, 6, 0, 7, 5, 4, 1, 3],
+            [3, 5, 7, 0, 6, 1, 4, 2],
+            [4, 2, 1, 6, 0, 7, 3, 5],
+            [5, 0, 6, 1, 2, 3, 7, 4],
+            [6, 7, 5, 4, 3, 2, 0, 1],
+            [7, 4, 3, 2, 1, 6, 5, 0],
+        ]
 
     def test_subgroup_as_group_roundtrip(self, cat):
         s3 = cat["S3"]

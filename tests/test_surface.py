@@ -18,6 +18,7 @@ from surfep.oracle import (
     move_pair_to_front,
     tracked_basis,
 )
+from surfep.solver import _move_program, _replay
 from surfep.surface import (
     basis_words,
     commutator_word,
@@ -277,5 +278,44 @@ class TestBasisMoves:
         basis = move_pair_to_front(basis, 7, 1)
         state = move_pair_to_front(basis, 5, 2).state
         for ch in range(len(state.originals)):
-            t = state.channel_tuple(ch)  # would raise RelationViolated
+            # channel_tuple does not check the relation; check it here
+            t = state.channel_tuple(ch)
             assert t.genus == state.genus
+            assert holds(t)
+
+
+def holds(t):
+    """t satisfies the surface relation."""
+    return relation_value(t.target, t.ximg, t.yimg) == t.target.identity
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0, 1]), st.data())
+def test_tuples_built_unchecked_keep_the_relation(seed, index, data):
+    """map_tuple, channel_tuple and eta_construct build their tuples without
+    checking the relation; on generated problems (index 0 relative, index 1
+    gamma-level) every tuple they build satisfies it."""
+    inst = s.generate_instances(s.InstanceRecipe(seed=seed), 2)[index]
+    ep, rel = inst.ep, inst.relative
+    assert (rel is None) == (index == 1)
+    eta = _move_program(ep)
+    ep_n, rel_n = _replay(ep, rel, eta.selected)
+    phi_n = s.map_tuple(ep.gamma, ep_n.beta_bar)
+    built = s.eta_construct(phi_n, eta, ep_n, rel_n)
+    # A may be non-abelian; so is S3, which random_surface_tuple samples
+    s3 = s.random_surface_tuple(s.symmetric_group_3(), ep.genus, seed)
+    channels = [ep.beta_bar, built, s3] + ([rel.nu] if rel is not None else [])
+    positions = sorted(data.draw(
+        st.lists(st.integers(1, ep.genus), max_size=12, unique=True)
+    ))
+    state = s.normalize_to_front(s.initial_basis_state(channels), positions)
+    derived = [
+        ep_n.beta_bar,
+        phi_n,
+        built,
+        s.map_tuple(ep.alpha, built),
+        *(state.channel_tuple(ch) for ch in range(len(channels))),
+    ]
+    if rel_n is not None:
+        derived.append(rel_n.nu)
+    assert all(holds(t) for t in derived)
