@@ -30,8 +30,8 @@ def main() -> int:
     cert = s.solve_gamma_level(ep)
     print(f"outcome: {cert.outcome}")
     print(f"eta parameters: s={cert.eta.s} n={cert.eta.n} m={cert.eta.m}")
-    print(f"selected positions: {cert.eta.selected[:6]}... "
-          f"({len(cert.eta.selected)} total)")
+    print(f"move program: the first {cert.eta.m} positions with beta_bar pair "
+          f"{cert.eta.pair}: {cert.eta.selected[:6]}...")
     for w in cert.witnesses:
         print(f"kernel witness: {w.word} evaluates to {w.value}")
     rewritten = sum(
@@ -48,7 +48,7 @@ def main() -> int:
         "beta_bar": {"x": list(beta.ximg), "y": list(beta.yimg)},
     }
     content_hash = instance_hash(problem_from_json(problem_json, {})[2])
-    text = canonical_json(certificate_to_json(cert, "v4", content_hash))
+    text = canonical_json(certificate_to_json(cert, "demo", content_hash))
     print(f"certificate: {len(text)} bytes, instance hash {content_hash[:16]}...")
 
     parsed = certificate_from_json(json.loads(text))

@@ -11,7 +11,7 @@ solver asks is then decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -200,21 +200,29 @@ class KernelWitness:
 
 @dataclass(frozen=True)
 class RelativeEvidence:
-    """Why a relative run stopped: the membership flags on the certificate
-    basis and the first position whose x-difference leaves N."""
+    """Why a relative run stopped: the first basis position i whose
+    x-difference (x1^-1 x_i or x_i x1^-1) leaves N on the certificate
+    basis."""
 
-    # (basis position i, x1^-1 x_i in N, x_i x1^-1 in N)
-    memberships: tuple[tuple[int, bool, bool], ...]
     offending_index: int
 
 
 @dataclass(frozen=True)
 class EtaSummary:
-    s: int
+    """The move program: the first m positions whose beta_bar pair is pair
+    go to the front, and s = len(kgens) kernel generators over blocks of n
+    of them.  selected, those positions, follows from beta_bar: never
+    written, and left out of comparisons."""
+
+    pair: Optional[tuple[int, int]]
     n: int
     m: int
     kgens: tuple[int, ...]
-    selected: tuple[int, ...]
+    selected: tuple[int, ...] = field(default=(), compare=False)
+
+    @property
+    def s(self) -> int:
+        return len(self.kgens)
 
 
 # (1-based basis position, value) pairs, positions strictly increasing
@@ -226,12 +234,12 @@ class SolutionCertificate:
     """A claimed solution plus everything needed to re-check it from scratch.
 
     The candidate images and the reference map are expressed on the
-    certificate basis: the original basis after the move program
-    eta.selected (the original basis itself when eta is None).
-    phi_overrides (x, y) records phi as the positions where it differs from
-    gamma o beta_bar on that basis; it is what a certificate file holds.
-    phi_x / phi_y hold phi in full, except on a parsed certificate, where
-    they are empty until reverify_certificate expands the overrides.
+    certificate basis: the original basis after the move program eta (the
+    original basis itself when eta is None).  phi_overrides (x, y) records
+    phi as the positions where it differs from gamma o beta_bar on that
+    basis; a certificate file holds it, eta and, for a "not_reduced" one,
+    relative.  phi_x / phi_y and eta.selected are empty on a parsed
+    certificate until reverify_certificate replays it.
     basis_x_words / basis_y_words spell the basis out as words in the
     original one, derived on first use; nothing on the solve or verify path
     needs them.  genus, is_solution and is_proper follow from phi and

@@ -267,9 +267,9 @@ class SubgroupHandle:
 
 def subgroup_closure(group: FiniteGroup, seeds: Sequence[int]) -> SubgroupHandle:
     """Smallest subgroup containing the seeds."""
-    for s in seeds:
-        if not 0 <= s < group.order:
-            raise ValueError(f"seed {s} out of range for order {group.order}")
+    if seeds and not (0 <= min(seeds) and max(seeds) < group.order):
+        bad = next(s for s in seeds if not 0 <= s < group.order)
+        raise ValueError(f"seed {bad} out of range for order {group.order}")
     mul = group.mul
     members = _closure(group.identity, seeds, lambda a, b: mul[a][b])
     return SubgroupHandle(group, tuple(sorted(members)))

@@ -297,6 +297,14 @@ def generate_instances(
         bad = next((c for c in choices if c < 1), None)
         if bad is not None:
             raise ValueError(f"{option} must be positive, got {bad}")
+    # automorphism_list, which the random action draws from, stops at order 8
+    big = next((k for k in ks if k > 8), None)
+    if recipe.action_mode == "random" and big is not None:
+        raise ValueError(
+            f"size-k {big} is too large for --action random, which lists the "
+            f"automorphisms of K by brute force up to order 8; use --action "
+            f"trivial or inversion"
+        )
     if not any(k * h <= cap for k in ks for h in hs):
         # the draw below would never stop
         raise ValueError(

@@ -38,9 +38,10 @@ from .groups import (
 from .errors import RelationViolated
 from .surface import SurfaceTuple, make_surface_tuple
 
-# v4 writes phi as its overrides of gamma o beta_bar on the certificate
-# basis; older formats are refused
-CERTIFICATE_FORMAT = "surfep-certificate-v4"
+# v5 writes the move program as the beta_bar value pair moved and m, and
+# phi as its overrides of gamma o beta_bar on the certificate basis; older
+# formats are refused
+CERTIFICATE_FORMAT = "surfep-certificate-v5"
 
 
 def canonical_json(obj: Any) -> str:
@@ -423,19 +424,11 @@ def certificate_to_json(
         "problem": problem_name,
         "instance_hash": content_hash,
         "outcome": cert.outcome,
-        "eta": {
-            "s": eta.s,
-            "n": eta.n,
-            "m": eta.m,
-            "kgens": list(eta.kgens),
-            "selected": list(eta.selected),
-        },
+        "eta": {"pair": list(eta.pair), "n": eta.n, "m": eta.m,
+                "kgens": list(eta.kgens)},
     }
     if cert.outcome == "not_reduced":
-        obj["relative"] = {
-            "memberships": [list(m) for m in cert.relative.memberships],
-            "offending_index": cert.relative.offending_index,
-        }
+        obj["relative"] = {"offending_index": cert.relative.offending_index}
     else:
         obj["phi"] = {
             key: [list(pair) for pair in pairs]
@@ -482,8 +475,8 @@ def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
 def certificate_from_json(obj: Any) -> SolutionCertificate:
     """Parse a certificate, checking every field's JSON type and refusing any
     field that verify does not read; values are checked by reverification,
-    not here.  phi comes back as its overrides only: expanding them needs
-    the problem (reverify_certificate).
+    not here.  phi comes back as its overrides only, and eta without the
+    positions it moves: both need the problem (reverify_certificate).
     """
     top = _typed(obj, dict, "(top level)")
     fmt = _get(top, "format", str)
@@ -502,42 +495,23 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
                       _OUTCOME_FIELD[outcome]), outcome)
     _get(top, "problem", str)
     _get(top, "instance_hash", str)
-    e = _fields(_get(top, "eta"), "eta", ("s", "n", "m", "kgens", "selected"), outcome)
-    eta = EtaSummary(
-        s=_get(e, "eta.s", int),
-        n=_get(e, "eta.n", int),
-        m=_get(e, "eta.m", int),
-        kgens=_ints(_get(e, "eta.kgens"), "eta.kgens"),
-        selected=_ints(_get(e, "eta.selected"), "eta.selected"),
-    )
+    e = _fields(_get(top, "eta"), "eta", ("pair", "n", "m", "kgens"), outcome)
+    pair = _ints(_get(e, "eta.pair"), "eta.pair")
+    if len(pair) != 2:
+        raise ValueError("certificate field eta.pair must be a [value, value] pair")
+    eta = EtaSummary(pair, _get(e, "eta.n", int), _get(e, "eta.m", int),
+                     _ints(_get(e, "eta.kgens"), "eta.kgens"))
     overrides = relative = None
     if outcome == "not_reduced":
-        r = _fields(_get(top, "relative"), "relative",
-                    ("memberships", "offending_index"), outcome)
-        memberships = []
-        for i, m in enumerate(_get(r, "relative.memberships", list)):
-            path = f"relative.memberships[{i}]"
-            if len(_typed(m, list, path)) != 3:
-                raise ValueError(f"certificate field {path} must have 3 entries")
-            memberships.append(tuple(
-                _typed(v, kind, f"{path}[{k}]")
-                for k, (v, kind) in enumerate(zip(m, (int, bool, bool)))
-            ))
-        relative = RelativeEvidence(
-            tuple(memberships), _get(r, "relative.offending_index", int)
-        )
+        r = _fields(_get(top, "relative"), "relative", ("offending_index",), outcome)
+        relative = RelativeEvidence(_get(r, "relative.offending_index", int))
     else:
         phi = _fields(_get(top, "phi"), "phi", ("x", "y"), outcome)
         overrides = tuple(
             _overrides(_get(phi, f"phi.{k}"), f"phi.{k}") for k in "xy"
         )
     return SolutionCertificate(
-        phi_x=(),
-        phi_y=(),
-        outcome=outcome,
-        eta=eta,
-        relative=relative,
-        phi_overrides=overrides,
+        (), (), outcome, eta=eta, relative=relative, phi_overrides=overrides
     )
 
 

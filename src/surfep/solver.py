@@ -4,13 +4,15 @@ The core pipeline starts from the section-composed candidate, pigeonholes a
 repeated image pair to the front of the basis by conjugation moves, then
 redistributes kernel generators over blocks of equal-image generators; the
 resulting map is surjective by the kernel-containment criterion and comes
-with a certificate that re-verifies from scratch.
+with a certificate that re-verifies from scratch.  The certificate records
+the move program as the value pair moved and how often; verify checks that
+program against the problem and replays it, without repeating the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BetaNotSurjective,
@@ -18,7 +20,6 @@ from .errors import (
     GenusMismatch,
     GenusTooSmall,
     HypothesisViolated,
-    NoRepeatedPair,
 )
 from .groups import (
     ActionSpec,
@@ -56,21 +57,15 @@ from .surface import (
 
 
 def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaSummary:
-    """s, n, m and kgens of the move program, with selected left empty
-    (_move_program fills it from the pigeonhole).  n = |A|: for any phi
-    with alpha o phi = beta_bar, K phi(Gamma) = alpha^-1(B) = A because
-    beta_bar is onto B.  kgens is the greedy generating tuple of Ker(alpha):
+    """n, m and kgens of the move program; _move_program adds pair and
+    selected from the pigeonhole.  n = |A|: for any phi with alpha o phi =
+    beta_bar, K phi(Gamma) = alpha^-1(B) = A because beta_bar is onto B.  kgens is the greedy generating tuple of Ker(alpha):
     each generator is the smallest kernel member not yet reached, so
     s <= log2 |Ker(alpha)|."""
     kgrp, incl = ep.kernel_subgroup.as_group()
     kgens = tuple(incl.map[k] for k in _greedy_generators(kgrp.mul, kgrp.identity))
-    two_a_sq = 2 * ep.A.order * ep.A.order
-    if two_a_sq % ep.B.order != 0:
-        raise AssertionError("|B| must divide 2|A|^2")
-    params = EtaSummary(len(kgens), ep.A.order, two_a_sq // ep.B.order, kgens, ())
-    if params.s * params.n + params.s > params.m:
-        raise AssertionError("sn + s <= m must hold for a split problem")
-    return params
+    # |B| divides |A|, since alpha is onto B
+    return EtaSummary(None, ep.A.order, 2 * ep.A.order ** 2 // ep.B.order, kgens)
 
 
 def eta_construct(
@@ -104,9 +99,9 @@ def eta_construct(
     if bad is not None:
         raise HypothesisViolated("not_a_solution", bad)
     if relative is not None:
-        for i, left, right in _memberships(relative, range(2, span + 1)):
-            if not (left and right):
-                raise HypothesisViolated("membership", i)
+        bad = _first_leaving(relative, span)
+        if bad is not None:
+            raise HypothesisViolated("membership", bad)
 
     a_group = phi.target
     new_x = list(phi.ximg)
@@ -127,19 +122,30 @@ def eta_construct(
     return SurfaceTuple(a_group, g, tuple(new_x), phi.yimg)
 
 
-def _memberships(
+def _flags(
     rel_n: SubgroupSpec, positions: Iterable[int]
-) -> tuple[tuple[int, bool, bool], ...]:
+) -> Iterator[tuple[int, bool, bool]]:
     """(i, x1^-1 x_i in N, x_i x1^-1 in N) for each basis position i, read
-    on rel_n.nu."""
+    lazily on rel_n.nu."""
     nu = rel_n.nu
     sset = set(rel_n.S.members)
     mul = nu.target.mul
     inv1 = nu.target.inv[nu.ximg[0]]
-    return tuple(
+    return (
         (i, mul[inv1][nu.ximg[i - 1]] in sset, mul[nu.ximg[i - 1]][inv1] in sset)
         for i in positions
     )
+
+
+def _memberships(rel_n: SubgroupSpec, positions: Iterable[int]) -> tuple:
+    return tuple(_flags(rel_n, positions))
+
+
+def _first_leaving(rel_n: SubgroupSpec, last: int) -> Optional[int]:
+    """The first basis position i in 2..last whose x-difference leaves N in
+    either orientation; None when none does."""
+    flags = _flags(rel_n, range(2, last + 1))
+    return next((i for i, left, right in flags if not (left and right)), None)
 
 
 def _witnesses_for(
@@ -188,24 +194,34 @@ def _expanded(
 
 
 def _move_program(ep: SplitEP) -> EtaSummary:
-    """The move program of ep: s, n, m and kgens from make_eta_params, and
-    selected from the pigeonhole on phi0 = gamma o beta_bar (which raises
-    NoRepeatedPair when no image pair repeats among the first m)."""
+    """The program the solver picks: selected from the pigeonhole on gamma o
+    beta_bar (NoRepeatedPair if no pair occurs m times), which, gamma being
+    injective, are the first m occurrences of their beta_bar pair."""
     phi0 = map_tuple(ep.gamma, ep.beta_bar)
     params = make_eta_params(ep, phi0)
     selected = pigeonhole_select(list(zip(phi0.ximg, phi0.yimg)), params.m)
-    return replace(params, selected=tuple(selected))
+    j = selected[0] - 1
+    pair = (ep.beta_bar.ximg[j], ep.beta_bar.yimg[j])
+    return replace(params, pair=pair, selected=tuple(selected))
+
+
+def _positions(beta_bar: SurfaceTuple, pair: tuple[int, int]) -> list[int]:
+    """The 1-based basis positions whose beta_bar value pair is pair."""
+    pairs = zip(beta_bar.ximg, beta_bar.yimg)
+    return [i for i, p in enumerate(pairs, 1) if p == pair]
 
 
 def _replay(
-    ep: SplitEP, nspec: Optional[SubgroupSpec], selected: Sequence[int]
-) -> tuple[SplitEP, Optional[SubgroupSpec]]:
-    """ep and nspec with beta_bar and nu replayed through the moves selected,
-    i.e. read on the certificate basis; no basis word is built."""
+    ep: SplitEP, nspec: Optional[SubgroupSpec], pair: tuple[int, int], m: int
+) -> tuple[SplitEP, Optional[SubgroupSpec], tuple[int, ...]]:
+    """ep and nspec with beta_bar and nu replayed through the move program
+    (pair, m), i.e. read on the certificate basis, and the positions moved:
+    the first m whose beta_bar pair is pair.  No basis word is built."""
+    selected = tuple(_positions(ep.beta_bar, pair)[:m])
     channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
     state = normalize_to_front(initial_basis_state(channels), selected)
     rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
-    return ep.with_beta_bar(state.channel_tuple(0)), rel_n
+    return ep.with_beta_bar(state.channel_tuple(0)), rel_n, selected
 
 
 def _phi_checks(
@@ -244,24 +260,16 @@ def _solve_pipeline(
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)
 
     eta = _move_program(ep)
-    ep_n, rel_n = _replay(ep, nspec, eta.selected)
+    ep_n, rel_n, _ = _replay(ep, nspec, eta.pair, eta.m)
     phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
     if rel_n is not None:
-        memberships = _memberships(rel_n, range(2, eta.m + 1))
-        offending = next(
-            (i for i, left, right in memberships if not (left and right)), None
-        )
+        offending = _first_leaving(rel_n, eta.m)
         if offending is not None:
             # the finite argument stops here; escalating needs the quotient
             # construction, which is outside this solver.  phi stays in
             # full: the certificate's genus is read from it
-            return SolutionCertificate(
-                phi_x=phi_n.ximg,
-                phi_y=phi_n.yimg,
-                outcome="not_reduced",
-                eta=eta,
-                relative=RelativeEvidence(memberships, offending),
-            )
+            return SolutionCertificate(phi_n.ximg, phi_n.yimg, "not_reduced",
+                                       eta=eta, relative=RelativeEvidence(offending))
 
     built = eta_construct(phi_n, eta, ep_n, rel_n)
     overrides = (_overrides(phi_n.ximg, built.ximg), _overrides(phi_n.yimg, built.yimg))
@@ -286,22 +294,29 @@ def solve_relative(ep: SplitEP, nspec: SubgroupSpec) -> SolutionCertificate:
 
 
 def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
-    """The recorded move program against its recomputation.  Equality also
-    makes selected a strictly increasing list of positions in 1..genus, so
-    it can be replayed."""
+    """The recorded move program checked against the problem, not searched
+    for: n = |A|, m = 2|A|^2/|B|, kgens inside Ker(alpha) and generating it
+    with s(n + 1) <= m, and pair a value pair of B that occurs at least m
+    times among beta_bar's pairs, so that the program can be replayed.  Any
+    such program will do, not only the one the solver picks."""
     if eta is None:
-        return CheckRecord("eta_recomputed", False, "no move program recorded")
-    try:
-        fresh = _move_program(ep)
-    except NoRepeatedPair as exc:
-        return CheckRecord("eta_recomputed", False, str(exc))
-    wrong = [f for f in ("s", "n", "m", "kgens", "selected")
-             if getattr(eta, f) != getattr(fresh, f)]
-    if wrong:
-        return CheckRecord(
-            "eta_recomputed", False, f"recorded {', '.join(wrong)} differ"
-        )
-    return CheckRecord("eta_recomputed", True, "s, n, m, kgens and selected")
+        return CheckRecord("eta_program", False, "no move program recorded")
+    a, b, kernel = ep.A.order, ep.B.order, set(ep.kernel_subgroup.members)
+    m = 2 * a * a // b
+    count = len(_positions(ep.beta_bar, eta.pair))
+    generates = kernel.issuperset(eta.kgens) and (
+        subgroup_closure(ep.A, eta.kgens).order == len(kernel)
+    )
+    occurs = f"pair {eta.pair} occurs {count} times among beta_bar's pairs"
+    failed = next((detail for bad, detail in (
+        (eta.n != a, f"n = {eta.n}, not |A| = {a}"),
+        (eta.m != m, f"m = {eta.m}, not 2|A|^2/|B| = {m}"),
+        (eta.s * (eta.n + 1) > m, f"{eta.s} kgens need s(n + 1) > m positions"),
+        (not generates, f"kgens {list(eta.kgens)} do not generate Ker(alpha)"),
+        (not all(0 <= v < b for v in eta.pair), f"pair {eta.pair} is not in B x B"),
+        (count < m, f"{occurs}, fewer than m = {m}"),
+    ) if bad), None)
+    return CheckRecord("eta_program", failed is None, failed or f"{occurs}, m = {m}")
 
 
 def reverify_certificate(
@@ -312,58 +327,49 @@ def reverify_certificate(
     """Re-check a certificate from raw data, trusting none of its flags.
 
     Returns the certificate with the recomputed outcome and, in order, every
-    check `surfep verify` prints.  First the move program eta is recomputed
-    from the problem (eta_recomputed) and replayed on the values of beta_bar
-    (and nu) to give them on the certificate basis; no basis word is built
-    or evaluated.  A stopped relative run (outcome "not_reduced") must then
-    have beta(N) = B and reproduce its recorded membership flags, the
-    offending one really failing; it keeps its outcome only if all of that
-    holds.  Any other certificate goes through _phi_checks, the solver's own
-    final check: phi = gamma o beta_bar on that basis with the recorded
-    overrides applied (a bad override fails shape), through verify_solution
-    with the kernel witnesses derived from the checked program.  Its
-    recorded outcome must match the recomputed one (outcome_matches).  The
-    returned certificate carries phi in full.
+    check `surfep verify` prints.  First the recorded move program is checked
+    against the problem (eta_program), not searched for, and replayed from
+    (pair, m) on the values of beta_bar (and nu).  A stopped relative run
+    (outcome "not_reduced") keeps its outcome only if beta(N) = B and its
+    offending_index is the first position in 2..m whose x-difference leaves
+    N on the replayed nu.  Any other certificate goes through _phi_checks,
+    the solver's own final check: phi = gamma o beta_bar on the certificate
+    basis with the recorded overrides applied, through verify_solution with
+    the kernel witnesses the program implies; its recorded outcome must
+    match the recomputed one (outcome_matches).  The returned certificate
+    carries phi in full and eta.selected.
     """
     if nspec is not None and nspec.genus != ep.genus:
         raise GenusMismatch(ep.genus, nspec.genus)
     checks = [_eta_check(ep, cert.eta)]
-    replayed = _replay(ep, nspec, cert.eta.selected) if checks[0].passed else None
+    eta = cert.eta
+    if checks[0].passed:
+        ep_n, rel_n, selected = _replay(ep, nspec, eta.pair, eta.m)
+        eta = replace(eta, selected=selected)
 
     if cert.outcome == "not_reduced":
         if nspec is None:
             checks.append(CheckRecord(
                 "relative_present", False, "certificate needs a relative spec"
             ))
-        elif replayed is not None:
+        elif checks[0].passed:
             bn = image_of_restriction(ep.beta_bar, nspec)
-            recomputed = _memberships(replayed[1], range(2, cert.eta.m + 1))
+            first = _first_leaving(rel_n, eta.m)
             off = cert.relative.offending_index
+            detail = (f"position {off} leaves N" if off == first else
+                      f"the first position leaving N is {first or 'none'}, not {off}")
             checks += [
-                CheckRecord(
-                    "beta_n_surjective", bn.order == ep.B.order,
-                    f"|beta(N)| = {bn.order}",
-                ),
-                CheckRecord(
-                    "memberships_match",
-                    recomputed == cert.relative.memberships,
-                    "recorded membership flags reproduce",
-                ),
-                CheckRecord(
-                    "offending_index",
-                    any(i == off and not (left and right)
-                        for i, left, right in recomputed),
-                    f"position {off} leaves N",
-                ),
+                CheckRecord("beta_n_surjective", bn.order == ep.B.order,
+                            f"|beta(N)| = {bn.order}"),
+                CheckRecord("offending_index", off == first, detail),
             ]
         outcome = "not_reduced" if all(c.passed for c in checks) else "invalid"
-        return replace(cert, outcome=outcome, checks=tuple(checks))
+        return replace(cert, outcome=outcome, checks=tuple(checks), eta=eta)
 
     fresh = SolutionCertificate(cert.phi_x, cert.phi_y, "invalid")
-    if replayed is not None:
-        ep_n, rel_n = replayed
+    if checks[0].passed:
         base = map_tuple(ep.gamma, ep_n.beta_bar)
-        fresh = _phi_checks(ep_n, rel_n, cert.eta, base, cert.phi_overrides)
+        fresh = _phi_checks(ep_n, rel_n, eta, base, cert.phi_overrides)
         checks += fresh.checks
     checks.append(CheckRecord(
         "outcome_matches",
@@ -371,7 +377,7 @@ def reverify_certificate(
         f"recomputed outcome {fresh.outcome}",
     ))
     return replace(
-        fresh, eta=cert.eta, phi_overrides=cert.phi_overrides, checks=tuple(checks)
+        fresh, eta=eta, phi_overrides=cert.phi_overrides, checks=tuple(checks)
     )
 
 

@@ -90,8 +90,10 @@ class TestSolveVerify:
         assert main(["solve", ws, "v4_plain", "--out", out]) == 0
         cert = json.loads(open(out).read())
         assert cert["outcome"] == "proper"
-        assert cert["format"] == "surfep-certificate-v4"
+        assert cert["format"] == "surfep-certificate-v5"
         assert len(cert["instance_hash"]) == 64
+        # the program moves the first m = 16 occurrences of beta_bar's (0, 0)
+        assert cert["eta"] == {"pair": [0, 0], "n": 4, "m": 16, "kgens": [2]}
         # s = 1, n = |A| = 4: eta_construct changes x2..x5 only
         assert [i for i, _ in cert["phi"]["x"]] == [2, 3, 4, 5]
         assert cert["phi"]["y"] == []
@@ -546,45 +548,152 @@ def verify_edited(ws, out, cert, capsys):
 
 
 class TestVerifyEtaProgram:
-    """Every eta field is recomputed from gamma o beta_bar, selected included.
+    """The recorded move program is checked against the problem: n = |A|,
+    m = 2|A|^2/|B|, kgens that generate Ker(alpha) and fit in m, and a pair
+    of B that occurs at least m times among beta_bar's pairs.
 
-    ep000 has genus 8 and selects all of 1..8; with the basis words of the
-    old format still in the certificate, a reversed selected verified."""
+    ep000 has genus 8, A = C2 and B trivial: the program moves the pair
+    (0, 0) at all of 1..8."""
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda e: e.update(selected=e["selected"][::-1]),
-            lambda e: e.update(selected=[e["selected"][0]] + e["selected"][:-1]),
-            lambda e: e.update(selected=e["selected"][:-1] + [99]),
-            lambda e: e.update(selected=[j + 1 for j in e["selected"]]),
+            lambda e: e.update(kgens=e["kgens"] * 3),
+            lambda e: e.update(pair=[0, 99]),
+            lambda e: e.update(pair=[v + 1 for v in e["pair"]]),
+            lambda e: e.update(pair=[0, -1]),
             lambda e: e.update(kgens=[(e["kgens"][0] + 1) % 2]),
-            lambda e: e.update(m=e["m"] - 1, selected=e["selected"][:-1]),
+            lambda e: e.update(kgens=[]),
+            lambda e: e.update(m=e["m"] - 1),
+            lambda e: e.update(n=e["n"] + 1),
         ],
-        ids=["reversed", "duplicate", "out_of_range", "shifted", "kgens", "m"],
+        ids=["duplicate", "out_of_range", "shifted", "negative", "kgens",
+             "no_kgens", "m", "n"],
     )
     def test_edited_eta_fails_named_check(self, tmp_path, capsys, edit):
         ws, out, cert = solved_gen3(tmp_path)
-        assert cert["eta"]["selected"] == list(range(1, 9))
+        assert cert["eta"] == {"pair": [0, 0], "n": 2, "m": 8, "kgens": [1]}
         edit(cert["eta"])
         code, stdout, stderr = verify_edited(ws, out, cert, capsys)
         assert code == 1
-        assert re.search(r"^eta_recomputed +FAIL", stdout, re.M)
-        assert "error: eta_recomputed" in stderr
+        assert re.search(r"^eta_program +FAIL", stdout, re.M)
+        assert "error: eta_program" in stderr
 
     @pytest.mark.parametrize("entry", ["a", 1.5, True])
     def test_non_integer_selected_named_at_parse(self, tmp_path, capsys, entry):
+        # v5 writes no selected: whatever it holds, it is refused by name
         ws, out, cert = solved_gen3(tmp_path)
-        cert["eta"]["selected"][0] = entry
+        cert["eta"]["selected"] = [entry] + list(range(2, 9))
+        code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == (
+            "error: certificate field eta.selected is not part of a "
+            "certificate with outcome 'proper'\n"
+        )
+
+    @pytest.mark.parametrize("entry", ["a", 1.5, True])
+    def test_non_integer_pair_named_at_parse(self, tmp_path, capsys, entry):
+        ws, out, cert = solved_gen3(tmp_path)
+        cert["eta"]["pair"][0] = entry
         code, stdout, stderr = verify_edited(ws, out, cert, capsys)
         assert code == 1
-        assert "error: certificate field eta.selected[0] must be an integer" in stderr
+        assert "error: certificate field eta.pair[0] must be an integer" in stderr
 
     def test_genuine_eta_passes(self, tmp_path, capsys):
         ws, out, cert = solved_gen3(tmp_path)
         code, stdout, _ = verify_edited(ws, out, cert, capsys)
         assert code == 0
-        assert re.search(r"^eta_recomputed +pass", stdout, re.M)
+        assert re.search(
+            r"^eta_program +pass +pair \(0, 0\) occurs 8 times among "
+            r"beta_bar's pairs, m = 8$", stdout, re.M,
+        )
+
+    def test_pair_with_fewer_than_m_occurrences_fails(self, tmp_path, capsys):
+        # v4_plain's beta_bar has the pair (1, 0) at x1 only
+        ws = v4_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, "v4_plain", "--out", out]) == 0
+        cert = json.loads(open(out).read())
+        cert["eta"]["pair"] = [1, 0]
+        code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+        assert code == 1 and "error: eta_program" in stderr
+        assert re.search(
+            r"^eta_program +FAIL +pair \(1, 0\) occurs 1 times among "
+            r"beta_bar's pairs, fewer than m = 16$", stdout, re.M,
+        )
+
+    def test_a_second_pair_with_m_occurrences_verifies(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Verify checks the recorded program and does not search for the
+        solver's: a certificate built on another pair that occurs m times
+        verifies too."""
+        g = 64
+        c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+        doc = {"problems": {"p": {
+            "genus": g, "K": c2, "H": c2, "action": [[0, 1], [0, 1]],
+            # (1, 0) at x1..x32 and (0, 0) at x33..x64, m = 16
+            "beta_bar": {"x": [1] * 32 + [0] * 32, "y": [0] * g},
+        }}}
+        ws, out = str(tmp_path / "two.json"), str(tmp_path / "cert.json")
+        open(ws, "w").write(canonical_json(doc))
+        assert main(["solve", ws, "p", "--out", out]) == 0
+        assert json.loads(open(out).read())["eta"]["pair"] == [0, 0]
+
+        def largest(pairs, m):
+            # the pigeonhole, choosing the largest pair that reaches m
+            best = max(p for p in set(pairs) if pairs.count(p) >= m)
+            return [i for i, p in enumerate(pairs, 1) if p == best][:m]
+
+        monkeypatch.setattr(solver, "pigeonhole_select", largest)
+        assert main(["solve", ws, "p", "--out", out]) == 0
+        monkeypatch.undo()
+        cert = json.loads(open(out).read())
+        assert cert["eta"]["pair"] == [1, 0]
+        code, stdout, _ = verify_edited(ws, out, cert, capsys)
+        assert code == 0, stdout
+        assert "pair (1, 0) occurs 32 times" in stdout
+
+
+class TestVerifyDoesNotSearch:
+    """surfep verify runs none of the solver's search: no pigeonhole, no
+    move program choice, no kernel generator search."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def patch():
+            def boom(*args, **kwargs):
+                raise AssertionError("the solver's search on the verify path")
+
+            for name in ("_move_program", "make_eta_params", "pigeonhole_select",
+                         "_greedy_generators"):
+                monkeypatch.setattr(solver, name, boom)
+        return patch
+
+    def test_proper(self, tmp_path, capsys, no_search):
+        ws = v4_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, "v4", "--out", out]) == 0
+        no_search()
+        assert main(["verify", out, ws]) == 0
+
+    def test_not_reduced(self, tmp_path, capsys, no_search):
+        ws = not_reduced_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, "p", "--out", out]) == 3
+        no_search()
+        assert main(["verify", out, ws]) == 0
+        assert re.search(r"^offending_index +pass", capsys.readouterr().out, re.M)
+
+
+def moved_positions(ws, cert):
+    """The positions the move program of cert moves to the front: the first
+    eta.m whose beta_bar pair is eta.pair (a v4 certificate wrote them as
+    eta.selected)."""
+    ep, _ = load_workspace(ws).build_problem(cert["problem"])
+    pair = tuple(cert["eta"]["pair"])
+    pairs = zip(ep.beta_bar.ximg, ep.beta_bar.yimg)
+    return [i for i, p in enumerate(pairs, 1) if p == pair][: cert["eta"]["m"]]
 
 
 def constant_beta_workspace(tmp_path):
@@ -626,7 +735,7 @@ class TestForgedBasis:
         cert["basis"] = {
             key: [re.sub(r"([xy])\d+", r"\g<1>1", str(w)) for w in words]
             for key, words in zip(
-                "xy", surface.basis_words(64, cert["eta"]["selected"])
+                "xy", surface.basis_words(64, moved_positions(ws, cert))
             )
         }
         assert all(set(w.split()) <= {"x1", "y1", "x1^-1", "y1^-1"}
@@ -640,16 +749,20 @@ class TestForgedBasis:
     def test_v2_verifies_only_with_the_pigeonhole_hit(self, tmp_path, capsys):
         ws, out, cert = self.solved(tmp_path)
         assert "basis" not in cert
-        assert cert["eta"]["selected"] == list(range(1, 17))
+        assert cert["eta"]["pair"] == [1, 0] and cert["eta"]["m"] == 16
+        assert moved_positions(ws, cert) == list(range(1, 17))
         code, _, _ = verify_edited(ws, out, cert, capsys)
         assert code == 0
-        # same values on every slot: only the recomputation tells these apart
-        for selected in (list(range(2, 18)), list(range(49, 65))):
-            cert["eta"]["selected"] = selected
-            code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+        # same values on every slot: other selections, such as 2..17 or
+        # 49..64, cannot be written, since the program moves the first m
+        # occurrences of its pair; a pair that does not occur m times, or
+        # another m, is refused
+        for edit in ({"pair": [0, 0]}, {"pair": [1, 1]}, {"m": 17}, {"m": 15}):
+            edited = {**cert, "eta": {**cert["eta"], **edit}}
+            code, stdout, stderr = verify_edited(ws, out, edited, capsys)
             assert code == 1
-            assert re.search(r"^eta_recomputed +FAIL", stdout, re.M)
-            assert "error: eta_recomputed" in stderr
+            assert re.search(r"^eta_program +FAIL", stdout, re.M)
+            assert "error: eta_program" in stderr
 
 
 def test_solved_v1_certificate_is_refused(tmp_path, capsys):
@@ -661,14 +774,14 @@ def test_solved_v1_certificate_is_refused(tmp_path, capsys):
     cert = json.loads(open(out).read())
     cert["basis"] = {
         key: [str(w) for w in words]
-        for key, words in zip("xy", surface.basis_words(64, cert["eta"]["selected"]))
+        for key, words in zip("xy", surface.basis_words(64, moved_positions(ws, cert)))
     }
     cert["format"] = "surfep-certificate-v1"
     code, stdout, stderr = verify_edited(ws, out, cert, capsys)
     assert code == 1
     assert stderr == (
         "error: certificate format 'surfep-certificate-v1' is not "
-        "'surfep-certificate-v4'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
     )
 
 
@@ -685,7 +798,7 @@ def test_solved_v2_certificate_is_refused(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v2' is not "
-        "'surfep-certificate-v4'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
     )
 
 
@@ -703,7 +816,28 @@ def test_solved_v3_certificate_is_refused(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v3' is not "
-        "'surfep-certificate-v4'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
+    )
+
+
+def test_solved_v4_certificate_is_refused(tmp_path, capsys):
+    """A certificate in the v4 shape: the move program spelled out as the
+    selected positions, with s, and a not_reduced run's membership flags."""
+    ws = not_reduced_workspace(tmp_path)
+    out = str(tmp_path / "cert.json")
+    assert main(["solve", ws, "p", "--out", out]) == 3
+    cert = json.loads(open(out).read())
+    selected = moved_positions(ws, cert)
+    eta = cert["eta"]
+    del eta["pair"]
+    eta.update(s=len(eta["kgens"]), selected=selected)
+    cert["relative"]["memberships"] = [[2, False, False]]
+    cert["format"] = "surfep-certificate-v4"
+    code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        "error: certificate format 'surfep-certificate-v4' is not "
+        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
     )
 
 
@@ -783,6 +917,22 @@ class TestGen:
         main(["gen", "--seed", "4", "--count", "4", "--out", c])
         assert open(a).read() != open(c).read()
 
+    def test_gen_refuses_a_size_k_the_random_action_cannot_take(self, capsys):
+        # --action random lists every automorphism of K, by brute force up
+        # to order 8; 9 used to fail deep inside with a message naming
+        # neither the option nor the value
+        for sizes in (["9"], ["3", "9"]):
+            assert main(["gen", "--size-k", *sizes, "--size-h", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: size-k 9 is too large for --action random, which lists "
+                "the automorphisms of K by brute force up to order 8; use "
+                "--action trivial or inversion\n"
+            )
+            assert captured.out == ""
+        assert main(["gen", "--size-k", "9", "--size-h", "1", "--count", "1",
+                     "--action", "trivial"]) == 0
+
     def test_gen_refuses_sizes_it_cannot_draw(self):
         # every |K||H| is 25 > 16: the draw used to loop forever
         proc = run_python("-m", "surfep", "gen", "--size-k", "5", "--size-h", "5")
@@ -824,7 +974,7 @@ def test_c2_to_the_sixth_solves_and_verifies(tmp_path):
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("script", ["demo_v4.py", "run_suite.py"])
+@pytest.mark.parametrize("script", ["demo.py", "run_suite.py"])
 def test_script_runs(script):
     proc = run_python(str(SCRIPTS / script))
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -834,12 +984,13 @@ def test_script_runs(script):
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
 # encoding moves it; refactors must leave it alone.  Both pins were last
-# derived from the v3 output by scripts/repin_v4_goldens.py.
-GOLDEN_GEN5_SHA256 = "c9eab28dda1468c842e2e429e2f2416bfc8baf8a73790950bcbcb91bf452c17d"
+# derived from the v4 output by scripts/repin_v5_goldens.py, which pins only
+# the eta.pair reversal of test_verify_bytes_are_pinned fresh.
+GOLDEN_GEN5_SHA256 = "bd162e206b30799fddf44aebf78a5e181dffc42e576f0ca7c4ae38eaa5fc4da3"
 # SHA-256 of `surfep verify` stdout and exit codes on the certificates of
 # test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
 # verdict moves it; moving the checks between modules must leave it alone.
-GOLDEN_VERIFY_SHA256 = "39855a95ae9052a27f34193187a7c9c9f104e4113e5192047208e4c82c0e13b8"
+GOLDEN_VERIFY_SHA256 = "55a9e63bf1f2a6a487e32f36afd9a6a6b9b9cf9a41492e2887e4738898227750"
 
 
 class TestGoldenBytes:
@@ -860,7 +1011,7 @@ class TestGoldenBytes:
         """`surfep verify` stdout and exit code on every certificate of
         `gen --seed 5 --count 12`, the not_reduced certificate of
         tests/test_mutations.py, and two edits of each: the value of the
-        first x override changed (where there is a phi) and eta.selected
+        first x override changed (where there is a phi) and eta.pair
         reversed.  stderr is not pinned."""
         ws = str(tmp_path / "gen5.json")
         assert main(["gen", "--seed", "5", "--count", "12", "--out", ws]) == 0
@@ -899,8 +1050,8 @@ class TestGoldenBytes:
                 edited["phi"]["x"][0][1] = (edited["phi"]["x"][0][1] + 1) % order
                 verify(f"{name} phi.x[0]", edited)
             edited = json.loads(json.dumps(cert))
-            edited["eta"]["selected"].reverse()
-            verify(f"{name} eta.selected", edited)
+            edited["eta"]["pair"].reverse()
+            verify(f"{name} eta.pair", edited)
         assert digest.hexdigest() == GOLDEN_VERIFY_SHA256
 
 

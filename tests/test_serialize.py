@@ -211,9 +211,10 @@ class TestCertificateJson:
     def test_no_basis_words_written(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
         obj = certificate_to_json(cert, "p", "hash")
-        assert obj["format"] == "surfep-certificate-v4"
-        assert "basis" not in obj
-        # the words stay available, derived from genus and eta.selected
+        assert obj["format"] == "surfep-certificate-v5"
+        assert "basis" not in obj and "selected" not in obj["eta"]
+        # the words stay available, derived from genus and the positions the
+        # replay of (eta.pair, eta.m) moves
         again = s.reverify_certificate(
             v4_instance, certificate_from_json(json.loads(canonical_json(obj)))
         )
@@ -228,7 +229,7 @@ class TestCertificateJson:
             (("outcome",), None),
             (("problem",), ["p"]),
             (("phi", "x", 0, 1), 1.0),
-            (("eta", "s"), "1"),
+            (("eta", "pair"), "1"),
             (("eta", "kgens"), 3),
             (("eta", "kgens", 0), False),
             (("checks",), "yes"),
@@ -238,13 +239,17 @@ class TestCertificateJson:
             (("phi",), []),
             (("phi", "x"), MISSING),
             (("problem",), MISSING),
-            (("eta", "selected"), MISSING),
+            (("eta", "pair"), MISSING),
             (("eta",), MISSING),
+            (("eta", "pair", 1), None),
+            (("eta", "pair"), [0]),
+            (("eta", "s"), 1),
         ],
     )
     def test_field_types_checked(self, v4_instance, path, value):
-        # genus, is_proper, is_solution, checks and witnesses are v2 fields:
-        # written into a v3 certificate they are refused by name
+        # genus, is_proper, is_solution, checks and witnesses are v2 fields,
+        # eta.s a v4 one: written into a v5 certificate they are refused by
+        # name
         obj = json.loads(canonical_json(
             certificate_to_json(s.solve_gamma_level(v4_instance), "p", "h")
         ))
@@ -263,8 +268,8 @@ class TestCertificateJson:
     def test_relative_field_types_checked(self):
         obj = json.loads(written(not_reduced_certificate()))
         for key, value in (
-            ("memberships", [[2, True]]),
-            ("memberships", [[2, True, "no"]]),
+            ("memberships", [[2, False, False]]),
+            ("offending_index", "2"),
             ("offending_index", True),
             ("s_members", [0.0]),
         ):

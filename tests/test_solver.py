@@ -308,10 +308,16 @@ class TestSolveGammaLevel:
 
     def test_reverify_recomputes_and_replays_eta(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
-        fresh = s.reverify_certificate(v4_instance, cert)
+        # beta_bar has the pair (0, 0) at x2..x64: the program moves x2..x17
+        assert cert.eta.pair == (0, 0) and cert.eta.selected == tuple(range(2, 18))
+        # a parsed certificate has no selected; the replay fills it in
+        parsed = replace(cert, eta=replace(cert.eta, selected=()))
+        fresh = s.reverify_certificate(v4_instance, parsed)
         assert fresh.checks[0] == CheckRecord(
-            "eta_recomputed", True, "s, n, m, kgens and selected"
+            "eta_program", True,
+            "pair (0, 0) occurs 63 times among beta_bar's pairs, m = 16",
         )
+        assert fresh.eta.selected == cert.eta.selected
         assert fresh.eta == cert.eta and fresh.outcome == "proper"
         # compatibility held on the replayed basis, which is the one the
         # derived words spell out
@@ -321,10 +327,12 @@ class TestSolveGammaLevel:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("selected", tuple(range(3, 19))),
-            ("selected", tuple(range(17, 1, -1))),
+            ("pair", (1, 0)),
+            ("pair", (0, 2)),
             ("kgens", (0,)),
-            ("s", 2),
+            ("kgens", (1, 1, 1, 1)),
+            ("m", 15),
+            ("n", 3),
         ],
     )
     def test_reverify_rejects_edited_eta(self, v4_instance, field, value):
@@ -333,7 +341,7 @@ class TestSolveGammaLevel:
         fresh = s.reverify_certificate(v4_instance, edited)
         assert fresh.outcome == "invalid" and not fresh.is_proper
         assert [c.name for c in fresh.failed_checks()] == [
-            "eta_recomputed", "outcome_matches",
+            "eta_program", "outcome_matches",
         ]
         assert field in fresh.checks[0].detail
 
@@ -344,7 +352,7 @@ class TestSolveGammaLevel:
         fresh = s.reverify_certificate(v4_instance, replace(cert, eta=None))
         assert fresh.outcome == "invalid" and not fresh.is_solution
         assert fresh.checks == (
-            CheckRecord("eta_recomputed", False, "no move program recorded"),
+            CheckRecord("eta_program", False, "no move program recorded"),
             CheckRecord("outcome_matches", False, "recomputed outcome invalid"),
         )
 
@@ -397,16 +405,22 @@ class TestSolveRelative:
         assert fresh.outcome == "not_reduced"
         checks = fresh.checks
         assert [c.name for c in checks] == [
-            "eta_recomputed", "beta_n_surjective", "memberships_match",
-            "offending_index",
+            "eta_program", "beta_n_surjective", "offending_index",
         ]
         assert all(c.passed for c in checks)
-        moved = replace(
-            cert, relative=replace(cert.relative, offending_index=3)
-        )
-        assert cert.relative.memberships[1] == (3, True, True)
-        fresh = s.reverify_certificate(ep, moved, spec)
-        assert fresh.outcome == "invalid" and not fresh.checks[-1].passed
+        # x2 is the first position that leaves N; x3 stays in it, and x4
+        # leaves it too but is not the first
+        assert cert.relative.offending_index == 2
+        for off in (3, 4):
+            moved = replace(
+                cert, relative=replace(cert.relative, offending_index=off)
+            )
+            fresh = s.reverify_certificate(ep, moved, spec)
+            assert fresh.outcome == "invalid"
+            assert fresh.checks[-1] == CheckRecord(
+                "offending_index", False,
+                f"the first position leaving N is 2, not {off}",
+            )
         fresh = s.reverify_certificate(ep, cert, None)
         assert fresh.checks[-1] == CheckRecord(
             "relative_present", False, "certificate needs a relative spec"

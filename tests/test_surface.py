@@ -299,7 +299,7 @@ def test_tuples_built_unchecked_keep_the_relation(seed, index, data):
     ep, rel = inst.ep, inst.relative
     assert (rel is None) == (index == 1)
     eta = _move_program(ep)
-    ep_n, rel_n = _replay(ep, rel, eta.selected)
+    ep_n, rel_n, _ = _replay(ep, rel, eta.pair, eta.m)
     phi_n = s.map_tuple(ep.gamma, ep_n.beta_bar)
     built = s.eta_construct(phi_n, eta, ep_n, rel_n)
     # A may be non-abelian; so is S3, which random_surface_tuple samples
