@@ -145,8 +145,13 @@ def _first_incompatible(
     ep: SplitEP, phi_x: Sequence[int], phi_y: Sequence[int]
 ) -> Optional[str]:
     """The first generator ("x3", "y1", ...) where alpha o phi differs from
-    beta_bar, x before y at each position; None when they agree."""
+    beta_bar, x before y at each position; None when they agree.  The
+    mapped tuples are compared whole first, and scanned only to name the
+    first mismatch."""
     amap, bx, by = ep.alpha.map, ep.beta_bar.ximg, ep.beta_bar.yimg
+    f = amap.__getitem__
+    if tuple(map(f, phi_x)) == bx and tuple(map(f, phi_y)) == by:
+        return None
     for i in range(ep.genus):
         if amap[phi_x[i]] != bx[i]:
             return f"x{i + 1}"
@@ -302,7 +307,8 @@ def verify_solution(
     ok_shape = (
         len(phi_x) == g
         and len(phi_y) == g
-        and all(0 <= a < ep.A.order for a in (*phi_x, *phi_y))
+        and 0 <= min(min(phi_x, default=0), min(phi_y, default=0))
+        and max(max(phi_x, default=0), max(phi_y, default=0)) < ep.A.order
     )
     checks.append(CheckRecord("shape", ok_shape, f"genus {g}"))
     if not ok_shape:

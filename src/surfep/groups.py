@@ -41,21 +41,24 @@ def _closure(identity: E, seeds: Iterable[E], mul: Callable[[E, E], E]) -> list[
     """Elements reached from the identity by right multiplication by the
     seeds, in discovery order.
 
-    A seed already reached is skipped.  When a seed s adds something, every
-    element found so far is multiplied by s, and each element found from
-    then on by every generator kept, s included; so the work is |H| times
-    the number of generators kept, not the number of distinct seeds.  Every
-    element ends up multiplied by every kept generator, so without skips the
-    result is the exact right-multiplication closure of any table with an
-    identity: _greedy_generators, which runs before associativity is
-    checked, only passes seeds not yet reached.  Skipping needs a group: the
-    reached set is then a subgroup (a finite submonoid of a group is one),
-    and a seed inside it maps it onto itself.
+    The seeds are walked in first-occurrence order without repeats
+    (dict.fromkeys, one bulk pass; a repeat is reached already, since the
+    identity times a seed is that seed), and a seed already reached is
+    skipped.  When a seed s adds something, every element found so far is
+    multiplied by s, and each element found from then on by every
+    generator kept, s included; so the work is |H| times the number of
+    generators kept, not the number of distinct seeds.  Every element ends
+    up multiplied by every kept generator, so without skips the result is
+    the exact right-multiplication closure of any table with an identity:
+    _greedy_generators, which runs before associativity is checked, only
+    passes seeds not yet reached.  Skipping needs a group: the reached set
+    is then a subgroup (a finite submonoid of a group is one), and a seed
+    inside it maps it onto itself.
     """
     elems = [identity]
     seen = {identity}
     gens: list[E] = []
-    for s in seeds:
+    for s in dict.fromkeys(seeds):
         if s in seen:
             continue
         gens.append(s)

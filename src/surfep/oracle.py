@@ -134,22 +134,22 @@ def move_pair_to_front(basis: TrackedBasis, src: int, dst: int) -> TrackedBasis:
     if src == dst:
         return basis
     lo, hi = dst - 1, src - 1  # 0-based: slots lo..hi-1 shift, hi moves to lo
-    targets = [t.target for t in state.originals]
-    cvals = [g.commutator(x, y) for g, (x, y) in zip(targets, state.slots[hi])]
-    cword = commutator_word(basis.x_words[hi], basis.y_words[hi])
-    shifted = [
-        tuple(
-            (g.conjugate(x, c), g.conjugate(y, c))
-            for g, (x, y), c in zip(targets, slot, cvals)
-        )
-        for slot in state.slots[lo:hi]
-    ]
 
     def rotate(seq, between):
         return (*seq[:lo], seq[hi], *between, *seq[hi + 1 :])
 
+    channels = []
+    for t in state.channels:
+        g = t.target
+        c = g.commutator(t.ximg[hi], t.yimg[hi])
+        x, y = (
+            rotate(seq, [g.conjugate(a, c) for a in seq[lo:hi]])
+            for seq in (t.ximg, t.yimg)
+        )
+        channels.append(SurfaceTuple(g, t.genus, x, y))
+    cword = commutator_word(basis.x_words[hi], basis.y_words[hi])
     return TrackedBasis(
-        BasisState(state.genus, state.originals, rotate(state.slots, shifted)),
+        BasisState(state.genus, state.originals, tuple(channels)),
         rotate(basis.x_words, [w.conjugated_by(cword) for w in basis.x_words[lo:hi]]),
         rotate(basis.y_words, [w.conjugated_by(cword) for w in basis.y_words[lo:hi]]),
     )
@@ -158,16 +158,18 @@ def move_pair_to_front(basis: TrackedBasis, src: int, dst: int) -> TrackedBasis:
 def check_state_invariants(basis: TrackedBasis) -> None:
     """Assert relations, word round-trips, and closure invariance."""
     state = basis.state
-    assert len(basis.x_words) == len(basis.y_words) == len(state.slots)
+    assert len(basis.x_words) == len(basis.y_words) == state.genus
     for ch, original in enumerate(state.originals):
         current = state.channel_tuple(ch)
+        assert len(current.ximg) == len(current.yimg) == state.genus
         # channel_tuple does not check the relation: it is asserted here
         assert relation_value(current.target, current.ximg, current.yimg) == (
             current.target.identity
         )
-        for slot, xw, yw in zip(state.slots, basis.x_words, basis.y_words):
-            assert evaluate_word(original, xw) == slot[ch][0]
-            assert evaluate_word(original, yw) == slot[ch][1]
+        words = zip(current.ximg, current.yimg, basis.x_words, basis.y_words)
+        for xv, yv, xw, yw in words:
+            assert evaluate_word(original, xw) == xv
+            assert evaluate_word(original, yw) == yv
         assert tuple_image(current).members == tuple_image(original).members
 
 

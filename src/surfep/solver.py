@@ -12,6 +12,8 @@ program against the problem and replays it, without repeating the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress, count, repeat
+from operator import eq, ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -56,12 +58,17 @@ from .surface import (
 )
 
 
-def make_eta_params(ep: SplitEP, phi: SurfaceTuple) -> EtaSummary:
+def make_eta_params(
+    ep: SplitEP, phi: Optional[SurfaceTuple] = None
+) -> EtaSummary:
     """n, m and kgens of the move program; _move_program adds pair and
     selected from the pigeonhole.  n = |A|: for any phi with alpha o phi =
-    beta_bar, K phi(Gamma) = alpha^-1(B) = A because beta_bar is onto B.  kgens is the greedy generating tuple of Ker(alpha):
-    each generator is the smallest kernel member not yet reached, so
-    s <= log2 |Ker(alpha)|."""
+    beta_bar, K phi(Gamma) = alpha^-1(B) = A because beta_bar is onto B.
+    kgens is the greedy generating tuple of Ker(alpha): each generator is
+    the smallest kernel member not yet reached, so s <= log2 |Ker(alpha)|.
+    phi is not read, since none of these depends on it; the parameter
+    stays because perfbench/tracing.py's staged replay passes gamma o
+    beta_bar."""
     kgrp, incl = ep.kernel_subgroup.as_group()
     kgens = tuple(incl.map[k] for k in _greedy_generators(kgrp.mul, kgrp.identity))
     # |B| divides |A|, since alpha is onto B
@@ -169,7 +176,8 @@ def _witnesses_for(
 def _overrides(base: Sequence[int], full: Sequence[int]) -> Overrides:
     """(i, full value) at each 1-based position i where full differs from
     base."""
-    return tuple((i, a) for i, (b, a) in enumerate(zip(base, full), 1) if a != b)
+    changed = list(map(ne, base, full))
+    return tuple(zip(compress(count(1), changed), compress(full, changed)))
 
 
 def _expanded(
@@ -194,21 +202,21 @@ def _expanded(
 
 
 def _move_program(ep: SplitEP) -> EtaSummary:
-    """The program the solver picks: selected from the pigeonhole on gamma o
-    beta_bar (NoRepeatedPair if no pair occurs m times), which, gamma being
-    injective, are the first m occurrences of their beta_bar pair."""
-    phi0 = map_tuple(ep.gamma, ep.beta_bar)
-    params = make_eta_params(ep, phi0)
-    selected = pigeonhole_select(list(zip(phi0.ximg, phi0.yimg)), params.m)
-    j = selected[0] - 1
-    pair = (ep.beta_bar.ximg[j], ep.beta_bar.yimg[j])
-    return replace(params, pair=pair, selected=tuple(selected))
+    """The program the solver picks: selected from the pigeonhole on
+    beta_bar's pairs (NoRepeatedPair if no pair occurs m times), the first
+    m occurrences of one pair.  That is the choice the pigeonhole on gamma
+    o beta_bar makes too: gamma(h) = e_K |H| + h is injective and
+    increasing, so it keeps every pair's count and the pairs' order."""
+    params = make_eta_params(ep)
+    pairs = list(zip(ep.beta_bar.ximg, ep.beta_bar.yimg))
+    selected = pigeonhole_select(pairs, params.m)
+    return replace(params, pair=pairs[selected[0] - 1], selected=tuple(selected))
 
 
 def _positions(beta_bar: SurfaceTuple, pair: tuple[int, int]) -> list[int]:
     """The 1-based basis positions whose beta_bar value pair is pair."""
-    pairs = zip(beta_bar.ximg, beta_bar.yimg)
-    return [i for i, p in enumerate(pairs, 1) if p == pair]
+    hits = map(eq, zip(beta_bar.ximg, beta_bar.yimg), repeat(pair))
+    return list(compress(count(1), hits))
 
 
 def _replay(
@@ -303,18 +311,18 @@ def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
         return CheckRecord("eta_program", False, "no move program recorded")
     a, b, kernel = ep.A.order, ep.B.order, set(ep.kernel_subgroup.members)
     m = 2 * a * a // b
-    count = len(_positions(ep.beta_bar, eta.pair))
+    times = len(_positions(ep.beta_bar, eta.pair))
     generates = kernel.issuperset(eta.kgens) and (
         subgroup_closure(ep.A, eta.kgens).order == len(kernel)
     )
-    occurs = f"pair {eta.pair} occurs {count} times among beta_bar's pairs"
+    occurs = f"pair {eta.pair} occurs {times} times among beta_bar's pairs"
     failed = next((detail for bad, detail in (
         (eta.n != a, f"n = {eta.n}, not |A| = {a}"),
         (eta.m != m, f"m = {eta.m}, not 2|A|^2/|B| = {m}"),
         (eta.s * (eta.n + 1) > m, f"{eta.s} kgens need s(n + 1) > m positions"),
         (not generates, f"kgens {list(eta.kgens)} do not generate Ker(alpha)"),
         (not all(0 <= v < b for v in eta.pair), f"pair {eta.pair} is not in B x B"),
-        (count < m, f"{occurs}, fewer than m = {m}"),
+        (times < m, f"{occurs}, fewer than m = {m}"),
     ) if bad), None)
     return CheckRecord("eta_program", failed is None, failed or f"{occurs}, m = {m}")
 

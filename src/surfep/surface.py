@@ -13,7 +13,10 @@ generator positions are 1-based throughout the public API.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import eq
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -137,7 +140,7 @@ class SurfaceTuple:
     oracle's samples, the free-product restriction) are built through
     make_surface_tuple, which checks the defining relation.  Tuples derived
     from a checked one are built directly: map_tuple pushes it through a
-    validated homomorphism, BasisState.channel_tuple rewrites it by basis
+    validated homomorphism, normalize_to_front rewrites it by basis
     moves, which are automorphisms of the surface group, and
     solver.eta_construct keeps each block's commutator power trivial.  Each
     of these keeps the relation, and verify_solution checks it once more on
@@ -177,9 +180,10 @@ def make_surface_tuple(
     g = len(ximg)
     if g < 1 or len(yimg) != g:
         raise ValueError("need equal-length nonempty image lists")
-    for a in (*ximg, *yimg):
-        if not 0 <= a < target.order:
-            raise ValueError(f"image {a} out of range for order {target.order}")
+    n = target.order
+    if not (0 <= min(min(ximg), min(yimg)) and max(max(ximg), max(yimg)) < n):
+        bad = next(a for a in (*ximg, *yimg) if not 0 <= a < n)
+        raise ValueError(f"image {bad} out of range for order {n}")
     value = relation_value(target, ximg, yimg)
     if value != target.identity:
         raise RelationViolated(value)
@@ -207,12 +211,9 @@ def map_tuple(hom: GroupHom, t: SurfaceTuple) -> SurfaceTuple:
     commutators of t, which is the identity, to that of the image."""
     if hom.domain != t.target:
         raise ValueError("homomorphism domain does not match tuple target")
-    f = hom.map
+    f = hom.map.__getitem__
     return SurfaceTuple(
-        hom.codomain,
-        t.genus,
-        tuple(f[a] for a in t.ximg),
-        tuple(f[a] for a in t.yimg),
+        hom.codomain, t.genus, tuple(map(f, t.ximg)), tuple(map(f, t.yimg))
     )
 
 
@@ -223,13 +224,12 @@ def pigeonhole_select(
     attaining the requested multiplicity."""
     if multiplicity < 1:
         raise ValueError("multiplicity must be positive")
-    counts: dict[tuple[int, int], list[int]] = {}
-    for pos, pair in enumerate(pairs, start=1):
-        counts.setdefault(tuple(pair), []).append(pos)
-    winners = sorted(p for p, ps in counts.items() if len(ps) >= multiplicity)
+    keys = list(map(tuple, pairs))
+    winners = [p for p, c in Counter(keys).items() if c >= multiplicity]
     if not winners:
         raise NoRepeatedPair(multiplicity)
-    return counts[winners[0]][:multiplicity]
+    hits = map(eq, keys, repeat(min(winners)))
+    return list(islice(compress(count(1), hits), multiplicity))
 
 
 def open_subgroup_genus(g: int, index: int) -> int:
@@ -247,26 +247,28 @@ def open_subgroup_genus(g: int, index: int) -> int:
 class BasisState:
     """A surface basis tracked through conjugation moves, by values only.
 
-    slots[p - 1][ch] is the (x, y) image pair of basis position p under
-    tracked channel ch.  The defining words of the slots in the original
-    basis are not stored: basis_words derives them from the move program
-    when a caller asks for them.
+    channels[ch] is the current basis read through tracked channel ch: one
+    SurfaceTuple of flat x and y image lists, the same channel as
+    originals[ch] composed with the moves.  The defining words of the
+    current basis in the original one are not stored: basis_words derives
+    them from the move program when a caller asks for them.
     """
 
     genus: int
     originals: tuple[SurfaceTuple, ...]
-    slots: tuple[tuple[tuple[int, int], ...], ...]
+    channels: tuple[SurfaceTuple, ...]
+
+    @property
+    def slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """slots[p - 1][ch] is the (x, y) image pair of basis position p
+        under channel ch, derived from channels."""
+        return tuple(zip(*(zip(c.ximg, c.yimg) for c in self.channels)))
 
     def channel_tuple(self, channel: int) -> SurfaceTuple:
         """The images of the current basis under channel.  The relation is
         not checked again: the moves are automorphisms of the surface group,
         so the tuple is the checked original composed with one."""
-        return SurfaceTuple(
-            self.originals[channel].target,
-            self.genus,
-            tuple(slot[channel][0] for slot in self.slots),
-            tuple(slot[channel][1] for slot in self.slots),
-        )
+        return self.channels[channel]
 
 
 def initial_basis_state(channels: Sequence[SurfaceTuple]) -> BasisState:
@@ -275,31 +277,58 @@ def initial_basis_state(channels: Sequence[SurfaceTuple]) -> BasisState:
     g = channels[0].genus
     if any(c.genus != g for c in channels):
         raise ValueError("all channels must share the same genus")
-    slots = tuple(zip(*(zip(c.ximg, c.yimg) for c in channels)))
-    return BasisState(g, tuple(channels), slots)
+    return BasisState(g, tuple(channels), tuple(channels))
 
 
-def _move_program(genus: int, positions: list[int]) -> list[tuple[int, int]]:
-    """The pigeonhole moves as (source position, a) per new slot, in order.
-
-    The selected positions come first, then the others in their original
-    order; a slot's conjugator is the suffix product c_{a+1} ... c_m of the
-    selected commutators, so a = m (the empty product) leaves it untouched.
-    """
+def _checked_positions(genus: int, positions: Sequence[int]) -> list[int]:
+    """positions as a list, once they are strictly increasing and lie in
+    1..genus."""
+    positions = list(positions)
     if positions != sorted(set(positions)):
         raise ValueError("positions must be strictly increasing")
     if positions and (positions[-1] > genus or positions[0] < 1):
         raise PositionOutOfRange(positions[-1], positions[0], genus)
+    return positions
+
+
+def _moved_channel(t: SurfaceTuple, positions: list[int]) -> SurfaceTuple:
+    """t read on the basis normalize_to_front produces: the moved entries,
+    then each run of unmoved ones in order.
+
+    Run a holds the unmoved positions between the a-th and the (a+1)-th
+    moved one, and its conjugator is C = c_{a+1} ... c_m.  It is one slice,
+    conjugated in one step: a run longer than the group's order through the
+    conjugation map z -> C^-1 z C, built once and applied with map; a
+    shorter one entry by entry; and none when C = 1.
+    """
+    grp = t.target
+    mul, inv, e = grp.mul, grp.inv, grp.identity
+    xs, ys = t.ximg, t.yimg
     m = len(positions)
-    selected = set(positions)
-    program = [(j, m) for j in positions]
-    a = 0  # selected positions seen so far
-    for p in range(1, genus + 1):
-        if p in selected:
-            a += 1
-        else:
-            program.append((p, a))
-    return program
+    # suffix[a] = c_{a+1} * ... * c_m; c = [x, y] = x^-1 y^-1 x y
+    suffix = [e] * (m + 1)
+    c = e
+    for a in range(m - 1, -1, -1):
+        x, y = xs[positions[a] - 1], ys[positions[a] - 1]
+        c = suffix[a] = mul[mul[mul[mul[inv[x]][inv[y]]][x]][y]][c]
+    front = [j - 1 for j in positions]
+    new_x = list(map(xs.__getitem__, front))
+    new_y = list(map(ys.__getitem__, front))
+    edges = [0, *positions, t.genus + 1]
+    for a, c in enumerate(suffix):
+        lo, hi = edges[a], edges[a + 1] - 1
+        xrun, yrun = xs[lo:hi], ys[lo:hi]
+        if c != e and xrun:
+            left = mul[inv[c]]
+            if hi - lo > grp.order:
+                f = [mul[z][c] for z in left].__getitem__
+                xrun, yrun = map(f, xrun), map(f, yrun)
+            else:
+                xrun = [mul[left[z]][c] for z in xrun]
+                yrun = [mul[left[z]][c] for z in yrun]
+        new_x.extend(xrun)
+        new_y.extend(yrun)
+    return SurfaceTuple(grp, t.genus, tuple(new_x), tuple(new_y))
 
 
 def normalize_to_front(state: BasisState, positions: Sequence[int]) -> BasisState:
@@ -307,46 +336,20 @@ def normalize_to_front(state: BasisState, positions: Sequence[int]) -> BasisStat
 
     Equivalent to moving the pair at j_t to slot t for t = 1..m in ascending
     order, where every later source is still at its starting position and
-    already-placed slots are never conjugated again.  Computed in one pass
-    on the channel values: the slot at a non-selected position p picks up
-    exactly the conjugators c_t of the moves whose source lies beyond p, in
-    ascending order, so its total conjugator is the suffix product
-    c_{a+1} c_{a+2} ... c_m with a the number of selected positions below p.
+    already-placed slots are never conjugated again.  The slot at an
+    unmoved position p picks up exactly the conjugators c_t of the moves
+    whose source lies beyond p, in ascending order, so its total conjugator
+    is the suffix product c_{a+1} c_{a+2} ... c_m with a the number of
+    moved positions below p.  That is one conjugator per run of unmoved
+    positions between two moved ones: each channel's image lists are
+    rebuilt from the moved entries and then one slice per run, conjugated
+    in bulk (_moved_channel), after a loop over the m suffix products.
     """
-    positions = list(positions)
-    program = _move_program(state.genus, positions)
-    m = len(positions)
-    if not m:
+    positions = _checked_positions(state.genus, positions)
+    if not positions:
         return state
-    targets = [t.target for t in state.originals]
-    tables = [(g.mul, g.inv) for g in targets]
-    slots = state.slots
-
-    # suffix[t][ch] = c_{t+1} * ... * c_m in channel ch; suffix[m] is empty;
-    # c = [x, y] = x^-1 y^-1 x y
-    suffix = [tuple(g.identity for g in targets)] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        pairs = slots[positions[t] - 1]
-        suffix[t] = tuple(
-            mul[mul[mul[mul[inv[x]][inv[y]]][x]][y]][st]
-            for (mul, inv), (x, y), st in zip(tables, pairs, suffix[t + 1])
-        )
-
-    # x^C = C^-1 x C; conj[a][ch] is (table, row of C^-1, C) for C = suffix[a]
-    conj = [
-        tuple((mul, mul[inv[c]], c) for (mul, inv), c in zip(tables, cs))
-        for cs in suffix
-    ]
-    new_slots = []
-    for p, a in program:
-        slot = slots[p - 1]
-        if a < m:
-            slot = tuple(
-                (mul[left[x]][c], mul[left[y]][c])
-                for (mul, left, c), (x, y) in zip(conj[a], slot)
-            )
-        new_slots.append(slot)
-    return BasisState(state.genus, state.originals, tuple(new_slots))
+    channels = tuple(_moved_channel(t, positions) for t in state.channels)
+    return BasisState(state.genus, state.originals, channels)
 
 
 def basis_words(
@@ -357,18 +360,20 @@ def basis_words(
 
     One symbolic expansion of the move program: the commutator words of the
     selected pairs, their shared suffix products C_a = c_{a+1} ... c_m, and
-    C_a^-1 x_p C_a, C_a^-1 y_p C_a for each slot.
+    C_a^-1 x_p C_a, C_a^-1 y_p C_a for each unmoved position p of run a.
     """
-    positions = list(positions)
-    program = _move_program(genus, positions)
+    positions = _checked_positions(genus, positions)
     m = len(positions)
     suffix = [Word()] * (m + 1)
     for t in range(m - 1, -1, -1):
         j = positions[t]
         suffix[t] = commutator_word(word_x(j), word_y(j)) * suffix[t + 1]
-    inverses = [w.inverse() for w in suffix]
-    x_words, y_words = [], []
-    for p, a in program:
-        x_words.append(inverses[a] * word_x(p) * suffix[a])
-        y_words.append(inverses[a] * word_y(p) * suffix[a])
+    x_words = [word_x(j) for j in positions]
+    y_words = [word_y(j) for j in positions]
+    edges = [0, *positions, genus + 1]
+    for a, c in enumerate(suffix):
+        c_inv = c.inverse()
+        for p in range(edges[a] + 1, edges[a + 1]):
+            x_words.append(c_inv * word_x(p) * c)
+            y_words.append(c_inv * word_y(p) * c)
     return tuple(x_words), tuple(y_words)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfep as s
-from surfep.embedding import KernelWitness, SubgroupSpec
+from surfep.embedding import CheckRecord, KernelWitness, SubgroupSpec
 from surfep.errors import BetaNotSurjective, GenusMismatch, NotASolution
 
 
@@ -193,6 +193,40 @@ class TestVerifySolution:
         cert = s.verify_solution(v4_instance, [0], [0])
         assert cert.outcome == "invalid"
         assert [c.name for c in cert.checks] == ["shape"]
+
+    @pytest.mark.parametrize("kind, index, value", [
+        ("x", 0, 4), ("x", 63, -1), ("y", 5, 99), ("y", 63, -1),
+    ])
+    def test_out_of_range_entry_fails_shape_alone(
+        self, v4_instance, kind, index, value
+    ):
+        ep = v4_instance
+        phi = s.map_tuple(ep.gamma, ep.beta_bar)
+        images = {"x": list(phi.ximg), "y": list(phi.yimg)}
+        images[kind][index] = value
+        cert = s.verify_solution(ep, images["x"], images["y"])
+        assert cert.outcome == "invalid"
+        assert cert.checks == (CheckRecord("shape", False, "genus 64"),)
+
+    @pytest.mark.parametrize("changed, named", [
+        ((("y", 2), ("x", 3)), "fails at y2"),
+        ((("x", 3), ("y", 3)), "fails at x3"),
+        ((("y", 64),), "fails at y64"),
+        ((), "alpha o phi = beta_bar"),
+    ])
+    def test_first_incompatible_generator_named(self, v4_instance, changed, named):
+        # the first position, and x before y at one position
+        ep = v4_instance
+        phi = s.map_tuple(ep.gamma, ep.beta_bar)
+        images = {"x": list(phi.ximg), "y": list(phi.yimg)}
+        beta = {"x": ep.beta_bar.ximg, "y": ep.beta_bar.yimg}
+        for kind, i in changed:
+            images[kind][i - 1] = next(
+                a for a in ep.A.elements() if ep.alpha.map[a] != beta[kind][i - 1]
+            )
+        cert = s.verify_solution(ep, images["x"], images["y"])
+        compat = next(c for c in cert.checks if c.name == "compatibility")
+        assert (compat.passed, compat.detail) == (not changed, named)
 
     def test_gamma_lift_is_solution_not_proper(self, v4_instance):
         ep = v4_instance

@@ -118,6 +118,17 @@ class TestSurfaceTuple:
         t = s.make_surface_tuple(s3, [cyc], [s3.mul[cyc][cyc]])
         assert s.tuple_image(t).order == 3
 
+    @pytest.mark.parametrize("ximg, yimg, bad", [
+        ([0, 7, 9], [-1, 0, 0], 7),
+        ([0, 1, 2], [0, -1, 8], -1),
+        ([0, 1, 2], [3, 4, 6], 6),
+    ])
+    def test_out_of_range_image_named(self, cat, ximg, yimg, bad):
+        # the first offender, x images before y images
+        message = rf"^image {bad} out of range for order 6$"
+        with pytest.raises(ValueError, match=message):
+            s.make_surface_tuple(cat["C6"], ximg, yimg)
+
     def test_index_out_of_range(self, cat):
         t = s.make_surface_tuple(cat["C2"], [1], [0])
         with pytest.raises(IndexOutOfRange):
@@ -251,6 +262,28 @@ class TestBasisMoves:
             assert batch.state.slots[t] == basis.state.slots[j - 1]
             assert batch.x_words[t] == word_x(j)
             assert batch.y_words[t] == word_y(j)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([("C2", "S3"), ("C3", "S3"), ("C2", "C3", "S3"), ("S3", "D4")]),
+    )
+    def test_normalize_matches_sequential_moves_on_long_runs(self, cat, seed, names):
+        # genus 40..80 with up to 12 moved positions: runs longer than a
+        # channel's order go through its conjugation map, shorter ones are
+        # conjugated entry by entry
+        rng = random.Random(seed)
+        genus = rng.randrange(40, 81)
+        channels = [
+            s.random_surface_tuple(cat[name], genus, seed=rng.randrange(10**6))
+            for name in names
+        ]
+        basis = tracked_basis(channels)
+        positions = sorted(rng.sample(range(1, genus + 1), rng.randint(1, 12)))
+        seq = basis
+        for t, j in enumerate(positions, start=1):
+            seq = move_pair_to_front(seq, j, t)
+        assert normalized(basis, positions) == seq
 
     def test_normalize_rejects_unsorted(self):
         state = random_state(4).state
