@@ -291,15 +291,21 @@ def _checked_positions(genus: int, positions: Sequence[int]) -> list[int]:
     return positions
 
 
+def _runs(genus: int, positions: list[int]) -> Iterable[tuple[int, int, int]]:
+    """(a, lo, hi) for each run of unmoved positions, 0-based: run a is the
+    slice lo:hi between the a-th and the (a+1)-th of the checked positions,
+    and its conjugator is c_{a+1} ... c_m."""
+    edges = [0, *positions, genus + 1]
+    for a in range(len(positions) + 1):
+        yield a, edges[a], edges[a + 1] - 1
+
+
 def _moved_channel(t: SurfaceTuple, positions: list[int]) -> SurfaceTuple:
     """t read on the basis normalize_to_front produces: the moved entries,
-    then each run of unmoved ones in order.
+    then each run of unmoved ones in order (_runs).
 
-    Run a holds the unmoved positions between the a-th and the (a+1)-th
-    moved one, and its conjugator is C = c_{a+1} ... c_m.  It is one slice,
-    conjugated in one step: a run longer than the group's order through the
-    conjugation map z -> C^-1 z C, built once and applied with map; a
-    shorter one entry by entry; and none when C = 1.
+    A run whose conjugator C is 1 is copied as one slice; any other run is
+    conjugated entry by entry, z -> C^-1 z C.
     """
     grp = t.target
     mul, inv, e = grp.mul, grp.inv, grp.identity
@@ -314,20 +320,15 @@ def _moved_channel(t: SurfaceTuple, positions: list[int]) -> SurfaceTuple:
     front = [j - 1 for j in positions]
     new_x = list(map(xs.__getitem__, front))
     new_y = list(map(ys.__getitem__, front))
-    edges = [0, *positions, t.genus + 1]
-    for a, c in enumerate(suffix):
-        lo, hi = edges[a], edges[a + 1] - 1
-        xrun, yrun = xs[lo:hi], ys[lo:hi]
-        if c != e and xrun:
+    for a, lo, hi in _runs(t.genus, positions):
+        c = suffix[a]
+        if c == e:
+            new_x.extend(xs[lo:hi])
+            new_y.extend(ys[lo:hi])
+        else:
             left = mul[inv[c]]
-            if hi - lo > grp.order:
-                f = [mul[z][c] for z in left].__getitem__
-                xrun, yrun = map(f, xrun), map(f, yrun)
-            else:
-                xrun = [mul[left[z]][c] for z in xrun]
-                yrun = [mul[left[z]][c] for z in yrun]
-        new_x.extend(xrun)
-        new_y.extend(yrun)
+            new_x.extend([mul[left[z]][c] for z in xs[lo:hi]])
+            new_y.extend([mul[left[z]][c] for z in ys[lo:hi]])
     return SurfaceTuple(grp, t.genus, tuple(new_x), tuple(new_y))
 
 
@@ -342,8 +343,9 @@ def normalize_to_front(state: BasisState, positions: Sequence[int]) -> BasisStat
     is the suffix product c_{a+1} c_{a+2} ... c_m with a the number of
     moved positions below p.  That is one conjugator per run of unmoved
     positions between two moved ones: each channel's image lists are
-    rebuilt from the moved entries and then one slice per run, conjugated
-    in bulk (_moved_channel), after a loop over the m suffix products.
+    rebuilt from the moved entries and then one slice per run, copied when
+    its conjugator is 1 (_moved_channel), after a loop over the m suffix
+    products.
     """
     positions = _checked_positions(state.genus, positions)
     if not positions:
@@ -370,10 +372,10 @@ def basis_words(
         suffix[t] = commutator_word(word_x(j), word_y(j)) * suffix[t + 1]
     x_words = [word_x(j) for j in positions]
     y_words = [word_y(j) for j in positions]
-    edges = [0, *positions, genus + 1]
-    for a, c in enumerate(suffix):
+    for a, lo, hi in _runs(genus, positions):
+        c = suffix[a]
         c_inv = c.inverse()
-        for p in range(edges[a] + 1, edges[a + 1]):
+        for p in range(lo + 1, hi + 1):
             x_words.append(c_inv * word_x(p) * c)
             y_words.append(c_inv * word_y(p) * c)
     return tuple(x_words), tuple(y_words)

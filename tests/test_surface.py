@@ -269,9 +269,9 @@ class TestBasisMoves:
         st.sampled_from([("C2", "S3"), ("C3", "S3"), ("C2", "C3", "S3"), ("S3", "D4")]),
     )
     def test_normalize_matches_sequential_moves_on_long_runs(self, cat, seed, names):
-        # genus 40..80 with up to 12 moved positions: runs longer than a
-        # channel's order go through its conjugation map, shorter ones are
-        # conjugated entry by entry
+        # genus 40..80 with up to 12 moved positions and a nonabelian
+        # channel: long runs whose conjugator is not 1 are conjugated entry
+        # by entry, the others are copied
         rng = random.Random(seed)
         genus = rng.randrange(40, 81)
         channels = [
