@@ -1,9 +1,9 @@
 """Finite split embedding problems over a surface group, and their checkable
 solution certificates.
 
-The problem data is (A, B, alpha, gamma, beta_bar): a surjection alpha with
-section gamma and a surjective reference map beta_bar from the genus-g
-surface group to B, given as a surface tuple.  A subgroup N of the surface
+The problem data is a semidirect product A = K x| B, with its projection
+alpha and section gamma, and a surjection beta_bar from the genus-g surface
+group onto B, given as a surface tuple.  A subgroup N of the surface
 group is encoded through a finite quotient: a tuple nu into Q plus a
 subgroup S of Q, with N = nu^-1(S); every membership or image question the
 solver asks is then decidable.
@@ -24,9 +24,9 @@ from .groups import (
     ActionSpec,
     FiniteGroup,
     GroupHom,
+    SemidirectProduct,
     SubgroupHandle,
     _closure,
-    kernel,
     semidirect_product,
     subgroup_closure,
 )
@@ -42,31 +42,39 @@ from .surface import (
 
 @dataclass(frozen=True)
 class SplitEP:
-    """A finite split embedding problem for the genus-g surface group."""
+    """A finite split embedding problem A = K x| B -> B for the genus-g
+    surface group: the semidirect product sd it was built from, which holds
+    A, alpha and gamma, and a surjection beta_bar onto B.  Only
+    make_split_ep builds one and checks beta_bar; with_beta_bar checks
+    nothing again."""
 
-    A: FiniteGroup
-    B: FiniteGroup
-    alpha: GroupHom
-    gamma: GroupHom
+    sd: SemidirectProduct
     beta_bar: SurfaceTuple
-    genus: int
 
-    def __post_init__(self):
-        if not self.alpha.is_surjective:
-            missing = next(
-                b for b in self.B.elements() if b not in set(self.alpha.map)
-            )
-            raise ValueError(f"alpha misses {missing}")
-        if any(self.alpha.map[self.gamma.map[b]] != b for b in self.B.elements()):
-            raise ValueError("gamma is not a section of alpha")
-        if self.beta_bar.target != self.B or self.beta_bar.genus != self.genus:
-            raise GenusMismatch(self.genus, self.beta_bar.genus)
-        if tuple_image(self.beta_bar).order != self.B.order:
-            raise BetaNotSurjective()
+    @property
+    def A(self) -> FiniteGroup:
+        return self.sd.group
+
+    @property
+    def B(self) -> FiniteGroup:
+        return self.sd.alpha.codomain
+
+    @property
+    def alpha(self) -> GroupHom:
+        return self.sd.alpha
+
+    @property
+    def gamma(self) -> GroupHom:
+        return self.sd.gamma
+
+    @property
+    def genus(self) -> int:
+        return self.beta_bar.genus
 
     @property
     def kernel_subgroup(self) -> SubgroupHandle:
-        return kernel(self.alpha)
+        # the image of embed_k, whose values k|B| + e_B increase with k
+        return SubgroupHandle(self.A, self.sd.embed_k.map)
 
     def with_beta_bar(self, beta_bar: SurfaceTuple) -> "SplitEP":
         return replace(self, beta_bar=beta_bar)
@@ -79,18 +87,17 @@ def make_split_ep(
     beta_bar: SurfaceTuple,
     genus: Optional[int] = None,
 ) -> SplitEP:
-    """Build A = K x| H with its canonical projection and section."""
+    """Build A = K x| H with its canonical projection and section, and check
+    beta_bar once: GenusMismatch unless it maps into H with the given genus,
+    then BetaNotSurjective unless it is onto H."""
+    sd = semidirect_product(k_group, h_group, action)
     if genus is None:
         genus = beta_bar.genus
-    sd = semidirect_product(k_group, h_group, action)
-    return SplitEP(
-        A=sd.group,
-        B=h_group,
-        alpha=sd.alpha,
-        gamma=sd.gamma,
-        beta_bar=beta_bar,
-        genus=genus,
-    )
+    if beta_bar.target != h_group or beta_bar.genus != genus:
+        raise GenusMismatch(genus, beta_bar.genus)
+    if tuple_image(beta_bar).order != h_group.order:
+        raise BetaNotSurjective()
+    return SplitEP(sd, beta_bar)
 
 
 @dataclass(frozen=True)

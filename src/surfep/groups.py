@@ -452,7 +452,8 @@ class SemidirectProduct:
     group: FiniteGroup
     alpha: GroupHom      # projection onto H
     gamma: GroupHom      # section h -> (1, h)
-    embed_k: GroupHom    # k -> (k, 1)
+    embed_k: GroupHom    # k -> (k, 1), increasing in k
+    action: ActionSpec   # the action of H on K it was built from
 
     def encode(self, k: int, h: int) -> int:
         return k * self.alpha.codomain.order + h
@@ -478,7 +479,7 @@ def semidirect_product(
     gamma = make_hom(h_group, grp, [k_group.identity * nh + h for h in range(nh)])
     embed = make_hom(k_group, grp, [k * nh + h_group.identity for k in range(nk)])
     assert set(kernel(alpha).members) == set(embed.map)
-    return SemidirectProduct(grp, alpha, gamma, embed)
+    return SemidirectProduct(grp, alpha, gamma, embed, action)
 
 
 # --- permutation realization and catalog -------------------------------------

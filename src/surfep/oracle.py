@@ -175,6 +175,10 @@ def check_state_invariants(basis: TrackedBasis) -> None:
 
 # --- instance generation --------------------------------------------------------
 
+# the largest |A| = |K||H| a recipe draws
+MAX_ORDER_A = 16
+
+
 @dataclass(frozen=True)
 class InstanceRecipe:
     """Seeded recipe for a stream of valid split embedding problems."""
@@ -184,7 +188,6 @@ class InstanceRecipe:
     size_h_choices: tuple[int, ...] = (1, 2, 3)
     action_mode: str = "random"  # "trivial" | "inversion" | "random"
     genus_rule: str = "exact"    # "exact" | "slack"
-    max_order_a: int = 16
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,7 @@ def generate_instances(
     a failing one."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    ks, hs, cap = recipe.size_k_choices, recipe.size_h_choices, recipe.max_order_a
+    ks, hs = recipe.size_k_choices, recipe.size_h_choices
     for option, choices in (("size-k", ks), ("size-h", hs)):
         bad = next((c for c in choices if c < 1), None)
         if bad is not None:
@@ -307,10 +310,11 @@ def generate_instances(
             f"automorphisms of K by brute force up to order 8; use --action "
             f"trivial or inversion"
         )
-    if not any(k * h <= cap for k in ks for h in hs):
+    if not any(k * h <= MAX_ORDER_A for k in ks for h in hs):
         # the draw below would never stop
         raise ValueError(
-            f"no size choice has |K||H| <= {cap}: |K| in {list(ks)}, |H| in {list(hs)}"
+            f"no size choice has |K||H| <= {MAX_ORDER_A}: |K| in {list(ks)}, "
+            f"|H| in {list(hs)}"
         )
     rng = random.Random(recipe.seed)
     out = []
@@ -318,7 +322,7 @@ def generate_instances(
         while True:
             size_k = rng.choice(recipe.size_k_choices)
             size_h = rng.choice(recipe.size_h_choices)
-            if size_k * size_h <= recipe.max_order_a:
+            if size_k * size_h <= MAX_ORDER_A:
                 break
         k_group = _group_of_order(size_k, rng)
         h_group = _group_of_order(size_h, rng)

@@ -35,7 +35,7 @@ from .groups import (
     group_from_permutations,
     make_group,
 )
-from .errors import RelationViolated
+from .errors import InvalidAction, NotASubgroup, RelationViolated
 from .surface import SurfaceTuple, make_surface_tuple
 
 # v5 writes the move program as the beta_bar value pair moved and m, and
@@ -178,23 +178,23 @@ def _images(obj: dict, path: str, what: str) -> tuple[tuple[int, ...], ...]:
                  for k in "xy")
 
 
+@contextmanager
+def _naming(path: str, what: str):
+    """Prefix an error raised while the value read from field path is built
+    with the field's name: "<what> <path>: <error>"."""
+    try:
+        yield
+    except (InvalidAction, NotASubgroup, RelationViolated, ValueError) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
 def _surface_tuple(
     group: FiniteGroup, images: tuple[tuple[int, ...], ...], path: str, what: str
 ) -> SurfaceTuple:
     """make_surface_tuple on the images read from field path: the one place
-    a tuple from input has its relation checked, every error naming the
-    field."""
-    try:
+    a tuple from input has its relation checked."""
+    with _naming(path, what):
         return make_surface_tuple(group, *images)
-    except (RelationViolated, ValueError) as exc:
-        raise ValueError(f"{what} {path}: {exc}") from None
-
-
-def _action(obj: dict) -> list[tuple[int, ...]]:
-    return [
-        _ints(p, f"action[{i}]", _PROBLEM)
-        for i, p in enumerate(_get(obj, "action", list, _PROBLEM))
-    ]
 
 
 def problem_from_json(
@@ -205,7 +205,12 @@ def problem_from_json(
     genus explicit, built from the values read.  Each field is read once."""
     k_group = _resolve_group(_get(obj, "K", what=_PROBLEM), groups, "K", _PROBLEM)
     h_group = _resolve_group(_get(obj, "H", what=_PROBLEM), groups, "H", _PROBLEM)
-    action = ActionSpec(h_group, k_group, tuple(_action(obj)))
+    perms = tuple(
+        _ints(p, f"action[{i}]", _PROBLEM)
+        for i, p in enumerate(_get(obj, "action", list, _PROBLEM))
+    )
+    with _naming("action", _PROBLEM):
+        action = ActionSpec(h_group, k_group, perms)
     beta = _images(obj, "beta_bar", _PROBLEM)
     genus = _typed(obj.get("genus"), (int, type(None)), "genus", _PROBLEM)
     beta_bar = _surface_tuple(h_group, beta, "beta_bar", _PROBLEM)
@@ -224,11 +229,10 @@ def problem_from_json(
     q_group = _resolve_group(_get(rel, "Q", what=_RELATIVE), groups, "Q", _RELATIVE)
     nu = _images(rel, "nu", _RELATIVE)
     members = sorted(set(_ints(_get(rel, "S", what=_RELATIVE), "S", _RELATIVE)))
-    relative = SubgroupSpec(
-        q_group,
-        _surface_tuple(q_group, nu, "nu", _RELATIVE),
-        SubgroupHandle(q_group, tuple(members)),
-    )
+    nu_tuple = _surface_tuple(q_group, nu, "nu", _RELATIVE)
+    with _naming("S", _RELATIVE):
+        s_handle = SubgroupHandle(q_group, tuple(members))
+    relative = SubgroupSpec(q_group, nu_tuple, s_handle)
     resolved["relative"] = {
         "Q": group_to_json(q_group),
         "nu": dict(zip("xy", map(list, nu))),
@@ -527,9 +531,9 @@ def workspace_to_json(instances) -> dict:
         ep = inst.ep
         obj: dict[str, Any] = {
             "genus": ep.genus,
-            "K": group_to_json(ep.kernel_subgroup.as_group()[0]),
+            "K": group_to_json(ep.sd.embed_k.domain),
             "H": group_to_json(ep.B),
-            "action": _action_from_ep(ep),
+            "action": [list(p) for p in ep.sd.action.perms],
             "beta_bar": {"x": list(ep.beta_bar.ximg), "y": list(ep.beta_bar.yimg)},
         }
         if inst.relative is not None:
@@ -544,19 +548,3 @@ def workspace_to_json(instances) -> dict:
             obj["relative_valid"] = inst.relative_valid
         problems[inst.name] = obj
     return {"problems": problems}
-
-
-def _action_from_ep(ep: SplitEP) -> list[list[int]]:
-    """Recover the action of B on Ker(alpha) from the split structure:
-    conjugation by the section values, read in kernel coordinates."""
-    kgrp, incl = ep.kernel_subgroup.as_group()
-    pos = {a: i for i, a in enumerate(ep.kernel_subgroup.members)}
-    perms = []
-    for b in ep.B.elements():
-        c = ep.gamma.map[b]
-        perm = [
-            pos[ep.A.product(c, incl.map[k], ep.A.inv[c])]
-            for k in kgrp.elements()
-        ]
-        perms.append(perm)
-    return perms

@@ -41,8 +41,8 @@ from .embedding import (
     SolutionCertificate,
     SplitEP,
     SubgroupSpec,
-    _first_incompatible,
     image_of_restriction,
+    make_split_ep,
     verify_solution,
 )
 from .surface import (
@@ -64,13 +64,14 @@ def make_eta_params(
     """n, m and kgens of the move program; _move_program adds pair and
     selected from the pigeonhole.  n = |A|: for any phi with alpha o phi =
     beta_bar, K phi(Gamma) = alpha^-1(B) = A because beta_bar is onto B.
-    kgens is the greedy generating tuple of Ker(alpha): each generator is
-    the smallest kernel member not yet reached, so s <= log2 |Ker(alpha)|.
-    phi is not read, since none of these depends on it; the parameter
-    stays because perfbench/tracing.py's staged replay passes gamma o
-    beta_bar."""
-    kgrp, incl = ep.kernel_subgroup.as_group()
-    kgens = tuple(incl.map[k] for k in _greedy_generators(kgrp.mul, kgrp.identity))
+    kgens is K's greedy generating tuple mapped into A by the increasing
+    embed_k: each generator is the smallest kernel member not yet reached,
+    so s <= log2 |Ker(alpha)|.  phi is not read, since none of these
+    depends on it; the parameter stays because perfbench/tracing.py's
+    staged replay passes gamma o beta_bar."""
+    embed = ep.sd.embed_k
+    gens = _greedy_generators(embed.domain.mul, embed.domain.identity)
+    kgens = tuple(embed.map[k] for k in gens)
     # |B| divides |A|, since alpha is onto B
     return EtaSummary(None, ep.A.order, 2 * ep.A.order ** 2 // ep.B.order, kgens)
 
@@ -83,15 +84,16 @@ def eta_construct(
 ) -> SurfaceTuple:
     """Redistribute the kernel generators over the first s blocks.
 
-    Needs phi constant on x_1..x_{sn+s} and y_1..y_{sn+s}, compatible with
-    ep.beta_bar (all on the same basis), and, in the relative case, both
-    x_1^-1 x_i and x_i x_1^-1 inside N for 2 <= i <= sn+s.  Returns the
-    modified tuple with x_{in+j+1} set to phi(x_1) * k_{i+1}; the per-block
-    power identities are asserted on the way out.  The relation is not
-    checked here: block i is n equal pairs, so it contributes c^n for its
+    Needs phi constant on x_1..x_{sn+s} and y_1..y_{sn+s} and, in the
+    relative case, both x_1^-1 x_i and x_i x_1^-1 inside N for
+    2 <= i <= sn+s.  Returns the modified tuple with x_{in+j+1} set to
+    phi(x_1) * k_{i+1}; the per-block power identities are asserted on the
+    way out.  Neither the relation nor compatibility is checked, and ep is
+    not read.  Block i is n equal pairs, so it contributes c^n for its
     commutator c before the change and after it, and both powers are
-    trivial; the pipeline checks the result, relation included, with
-    _phi_checks.
+    trivial.  The result differs from phi only by kernel factors, so alpha
+    o result = alpha o phi = beta_bar for the pipeline's phi = gamma o
+    beta_bar_n; _phi_checks checks the result anyway.
     """
     s, n = params.s, params.n
     g = phi.genus
@@ -102,9 +104,6 @@ def eta_construct(
     for i in range(1, span):
         if phi.ximg[i] != x1 or phi.yimg[i] != y1:
             raise HypothesisViolated("equal_images", i + 1)
-    bad = _first_incompatible(ep, phi.ximg, phi.yimg)
-    if bad is not None:
-        raise HypothesisViolated("not_a_solution", bad)
     if relative is not None:
         bad = _first_leaving(relative, span)
         if bad is not None:
@@ -220,16 +219,15 @@ def _positions(beta_bar: SurfaceTuple, pair: tuple[int, int]) -> list[int]:
 
 
 def _replay(
-    ep: SplitEP, nspec: Optional[SubgroupSpec], pair: tuple[int, int], m: int
-) -> tuple[SplitEP, Optional[SubgroupSpec], tuple[int, ...]]:
+    ep: SplitEP, nspec: Optional[SubgroupSpec], selected: Sequence[int]
+) -> tuple[SplitEP, Optional[SubgroupSpec]]:
     """ep and nspec with beta_bar and nu replayed through the move program
-    (pair, m), i.e. read on the certificate basis, and the positions moved:
-    the first m whose beta_bar pair is pair.  No basis word is built."""
-    selected = tuple(_positions(ep.beta_bar, pair)[:m])
+    that takes the positions selected to the front, i.e. read on the
+    certificate basis.  No basis word is built."""
     channels = [ep.beta_bar] + ([nspec.nu] if nspec is not None else [])
     state = normalize_to_front(initial_basis_state(channels), selected)
     rel_n = nspec.with_nu(state.channel_tuple(1)) if nspec is not None else None
-    return ep.with_beta_bar(state.channel_tuple(0)), rel_n, selected
+    return ep.with_beta_bar(state.channel_tuple(0)), rel_n
 
 
 def _phi_checks(
@@ -268,7 +266,7 @@ def _solve_pipeline(
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)
 
     eta = _move_program(ep)
-    ep_n, rel_n, _ = _replay(ep, nspec, eta.pair, eta.m)
+    ep_n, rel_n = _replay(ep, nspec, eta.selected)
     phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
     if rel_n is not None:
         offending = _first_leaving(rel_n, eta.m)
@@ -301,17 +299,22 @@ def solve_relative(ep: SplitEP, nspec: SubgroupSpec) -> SolutionCertificate:
     return _solve_pipeline(ep, nspec)
 
 
-def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
+def _eta_check(
+    ep: SplitEP, eta: Optional[EtaSummary]
+) -> tuple[CheckRecord, Optional[EtaSummary]]:
     """The recorded move program checked against the problem, not searched
     for: n = |A|, m = 2|A|^2/|B|, kgens inside Ker(alpha) and generating it
     with s(n + 1) <= m, and pair a value pair of B that occurs at least m
     times among beta_bar's pairs, so that the program can be replayed.  Any
-    such program will do, not only the one the solver picks."""
+    such program will do, not only the one the solver picks.  Returns the
+    check and eta with selected filled in: the first m positions whose
+    beta_bar pair is pair."""
     if eta is None:
-        return CheckRecord("eta_program", False, "no move program recorded")
+        return CheckRecord("eta_program", False, "no move program recorded"), eta
     a, b, kernel = ep.A.order, ep.B.order, set(ep.kernel_subgroup.members)
     m = 2 * a * a // b
-    times = len(_positions(ep.beta_bar, eta.pair))
+    positions = _positions(ep.beta_bar, eta.pair)
+    times = len(positions)
     generates = kernel.issuperset(eta.kgens) and (
         subgroup_closure(ep.A, eta.kgens).order == len(kernel)
     )
@@ -324,7 +327,9 @@ def _eta_check(ep: SplitEP, eta: Optional[EtaSummary]) -> CheckRecord:
         (not all(0 <= v < b for v in eta.pair), f"pair {eta.pair} is not in B x B"),
         (times < m, f"{occurs}, fewer than m = {m}"),
     ) if bad), None)
-    return CheckRecord("eta_program", failed is None, failed or f"{occurs}, m = {m}")
+    check = CheckRecord("eta_program", failed is None, failed or f"{occurs}, m = {m}")
+    selected = tuple(positions[:m]) if failed is None else ()
+    return check, replace(eta, selected=selected)
 
 
 def reverify_certificate(
@@ -349,11 +354,10 @@ def reverify_certificate(
     """
     if nspec is not None and nspec.genus != ep.genus:
         raise GenusMismatch(ep.genus, nspec.genus)
-    checks = [_eta_check(ep, cert.eta)]
-    eta = cert.eta
-    if checks[0].passed:
-        ep_n, rel_n, selected = _replay(ep, nspec, eta.pair, eta.m)
-        eta = replace(eta, selected=selected)
+    check, eta = _eta_check(ep, cert.eta)
+    checks = [check]
+    if check.passed:
+        ep_n, rel_n = _replay(ep, nspec, eta.selected)
 
     if cert.outcome == "not_reduced":
         if nspec is None:
@@ -443,15 +447,7 @@ def solve_free_product(
         [pos[a] for a in beta_surface.ximg],
         [pos[a] for a in beta_surface.yimg],
     )
-    sd0 = semidirect_product(k_group, h0_group, action0)
-    ep0 = SplitEP(
-        A=sd0.group,
-        B=h0_group,
-        alpha=sd0.alpha,
-        gamma=sd0.gamma,
-        beta_bar=beta0,
-        genus=genus,
-    )
+    ep0 = make_split_ep(k_group, h0_group, action0, beta0)
     surface_cert = solve_gamma_level(ep0)
 
     sd = semidirect_product(k_group, h_group, action)

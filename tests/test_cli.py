@@ -221,7 +221,7 @@ class TestVerifyOutOfRangePhi:
 
 class TestProblemFieldTypes:
     """Workspace integers are plain ints: a float, string or bool anywhere in
-    a problem, or an S member outside Q, is refused with a named error."""
+    a problem is refused with a named error."""
 
     @pytest.mark.parametrize(
         "path,value,message",
@@ -235,7 +235,6 @@ class TestProblemFieldTypes:
             (("genus",), "8", "problem field genus must be"),
             (("relative", "nu", "y", 0), 1.0, "relative field nu.y[0] must be"),
             (("relative", "S", 0), True, "relative field S[0] must be"),
-            (("relative", "S"), [0, 99], "member set is not a subgroup: members"),
         ],
     )
     def test_solve_names_the_field(self, tmp_path, path, value, message):
@@ -252,6 +251,61 @@ class TestProblemFieldTypes:
         assert "Traceback" not in proc.stderr
         assert f"error: {message}" in proc.stderr
         assert proc.stdout == ""
+
+
+def c3_problem():
+    """K = C3 with H = C2 acting by inversion, genus 1, and the relative
+    Q = C3, nu = 1, S = Q: a problem every field of which is valid."""
+    c3 = {"order": 3, "table": [[(a + b) % 3 for b in range(3)] for a in range(3)]}
+    return {
+        "K": c3,
+        "H": {"order": 2, "table": [[0, 1], [1, 0]]},
+        "action": [[0, 1, 2], [0, 2, 1]],
+        "beta_bar": {"x": [1], "y": [0]},
+        "relative": {"Q": c3, "nu": {"x": [0], "y": [0]}, "S": [0, 1, 2]},
+    }
+
+
+class TestActionAndSubgroupRefusals:
+    """An action that is not one of H on K by automorphisms, or an S that is
+    not a subgroup of Q, is refused with one error line naming the field."""
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            pytest.param("action", [[0, 1, 2]],
+                         "invalid group action: need one permutation per "
+                         "acting element", id="action_count"),
+            pytest.param("action", [[0, 1, 2], [0, 0, 2]],
+                         "invalid group action: entry 1 is not a permutation",
+                         id="action_not_a_permutation"),
+            pytest.param("action", [[0, 1, 2], [1, 0, 2]],
+                         "invalid group action: entry 1 is not an automorphism "
+                         "(pair (0, 0))", id="action_not_an_automorphism"),
+            pytest.param("action", [[0, 2, 1], [0, 1, 2]],
+                         "invalid group action: identity must act trivially",
+                         id="action_identity_moves"),
+            pytest.param("S", [0, 1],
+                         "member set is not a subgroup: inverse of 1 missing",
+                         id="S_not_closed"),
+            pytest.param("S", [0, 99],
+                         "member set is not a subgroup: members must be "
+                         "elements of the parent", id="S_out_of_range"),
+            pytest.param("S", [1, 2],
+                         "member set is not a subgroup: identity missing",
+                         id="S_no_identity"),
+        ],
+    )
+    def test_solve_names_the_field(self, tmp_path, capsys, field, value, message):
+        problem = c3_problem()
+        what = "relative field" if field == "S" else "problem field"
+        (problem["relative"] if field == "S" else problem)[field] = value
+        ws = tmp_path / "ws.json"
+        ws.write_text(canonical_json({"problems": {"p": problem}}))
+        assert main(["solve", str(ws), "p"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {what} {field}: {message}"]
 
 
 def problem_edit(path, value):

@@ -36,6 +36,13 @@ class TestSplitEP:
         with pytest.raises(GenusMismatch):
             s.make_split_ep(c2, c2, action, beta, genus=3)
 
+    def test_with_beta_bar_checks_nothing_again(self, v4_instance):
+        # make_split_ep checked beta_bar once; a tuple read on another basis
+        # is taken as given, even one that is not onto B
+        constant = s.make_surface_tuple(v4_instance.B, [0, 0], [0, 0])
+        ep = v4_instance.with_beta_bar(constant)
+        assert ep.beta_bar is constant and ep.genus == 2 and ep.A is v4_instance.A
+
     def test_nontrivial_action(self, cat):
         c3, c2 = cat["C3"], cat["C2"]
         beta = s.make_surface_tuple(c2, [1, 0], [0, 0])
