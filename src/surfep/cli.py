@@ -63,10 +63,14 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    _emit(
-        canonical_json(certificate_to_json(cert, args.problem, content_hash)),
-        args.out,
-    )
+    try:
+        _emit(
+            canonical_json(certificate_to_json(cert, args.problem, content_hash)),
+            args.out,
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if cert.outcome == "not_reduced":
         print(
             f"not reduced: membership fails at basis position "
@@ -176,64 +180,110 @@ def cmd_gen(args) -> int:
     except (SurfepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(canonical_json(workspace_to_json(instances)), args.out)
+    try:
+        _emit(canonical_json(workspace_to_json(instances)), args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, argument specs, handler), in the order help lists them;
+# each spec is the (name, kwargs) of one add_argument call.  Defaults and
+# choices are tuples, since every parser built from the table shares them.
+COMMANDS = {
+    "solve": (
+        "solve a problem from a workspace file",
+        [
+            ("file", {"help": "workspace JSON file"}),
+            ("problem", {"help": "problem name inside the workspace"}),
+            ("--out", {"help": "certificate output path (default stdout)"}),
+        ],
+        cmd_solve,
+    ),
+    "verify": (
+        "re-check a certificate against its instance",
+        [
+            ("certificate", {"help": "certificate JSON file"}),
+            ("instance", {"help": "workspace JSON file"}),
+        ],
+        cmd_verify,
+    ),
+    "plan": (
+        "open-subgroup extension arithmetic",
+        [
+            ("--genus", {"type": int, "required": True}),
+            ("--K", {"type": int, "required": True, "help": "kernel order"}),
+            ("--H", {"type": int, "required": True, "help": "quotient order"}),
+        ],
+        cmd_plan,
+    ),
+    "genus": (
+        "genus of an open subgroup",
+        [
+            ("--genus", {"type": int, "required": True}),
+            ("--index", {"type": int, "required": True}),
+        ],
+        cmd_genus,
+    ),
+    "count": (
+        "count surface tuples by enumeration",
+        [
+            ("--group", {"required": True}),
+            ("--genus", {"type": int, "required": True}),
+            ("--file", {"help": "workspace providing extra named groups"}),
+            ("--budget", {"type": int, "default": 10**8}),
+        ],
+        cmd_count,
+    ),
+    "gen": (
+        "generate a workspace of random instances",
+        [
+            ("--seed", {"type": int, "default": 0}),
+            ("--count", {"type": int, "default": 10}),
+            ("--size-k", {"type": int, "nargs": "+", "default": (2, 3, 4)}),
+            ("--size-h", {"type": int, "nargs": "+", "default": (1, 2, 3)}),
+            (
+                "--action",
+                {"choices": ("trivial", "inversion", "random"), "default": "random"},
+            ),
+            ("--genus-rule", {"choices": ("exact", "slack"), "default": "exact"}),
+            ("--out", {"help": "output path (default stdout)"}),
+        ],
+        cmd_gen,
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``surfep`` parser: only ``command``'s subparser when it names one
+    in COMMANDS, every subparser otherwise (no name, or an unknown one)."""
     parser = argparse.ArgumentParser(
         prog="surfep",
         description="Solve and verify finite split embedding problems over "
         "surface groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve a problem from a workspace file")
-    p.add_argument("file", help="workspace JSON file")
-    p.add_argument("problem", help="problem name inside the workspace")
-    p.add_argument("--out", help="certificate output path (default stdout)")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify", help="re-check a certificate against its instance")
-    p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("instance", help="workspace JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("plan", help="open-subgroup extension arithmetic")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--K", type=int, required=True, help="kernel order")
-    p.add_argument("--H", type=int, required=True, help="quotient order")
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("genus", help="genus of an open subgroup")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.set_defaults(func=cmd_genus)
-
-    p = sub.add_parser("count", help="count surface tuples by enumeration")
-    p.add_argument("--group", required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--file", help="workspace providing extra named groups")
-    p.add_argument("--budget", type=int, default=10**8)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("gen", help="generate a workspace of random instances")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--size-k", type=int, nargs="+", default=[2, 3, 4])
-    p.add_argument("--size-h", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument(
-        "--action", choices=["trivial", "inversion", "random"], default="random"
-    )
-    p.add_argument("--genus-rule", choices=["exact", "slack"], default="exact")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_gen)
-
+    if command in COMMANDS:
+        # a top-level error's usage line lists every command, as in the full
+        # parser; only here, since a metavar also renames `command` in the
+        # error for a missing command
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, specs, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in specs:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

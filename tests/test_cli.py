@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -437,6 +438,28 @@ class TestNonPositiveSizes:
         assert main(["gen", "--count", "1", *argv, "--out", str(ws)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not ws.exists()
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written is an error naming the path,
+    with exit 1, like a file that cannot be read."""
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", ["solve", "gen"])
+    def test_named_path(self, tmp_path, capsys, command, target):
+        out = tmp_path / "no" / "c.json" if target == "missing_dir" else tmp_path
+        argv = ["gen", "--count", "1", "--out", str(out)]
+        if command == "solve":
+            ws = str(tmp_path / "gen.json")
+            main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+            capsys.readouterr()
+            argv = ["solve", ws, "ep000", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(out) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def s3_inversion_workspace(tmp_path, name, edit=None):
@@ -1168,3 +1191,69 @@ class TestEntryPoint:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+# argv whose parse ends the call: help, usage errors and bad values
+PARSE_EXITS = [
+    ["--help"], ["-h", "solve"], ["solve", "--help"], ["solve", "-h"],
+    ["gen", "--help"], ["plan", "--help"], ["verify", "-h"], ["count", "-h"],
+    ["genus", "-h"], [], ["solv"], ["solve"], ["solve", "a", "b", "c"],
+    ["solve", "--out"], ["gen", "--action", "bad"], ["gen", "--size-k"],
+    ["verify", "a"], ["verify", "a", "b", "c", "d"], ["count", "--group", "C2"],
+    ["genus", "--genus", "x", "--index", "2"], ["plan", "--genus", "3", "--K", "2"],
+    ["--version"],
+]
+
+
+def argv_id(argv):
+    return " ".join(argv) or "(none)"
+
+
+def parse_exit(parse, argv, capsys):
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParserPerCommand:
+    """main builds only the subparser its argv names, and answers every argv
+    as the parser with every command does."""
+
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=argv_id)
+    def test_same_output_as_every_command(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = parse_exit(cli.build_parser().parse_args, argv, capsys)
+        assert parse_exit(main, argv, capsys) == full
+
+    def test_usage_errors_read_as_before(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert parse_exit(main, [], capsys) == (2, "", (
+            "usage: surfep [-h] {solve,verify,plan,genus,count,gen} ...\n"
+            "surfep: error: the following arguments are required: command\n"
+        ))
+        assert parse_exit(main, ["solve", "a", "b", "c"], capsys) == (2, "", (
+            "usage: surfep [-h] {solve,verify,plan,genus,count,gen} ...\n"
+            "surfep: error: unrecognized arguments: c\n"
+        ))
+
+    @pytest.mark.parametrize(
+        "argv,added",
+        [([name, "--help"], [name]) for name in sorted(SUBCOMMANDS)]
+        + [(argv, ["solve", "verify", "plan", "genus", "count", "gen"])
+           for argv in (["--help"], ["solv"])],
+        ids=argv_id,
+    )
+    def test_adds_only_the_named_subparser(self, monkeypatch, capsys, argv, added):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        parse_exit(main, argv, capsys)
+        assert names == added
