@@ -60,12 +60,23 @@ from .solver import (
     solve_gamma_level,
     solve_relative,
 )
-from .oracle import (
-    InstanceRecipe,
-    enumerate_surface_tuples,
-    generate_instances,
-    random_surface_tuple,
-    reference_minimal_generators,
-)
 
 __version__ = "0.1.0"
+
+# the oracle draws and counts instances; solve and verify never run it, so
+# it is imported when one of these is first read (PEP 562)
+_ORACLE = (
+    "InstanceRecipe",
+    "enumerate_surface_tuples",
+    "generate_instances",
+    "random_surface_tuple",
+    "reference_minimal_generators",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import oracle, solver
+from . import solver
 from .errors import (
     BetaNRestrictionNotSurjective,
     GenusTooSmall,
@@ -146,6 +146,8 @@ def cmd_genus(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import oracle
+
     try:
         if args.file is not None:
             ws = load_workspace(args.file)
@@ -168,6 +170,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import oracle
+
     try:
         recipe = oracle.InstanceRecipe(
             seed=args.seed,

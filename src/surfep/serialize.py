@@ -1,7 +1,10 @@
 """JSON interchange for groups, problems, workspaces, and certificates.
 
-Every file surfep writes is canonical_json (sorted keys, indent=2, trailing
-newline), so identical inputs give byte-identical outputs.  The instance
+Every file surfep writes is canonical_json: the bytes of json.dumps with
+sorted keys and indent=2, and a trailing newline, so identical inputs give
+byte-identical outputs.  A writer here produces them, emitting each list of
+integers with one join instead of the item-by-item pure-Python encoder
+that json.dumps falls back to for indent.  The instance
 hash is over the compact encoding instead (sorted keys, "," and ":"
 separators), which equals RFC 8785 on the documents surfep writes: integers,
 booleans, null and ASCII strings.  Every field read is type-checked, and a
@@ -44,8 +47,57 @@ from .surface import SurfaceTuple, make_surface_tuple
 CERTIFICATE_FORMAT = "surfep-certificate-v5"
 
 
+_STRING_JSON = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for
+    byte; a list of plain ints is written with one join, not item by item
+    as the pure-Python encoder that indent needs does."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _key(key: Any) -> str:
+    """A member name as json.dumps writes it, before it is quoted."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bools are ints
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _write(obj: Any, nl: str, out: list[str]) -> None:
+    """Append obj's JSON to out; nl is the line break and indent obj sits at."""
+    if isinstance(obj, str):
+        out.append(_STRING_JSON(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        if set(map(type, obj)) == {int}:  # no bool, which is written true/false
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)))
+        else:
+            opening = "[" + inner
+            for value in obj:
+                out.append(opening)
+                _write(value, inner, out)
+                opening = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        opening = "{" + inner
+        for key in sorted(obj):
+            out.append(opening + _STRING_JSON(_key(key)) + ": ")
+            _write(obj[key], inner, out)
+            opening = "," + inner
+        out.append(nl + "}")
+    else:  # an empty list or object, a bool, None or a float
+        out.append(json.dumps(obj))
 
 
 def instance_hash(resolved_problem: dict) -> str:
@@ -154,6 +206,11 @@ def group_from_json(obj: Any, path: str = "group") -> FiniteGroup:
     if order is not None and order != group.order:
         raise ValueError(
             f"declared order {order} but the group has order {group.order}"
+        )
+    if labels is not None and len(labels) != group.order:
+        raise ValueError(
+            f"{_GROUP} {path}.labels must hold {group.order} labels, one per "
+            f"element, got {len(labels)}"
         )
     return group
 

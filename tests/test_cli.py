@@ -344,10 +344,22 @@ class TestWorkspaceStructure:
              "group field K.table[1] must be a list"),
             (problem_edit(("K",), {"permutations": [[1, 0.0]]}),
              "group field K.permutations[0][1] must be an integer"),
+            (problem_edit(("K",), {"table": [[0, 1], [1, 0]], "labels": ["a"]}),
+             "group field K.labels must hold 2 labels, one per element, got 1"),
+            (problem_edit(("K",), {"table": [[0, 1], [1, 0]],
+                                   "labels": ["e", "a", "b"]}),
+             "group field K.labels must hold 2 labels, one per element, got 3"),
+            (problem_edit(("K",), {"permutations": [[1, 0]], "labels": ["a"]}),
+             "group field K.labels must hold 2 labels, one per element, got 1"),
+            (problem_edit(("K",), {"permutations": [[1, 0]],
+                                   "labels": ["e", "a", "b"]}),
+             "group field K.labels must hold 2 labels, one per element, got 3"),
         ],
         ids=["top_level_list", "groups_list", "problems_list", "problem_list",
              "K_int", "labels_int", "flat_order_string", "mixed_table",
-             "row_not_a_list", "float_permutation"],
+             "row_not_a_list", "float_permutation", "table_labels_too_few",
+             "table_labels_too_many", "permutation_labels_too_few",
+             "permutation_labels_too_many"],
     )
     def test_solve_names_the_field(self, tmp_path, edit, message):
         ws = str(tmp_path / "gen.json")
@@ -950,21 +962,24 @@ class TestWordFreeHotPath:
 class TestPlanGenusCount:
     def test_plan_output(self, capsys):
         assert main(["plan", "--genus", "2", "--K", "2", "--H", "2"]) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert obj == {"m": 16, "required_index": 79, "h": 80}
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"m": 16, "required_index": 79, "h": 80}
+        assert out == '{\n  "h": 80,\n  "m": 16,\n  "required_index": 79\n}\n'
 
     def test_plan_bad_genus(self, capsys):
         assert main(["plan", "--genus", "1", "--K", "2", "--H", "2"]) == 1
 
     def test_genus_output(self, capsys):
         assert main(["genus", "--genus", "2", "--index", "3"]) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert obj == {"genus": 2, "index": 3, "result": 4}
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"genus": 2, "index": 3, "result": 4}
+        assert out == '{\n  "genus": 2,\n  "index": 3,\n  "result": 4\n}\n'
 
     def test_count_catalog_group(self, capsys):
         assert main(["count", "--group", "S3", "--genus", "1"]) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert obj == {"group": "S3", "genus": 1, "count": 18}
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"group": "S3", "genus": 1, "count": 18}
+        assert out == '{\n  "count": 18,\n  "genus": 1,\n  "group": "S3"\n}\n'
 
     def test_count_budget(self, capsys):
         rc = main(["count", "--group", "S3", "--genus", "5", "--budget", "100"])
@@ -1186,11 +1201,15 @@ class TestEntryPoint:
 
     def test_cli_imports_no_numpy(self):
         # surfep has no third-party runtime dependency; every CLI start
-        # pays for what `import surfep.cli` loads
-        code = "import sys, surfep.cli; print('numpy' in sys.modules)"
+        # pays for what `import surfep.cli` loads, and only gen and count
+        # draw instances with the oracle
+        code = (
+            "import sys, surfep.cli; "
+            "print('numpy' in sys.modules, 'surfep.oracle' in sys.modules)"
+        )
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"
 
 
 # argv whose parse ends the call: help, usage errors and bad values

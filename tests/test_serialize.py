@@ -25,6 +25,34 @@ from surfep.serialize import (
 )
 
 
+# JSON text that could mislead an outline read from quotes and braces
+_NAMES = st.text(alphabet='ab{}[]":,\\ \n\u00e9\u2603', max_size=5)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+# integer lists and rows of them, most of what surfep writes: empty, one
+# item, negative and big ints, and a bool among the ints now and then
+_INTS = st.integers() | st.integers(-3, 3)
+_INT_LISTS = (
+    st.lists(_INTS, max_size=6)
+    | st.lists(_INTS | st.booleans(), max_size=6)
+    | st.lists(st.lists(_INTS, max_size=4), max_size=4)
+)
+_DOCUMENTS = st.recursive(
+    _VALUES | _INT_LISTS | st.floats(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_NAMES, inner, max_size=3)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_trailing_newline(self):
         text = canonical_json({"b": 1, "a": 2})
@@ -33,6 +61,25 @@ class TestCanonicalJson:
 
     def test_byte_identical_for_equal_content(self):
         assert canonical_json({"x": [1, 2]}) == canonical_json({"x": [1, 2]})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(doc=_DOCUMENTS)
+    def test_writes_what_json_dumps_writes(self, doc):
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{None: 0}, {True: [1], False: [True, 1]}, {1.5: (), -2.0: {}},
+         {float("nan"): 0.1}, [10**30, -1, 0], "\u2603\n", ()],
+    )
+    def test_non_string_keys_and_scalars_as_json_dumps(self, doc):
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_unsupported_key_refused_as_json_dumps_refuses(self):
+        with pytest.raises(TypeError):
+            json.dumps({(1,): 0}, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            canonical_json({(1,): 0})
 
     def test_hash_is_stable(self):
         obj = {"genus": 2, "K": {"order": 1, "table": [[0]]}}
@@ -277,16 +324,6 @@ class TestCertificateJson:
             bad["relative"][key] = value
             with pytest.raises(ValueError, match="certificate field relative"):
                 certificate_from_json(bad)
-
-
-# JSON text that could mislead an outline read from quotes and braces
-_NAMES = st.text(alphabet='ab{}[]":,\\ \n\u00e9\u2603', max_size=5)
-_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | _NAMES,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(_NAMES, inner, max_size=3),
-    max_leaves=10,
-)
 
 
 class TestWorkspace:
