@@ -19,6 +19,7 @@ from .errors import (
     BetaNotSurjective,
     GenusMismatch,
     NotASolution,
+    TargetMismatch,
 )
 from .groups import (
     ActionSpec,
@@ -88,12 +89,15 @@ def make_split_ep(
     genus: Optional[int] = None,
 ) -> SplitEP:
     """Build A = K x| H with its canonical projection and section, and check
-    beta_bar once: GenusMismatch unless it maps into H with the given genus,
-    then BetaNotSurjective unless it is onto H."""
+    beta_bar once: TargetMismatch unless it maps into H, GenusMismatch
+    unless it has the given genus, then BetaNotSurjective unless it is onto
+    H."""
     sd = semidirect_product(k_group, h_group, action)
     if genus is None:
         genus = beta_bar.genus
-    if beta_bar.target != h_group or beta_bar.genus != genus:
+    if beta_bar.target != h_group:
+        raise TargetMismatch("beta_bar", h_group.order, beta_bar.target.order)
+    if beta_bar.genus != genus:
         raise GenusMismatch(genus, beta_bar.genus)
     if tuple_image(beta_bar).order != h_group.order:
         raise BetaNotSurjective()
@@ -237,21 +241,17 @@ class EtaSummary:
         return len(self.kgens)
 
 
-# (1-based basis position, value) pairs, positions strictly increasing
-Overrides = tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True)
 class SolutionCertificate:
     """A claimed solution plus everything needed to re-check it from scratch.
 
     The candidate images and the reference map are expressed on the
     certificate basis: the original basis after the move program eta (the
-    original basis itself when eta is None).  phi_overrides (x, y) records
-    phi as the positions where it differs from gamma o beta_bar on that
-    basis; a certificate file holds it, eta and, for a "not_reduced" one,
-    relative.  phi_x / phi_y and eta.selected are empty on a parsed
-    certificate until reverify_certificate replays it.
+    original basis itself when eta is None).  A certificate file holds
+    outcome, eta and, for a "not_reduced" one, relative: phi follows from
+    the problem and eta (solver._phi_checks), so phi_x / phi_y and
+    eta.selected are empty on a parsed certificate until
+    reverify_certificate replays it.
     basis_x_words / basis_y_words spell the basis out as words in the
     original one, derived on first use; nothing on the solve or verify path
     needs them.  genus, is_solution and is_proper follow from phi and
@@ -265,7 +265,6 @@ class SolutionCertificate:
     eta: Optional[EtaSummary] = None
     witnesses: tuple[KernelWitness, ...] = ()
     relative: Optional[RelativeEvidence] = None
-    phi_overrides: Optional[tuple[Overrides, Overrides]] = None
 
     @property
     def genus(self) -> int:

@@ -88,6 +88,14 @@ class GenusMismatch(SurfepError):
         super().__init__(f"genus mismatch: expected {expected}, got {got}")
 
 
+class TargetMismatch(SurfepError):
+    def __init__(self, name: str, expected: int, got: int):
+        super().__init__(
+            f"{name} must map into H (order {expected}), not into a group of "
+            f"order {got}"
+        )
+
+
 # --- embedding problems and solver -----------------------------------------
 
 class BetaNotSurjective(SurfepError):

@@ -8,7 +8,8 @@ that json.dumps falls back to for indent.  The instance
 hash is over the compact encoding instead (sorted keys, "," and ":"
 separators), which equals RFC 8785 on the documents surfep writes: integers,
 booleans, null and ASCII strings.  Every field read is type-checked, and a
-malformed one is named in the error.
+malformed one is named in the error.  A certificate holds the move program
+and no phi, which reverification derives from it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Any, Optional
 
 from .embedding import (
     EtaSummary,
-    Overrides,
     RelativeEvidence,
     SolutionCertificate,
     SplitEP,
@@ -41,10 +41,10 @@ from .groups import (
 from .errors import InvalidAction, NotASubgroup, RelationViolated
 from .surface import SurfaceTuple, make_surface_tuple
 
-# v5 writes the move program as the beta_bar value pair moved and m, and
-# phi as its overrides of gamma o beta_bar on the certificate basis; older
-# formats are refused
-CERTIFICATE_FORMAT = "surfep-certificate-v5"
+# v6 writes the move program (the beta_bar value pair moved, m, n and the
+# kernel generators) and no phi, which verify derives from it; older formats
+# are refused
+CERTIFICATE_FORMAT = "surfep-certificate-v6"
 
 
 _STRING_JSON = json.encoder.encode_basestring_ascii
@@ -221,7 +221,7 @@ def _resolve_group(
     """A group spec is a name in groups or an inline group object."""
     if isinstance(_typed(spec, (str, dict), path, what), str):
         if spec not in groups:
-            raise ValueError(f"unknown group name {spec!r}")
+            raise ValueError(f"{what} {path}: unknown group name {spec!r}")
         return groups[spec]
     return group_from_json(spec, path)
 
@@ -467,12 +467,12 @@ def load_workspace(path: str) -> Workspace:
 
 # --- certificates -------------------------------------------------------------
 
-# the field each outcome adds to format, problem, instance_hash, outcome, eta
-_OUTCOME_FIELD = {
-    "proper": "phi",
-    "solution": "phi",
-    "invalid": "phi",
-    "not_reduced": "relative",
+# the fields each outcome adds to format, problem, instance_hash, outcome, eta
+_OUTCOME_FIELDS = {
+    "proper": (),
+    "solution": (),
+    "invalid": (),
+    "not_reduced": ("relative",),
 }
 
 
@@ -490,33 +490,7 @@ def certificate_to_json(
     }
     if cert.outcome == "not_reduced":
         obj["relative"] = {"offending_index": cert.relative.offending_index}
-    else:
-        obj["phi"] = {
-            key: [list(pair) for pair in pairs]
-            for key, pairs in zip("xy", cert.phi_overrides)
-        }
     return obj
-
-
-def _overrides(value: Any, path: str) -> Overrides:
-    """[[position, value], ...] with the positions strictly increasing from 1;
-    whether they lie within the genus is checked by reverification."""
-    pairs = []
-    last = 0
-    for k, pair in enumerate(_typed(value, list, path)):
-        item = f"{path}[{k}]"
-        if len(_typed(pair, list, item)) != 2:
-            raise ValueError(
-                f"certificate field {item} must be a [position, value] pair"
-            )
-        i, a = _ints(pair, item)
-        if i <= last:
-            raise ValueError(
-                f"certificate field {item}[0] must be greater than {last}, got {i}"
-            )
-        pairs.append((i, a))
-        last = i
-    return tuple(pairs)
 
 
 def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
@@ -535,9 +509,10 @@ def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
 
 def certificate_from_json(obj: Any) -> SolutionCertificate:
     """Parse a certificate, checking every field's JSON type and refusing any
-    field that verify does not read; values are checked by reverification,
-    not here.  phi comes back as its overrides only, and eta without the
-    positions it moves: both need the problem (reverify_certificate).
+    field that verify does not read, phi included; values are checked by
+    reverification, not here.  eta comes back without the positions it
+    moves and phi empty: both follow from the problem and eta
+    (reverify_certificate).
     """
     top = _typed(obj, dict, "(top level)")
     fmt = _get(top, "format", str)
@@ -547,13 +522,13 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
             f"re-run surfep solve to get one"
         )
     outcome = _get(top, "outcome", str)
-    if outcome not in _OUTCOME_FIELD:
+    if outcome not in _OUTCOME_FIELDS:
         raise ValueError(
             f"certificate field outcome must be one of "
-            f"{', '.join(_OUTCOME_FIELD)}, got {outcome!r}"
+            f"{', '.join(_OUTCOME_FIELDS)}, got {outcome!r}"
         )
     _fields(top, "", ("format", "problem", "instance_hash", "outcome", "eta",
-                      _OUTCOME_FIELD[outcome]), outcome)
+                      *_OUTCOME_FIELDS[outcome]), outcome)
     _get(top, "problem", str)
     _get(top, "instance_hash", str)
     e = _fields(_get(top, "eta"), "eta", ("pair", "n", "m", "kgens"), outcome)
@@ -562,18 +537,11 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
         raise ValueError("certificate field eta.pair must be a [value, value] pair")
     eta = EtaSummary(pair, _get(e, "eta.n", int), _get(e, "eta.m", int),
                      _ints(_get(e, "eta.kgens"), "eta.kgens"))
-    overrides = relative = None
+    relative = None
     if outcome == "not_reduced":
         r = _fields(_get(top, "relative"), "relative", ("offending_index",), outcome)
         relative = RelativeEvidence(_get(r, "relative.offending_index", int))
-    else:
-        phi = _fields(_get(top, "phi"), "phi", ("x", "y"), outcome)
-        overrides = tuple(
-            _overrides(_get(phi, f"phi.{k}"), f"phi.{k}") for k in "xy"
-        )
-    return SolutionCertificate(
-        (), (), outcome, eta=eta, relative=relative, phi_overrides=overrides
-    )
+    return SolutionCertificate((), (), outcome, eta=eta, relative=relative)
 
 
 # --- workspace emission -------------------------------------------------------

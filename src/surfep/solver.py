@@ -5,15 +5,16 @@ repeated image pair to the front of the basis by conjugation moves, then
 redistributes kernel generators over blocks of equal-image generators; the
 resulting map is surjective by the kernel-containment criterion and comes
 with a certificate that re-verifies from scratch.  The certificate records
-the move program as the value pair moved and how often; verify checks that
-program against the problem and replays it, without repeating the search.
+only the move program: the value pair moved, how often, and the kernel
+generators.  Verify checks that program against the problem, replays it
+without repeating the search, and derives phi from it by the eta rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress, count, repeat
-from operator import eq, ne
+from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
     GenusMismatch,
     GenusTooSmall,
     HypothesisViolated,
+    TargetMismatch,
 )
 from .groups import (
     ActionSpec,
@@ -36,7 +38,6 @@ from .embedding import (
     CheckRecord,
     EtaSummary,
     KernelWitness,
-    Overrides,
     RelativeEvidence,
     SolutionCertificate,
     SplitEP,
@@ -86,14 +87,16 @@ def eta_construct(
 
     Needs phi constant on x_1..x_{sn+s} and y_1..y_{sn+s} and, in the
     relative case, both x_1^-1 x_i and x_i x_1^-1 inside N for
-    2 <= i <= sn+s.  Returns the modified tuple with x_{in+j+1} set to
-    phi(x_1) * k_{i+1}; the per-block power identities are asserted on the
-    way out.  Neither the relation nor compatibility is checked, and ep is
-    not read.  Block i is n equal pairs, so it contributes c^n for its
-    commutator c before the change and after it, and both powers are
-    trivial.  The result differs from phi only by kernel factors, so alpha
-    o result = alpha o phi = beta_bar for the pipeline's phi = gamma o
-    beta_bar_n; _phi_checks checks the result anyway.
+    2 <= i <= sn+s.  Returns phi with the eta rule applied (_eta_rule); the
+    per-block power identities are asserted on the way out.  Neither the
+    relation nor compatibility is checked, and ep is not read.  Block i is
+    n equal pairs, so it contributes c^n for its commutator c before the
+    change and after it, and both powers are trivial.  The result differs
+    from phi only by kernel factors, so alpha o result = alpha o phi =
+    beta_bar for phi = gamma o beta_bar_n.  Solve and verify derive the same
+    tuple in _phi_checks, which needs none of these guards: the replay
+    makes gamma o beta_bar_n constant on the first m positions, and
+    eta_program checks s(n + 1) <= m.
     """
     s, n = params.s, params.n
     g = phi.genus
@@ -110,11 +113,7 @@ def eta_construct(
             raise HypothesisViolated("membership", bad)
 
     a_group = phi.target
-    new_x = list(phi.ximg)
-    for i in range(s):
-        modified = a_group.mul[x1][params.kgens[i]]
-        for j in range(1, n + 1):
-            new_x[i * n + j] = modified  # 1-based index in+j+1
+    new_x = _eta_rule(a_group, phi.ximg, params)
 
     # block power identities from the proof: both the modified and the
     # original block commutators have order dividing n = |K phi(Gamma)|
@@ -125,7 +124,22 @@ def eta_construct(
             if a_group.power(c, n) != a_group.identity:
                 raise AssertionError(f"block identity fails at block {i}")
 
-    return SurfaceTuple(a_group, g, tuple(new_x), phi.yimg)
+    return SurfaceTuple(a_group, g, new_x, phi.yimg)
+
+
+def _eta_rule(
+    a_group: FiniteGroup, ximg: Sequence[int], eta: EtaSummary
+) -> tuple[int, ...]:
+    """ximg with x_{in+j+1} set to x_1 k_{i+1} for i < s and 1 <= j <= n.
+
+    A plain formula that never raises; it keeps the genus when sn + 1 <=
+    len(ximg), which s(n + 1) <= m <= genus ensures for a program that
+    passes eta_program."""
+    new_x = list(ximg)
+    n, row = eta.n, a_group.mul[ximg[0]]
+    for i, k in enumerate(eta.kgens):
+        new_x[i * n + 1 : i * n + n + 1] = repeat(row[k], n)
+    return tuple(new_x)
 
 
 def _flags(
@@ -172,34 +186,6 @@ def _witnesses_for(
     )
 
 
-def _overrides(base: Sequence[int], full: Sequence[int]) -> Overrides:
-    """(i, full value) at each 1-based position i where full differs from
-    base."""
-    changed = list(map(ne, base, full))
-    return tuple(zip(compress(count(1), changed), compress(full, changed)))
-
-
-def _expanded(
-    base: SurfaceTuple, overrides: tuple[Overrides, Overrides]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """base's x and y images with the overrides applied.  Each override must
-    lie in positions 1..genus and change the image there, which makes the
-    recorded overrides unique; a ValueError names the first that does not."""
-    out = []
-    for ch, images, pairs in zip("xy", (base.ximg, base.yimg), overrides):
-        images = list(images)
-        for i, a in pairs:
-            if not 1 <= i <= base.genus:
-                raise ValueError(
-                    f"override position {ch}{i} outside 1..{base.genus}"
-                )
-            if images[i - 1] == a:
-                raise ValueError(f"override at {ch}{i} repeats gamma o beta_bar")
-            images[i - 1] = a
-        out.append(tuple(images))
-    return out[0], out[1]
-
-
 def _move_program(ep: SplitEP) -> EtaSummary:
     """The program the solver picks: selected from the pigeonhole on
     beta_bar's pairs (NoRepeatedPair if no pair occurs m times), the first
@@ -231,23 +217,16 @@ def _replay(
 
 
 def _phi_checks(
-    ep_n: SplitEP,
-    rel_n: Optional[SubgroupSpec],
-    eta: EtaSummary,
-    base: SurfaceTuple,
-    overrides: tuple[Overrides, Overrides],
+    ep_n: SplitEP, rel_n: Optional[SubgroupSpec], eta: EtaSummary
 ) -> SolutionCertificate:
-    """phi = base (gamma o beta_bar on the certificate basis) with the
-    overrides applied, through verify_solution on the replayed problem with
-    the kernel witnesses eta implies; a bad override is a failing shape
-    check instead."""
-    try:
-        phi = _expanded(base, overrides)
-    except ValueError as exc:
-        shape = CheckRecord("shape", False, str(exc))
-        return SolutionCertificate((), (), "invalid", (shape,))
+    """phi as the move program determines it, through verify_solution on
+    the replayed problem with the kernel witnesses eta implies: phi is
+    gamma o beta_bar_n with the eta rule applied, beta_bar_n being beta_bar
+    replayed through eta."""
+    base = map_tuple(ep_n.gamma, ep_n.beta_bar)
     return verify_solution(
-        ep_n, *phi, relative=rel_n, witnesses=_witnesses_for(eta, rel_n)
+        ep_n, _eta_rule(ep_n.A, base.ximg, eta), base.yimg, relative=rel_n,
+        witnesses=_witnesses_for(eta, rel_n),
     )
 
 
@@ -267,24 +246,22 @@ def _solve_pipeline(
 
     eta = _move_program(ep)
     ep_n, rel_n = _replay(ep, nspec, eta.selected)
-    phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
     if rel_n is not None:
         offending = _first_leaving(rel_n, eta.m)
         if offending is not None:
             # the finite argument stops here; escalating needs the quotient
             # construction, which is outside this solver.  phi stays in
             # full: the certificate's genus is read from it
+            phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
             return SolutionCertificate(phi_n.ximg, phi_n.yimg, "not_reduced",
                                        eta=eta, relative=RelativeEvidence(offending))
 
-    built = eta_construct(phi_n, eta, ep_n, rel_n)
-    overrides = (_overrides(phi_n.ximg, built.ximg), _overrides(phi_n.yimg, built.yimg))
-    cert = _phi_checks(ep_n, rel_n, eta, phi_n, overrides)
+    cert = _phi_checks(ep_n, rel_n, eta)
     if not cert.is_proper:
         raise AssertionError(
             f"pipeline produced a non-proper certificate: {cert.failed_checks()}"
         )
-    return replace(cert, eta=eta, phi_overrides=overrides)
+    return replace(cert, eta=eta)
 
 
 def solve_gamma_level(ep: SplitEP) -> SolutionCertificate:
@@ -346,11 +323,11 @@ def reverify_certificate(
     (outcome "not_reduced") keeps its outcome only if beta(N) = B and its
     offending_index is the first position in 2..m whose x-difference leaves
     N on the replayed nu.  Any other certificate goes through _phi_checks,
-    the solver's own final check: phi = gamma o beta_bar on the certificate
-    basis with the recorded overrides applied, through verify_solution with
-    the kernel witnesses the program implies; its recorded outcome must
-    match the recomputed one (outcome_matches).  The returned certificate
-    carries phi in full and eta.selected.
+    the solver's own final check: phi derived from the program by the eta
+    rule, through verify_solution with the kernel witnesses the program
+    implies; its recorded outcome must match the recomputed one
+    (outcome_matches).  The returned certificate carries phi in full and
+    eta.selected.
     """
     if nspec is not None and nspec.genus != ep.genus:
         raise GenusMismatch(ep.genus, nspec.genus)
@@ -380,17 +357,14 @@ def reverify_certificate(
 
     fresh = SolutionCertificate(cert.phi_x, cert.phi_y, "invalid")
     if checks[0].passed:
-        base = map_tuple(ep.gamma, ep_n.beta_bar)
-        fresh = _phi_checks(ep_n, rel_n, eta, base, cert.phi_overrides)
+        fresh = _phi_checks(ep_n, rel_n, eta)
         checks += fresh.checks
     checks.append(CheckRecord(
         "outcome_matches",
         fresh.outcome == cert.outcome,
         f"recomputed outcome {fresh.outcome}",
     ))
-    return replace(
-        fresh, eta=eta, phi_overrides=cert.phi_overrides, checks=tuple(checks)
-    )
+    return replace(fresh, eta=eta, checks=tuple(checks))
 
 
 # --- free products -------------------------------------------------------------
@@ -428,7 +402,9 @@ def solve_free_product(
     needed = 2 * k_group.order ** 2 * h_group.order ** 3
     if genus < needed:
         raise GenusTooSmall(needed, genus)
-    if beta_surface.target != h_group or beta_surface.genus != genus:
+    if beta_surface.target != h_group:
+        raise TargetMismatch("beta_surface", h_group.order, beta_surface.target.order)
+    if beta_surface.genus != genus:
         raise GenusMismatch(genus, beta_surface.genus)
     total = subgroup_closure(h_group, [*beta_surface.ximg, *beta_surface.yimg, *beta_g])
     if total.order != h_group.order:

@@ -91,13 +91,12 @@ class TestSolveVerify:
         assert main(["solve", ws, "v4_plain", "--out", out]) == 0
         cert = json.loads(open(out).read())
         assert cert["outcome"] == "proper"
-        assert cert["format"] == "surfep-certificate-v5"
+        assert cert["format"] == "surfep-certificate-v6"
         assert len(cert["instance_hash"]) == 64
         # the program moves the first m = 16 occurrences of beta_bar's (0, 0)
         assert cert["eta"] == {"pair": [0, 0], "n": 4, "m": 16, "kgens": [2]}
-        # s = 1, n = |A| = 4: eta_construct changes x2..x5 only
-        assert [i for i, _ in cert["phi"]["x"]] == [2, 3, 4, 5]
-        assert cert["phi"]["y"] == []
+        # and determines phi, which is not written
+        assert set(cert) == {"format", "problem", "instance_hash", "outcome", "eta"}
 
     def test_solve_stdout_is_canonical(self, tmp_path, capsys):
         ws = v4_workspace(tmp_path)
@@ -134,7 +133,8 @@ class TestSolveVerify:
         out = str(tmp_path / "cert.json")
         main(["solve", ws, "v4_plain", "--out", out])
         cert = json.loads(open(out).read())
-        cert["phi"]["x"][0][1] = (cert["phi"]["x"][0][1] + 1) % 4
+        # the kernel generator moved off Ker(alpha) = {0, 2}
+        cert["eta"]["kgens"][0] = (cert["eta"]["kgens"][0] + 1) % 4
         open(out, "w").write(canonical_json(cert))
         assert main(["verify", out, ws]) == 1
         err = capsys.readouterr().err
@@ -176,6 +176,9 @@ class TestSolveVerify:
 
 
 class TestVerifyOutOfRangePhi:
+    """phi is derived from eta.kgens: a kernel generator out of range fails
+    a named check, and one that is not an integer is named at parse."""
+
     @pytest.mark.parametrize("entry", [99, -1])
     def test_named_check_and_no_traceback(self, tmp_path, capsys, entry):
         ws = str(tmp_path / "gen.json")
@@ -183,13 +186,13 @@ class TestVerifyOutOfRangePhi:
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
         assert main(["solve", ws, "ep000", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        cert["phi"]["x"][0][1] = entry
+        cert["eta"]["kgens"][0] = entry
         open(out, "w").write(canonical_json(cert))
         proc = run_python("-m", "surfep", "verify", out, ws)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "error: shape" in proc.stderr
-        assert re.search(r"^shape +FAIL", proc.stdout, re.M)
+        assert "error: eta_program" in proc.stderr
+        assert re.search(r"^eta_program +FAIL", proc.stdout, re.M)
 
     @pytest.mark.parametrize("entry", ["a", 1.5, True])
     def test_non_integer_named_at_parse(self, tmp_path, capsys, entry):
@@ -198,12 +201,12 @@ class TestVerifyOutOfRangePhi:
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
         assert main(["solve", ws, "ep000", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        cert["phi"]["x"][0][1] = entry
+        cert["eta"]["kgens"][0] = entry
         open(out, "w").write(canonical_json(cert))
         proc = run_python("-m", "surfep", "verify", out, ws)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "error: certificate field phi.x[0][1] must be an integer" in proc.stderr
+        assert "error: certificate field eta.kgens[0] must be an integer" in proc.stderr
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("depth", [1_100, 200_000])
@@ -372,6 +375,23 @@ class TestWorkspaceStructure:
         assert f"error: {message}" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "path,message",
+        [(("K",), "problem field K: unknown group name 'C9'"),
+         (("H",), "problem field H: unknown group name 'C9'"),
+         (("relative", "Q"), "relative field Q: unknown group name 'C9'")],
+        ids=["K", "H", "Q"],
+    )
+    def test_unknown_group_name_names_the_field(self, tmp_path, capsys, path,
+                                                message):
+        ws = str(tmp_path / "gen.json")
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
+        doc = problem_edit(path, "C9")(json.loads(open(ws).read()))
+        open(ws, "w").write(canonical_json(doc))
+        capsys.readouterr()
+        assert main(["solve", ws, "ep000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_unread_maps_are_ignored(self, tmp_path):
         # named homs, tuples and relative specs are not part of a problem;
         # a malformed one no longer stops a solve
@@ -525,7 +545,9 @@ def break_nu(problem):
 
 class TestBrokenRelation:
     """Only the tuples read from input and the final phi have the surface
-    relation checked; each is refused by name when it breaks the relation."""
+    relation checked; each input is refused by name when it breaks the
+    relation.  phi, derived from the move program, keeps it (see
+    test_embedding's kernel factor that breaks it)."""
 
     RELATION = r"product of commutators is element \d+, not the identity\n"
 
@@ -545,30 +567,6 @@ class TestBrokenRelation:
             out, err = capsys.readouterr()
             assert out == ""
             assert re.fullmatch(f"error: {field}: {self.RELATION}", err), err
-
-    def test_phi_override_breaking_the_relation_fails_surface_relation(
-        self, tmp_path, capsys
-    ):
-        ws = s3_inversion_workspace(tmp_path, "ws.json")
-        out = str(tmp_path / "cert.json")
-        assert main(["solve", ws, "p", "--out", out]) == 0
-        cert = json.loads(open(out).read())
-        ep, _ = load_workspace(ws).build_problem("p")
-        # phi(x_144) is the involution gamma(1); a kernel element of order 3
-        # on y_144 keeps alpha o phi = beta_bar but not the relation
-        kernel_elem = next(
-            k for k in ep.kernel_subgroup.members if k != ep.A.identity
-        )
-        assert cert["phi"]["y"] == []
-        cert["phi"]["y"] = [[ep.genus, kernel_elem]]
-        open(out, "w").write(canonical_json(cert))
-        capsys.readouterr()
-        assert main(["verify", out, ws]) == 1
-        out_text, err = capsys.readouterr()
-        failed = re.findall(r"^(\S+) +FAIL", out_text, re.M)
-        assert failed[0] == "surface_relation"
-        assert "compatibility" not in failed
-        assert err == "error: surface_relation\n"
 
 
 class TestUnusedProblemsAreNotDecoded:
@@ -870,7 +868,7 @@ def test_solved_v1_certificate_is_refused(tmp_path, capsys):
     assert code == 1
     assert stderr == (
         "error: certificate format 'surfep-certificate-v1' is not "
-        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
     )
 
 
@@ -887,7 +885,7 @@ def test_solved_v2_certificate_is_refused(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v2' is not "
-        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
     )
 
 
@@ -897,15 +895,49 @@ def test_solved_v3_certificate_is_refused(tmp_path, capsys):
     out = str(tmp_path / "cert.json")
     assert main(["solve", ws, "v4_plain", "--out", out]) == 0
     cert = json.loads(open(out).read())
-    ep, _ = load_workspace(ws).build_problem("v4_plain")
-    phi = solver.reverify_certificate(ep, certificate_from_json(cert))
+    phi = reverified_phi(ws, "v4_plain", cert)
     cert.update(format="surfep-certificate-v3",
                 phi={"x": list(phi.phi_x), "y": list(phi.phi_y)})
     code, stdout, stderr = verify_edited(ws, out, cert, capsys)
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v3' is not "
-        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
+    )
+
+
+def reverified_phi(ws, name, cert):
+    """The certificate cert of problem name, reverified: phi in full."""
+    ep, relative = load_workspace(ws).build_problem(name)
+    return solver.reverify_certificate(ep, certificate_from_json(cert), relative)
+
+
+def test_solved_v5_certificate_is_refused(tmp_path, capsys):
+    """A certificate in the v5 shape: phi written as its overrides of
+    gamma o beta_bar."""
+    ws = v4_workspace(tmp_path)
+    out = str(tmp_path / "cert.json")
+    assert main(["solve", ws, "v4_plain", "--out", out]) == 0
+    cert = json.loads(open(out).read())
+    phi = reverified_phi(ws, "v4_plain", cert)
+    # v5 wrote phi as its overrides of gamma o beta_bar: here s = 1, n = 4
+    # and x2..x5 go to gamma(0) kgens[0] = 2
+    assert phi.phi_x[1:5] == (2, 2, 2, 2)
+    cert.update(format="surfep-certificate-v5",
+                phi={"x": [[i, 2] for i in range(2, 6)], "y": []})
+    code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        "error: certificate format 'surfep-certificate-v5' is not "
+        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
+    )
+    # written into a v6 certificate, phi is refused by name
+    cert["format"] = "surfep-certificate-v6"
+    code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+    assert code == 1 and stdout == ""
+    assert stderr == (
+        "error: certificate field phi is not part of a certificate with "
+        "outcome 'proper'\n"
     )
 
 
@@ -926,7 +958,7 @@ def test_solved_v4_certificate_is_refused(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v4' is not "
-        "'surfep-certificate-v5'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
     )
 
 
@@ -1061,6 +1093,29 @@ def test_c2_to_the_sixth_solves_and_verifies(tmp_path):
     assert eta["kgens"] == [2, 4, 8, 16, 32, 64] and eta["n"] == 128
     proc = run_python("-m", "surfep", "verify", out, ws, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # 768 x-slots differ from gamma o beta_bar, but phi follows from eta
+    assert os.path.getsize(out) < 1024
+
+
+def test_certificate_length_does_not_grow_with_the_genus(tmp_path, capsys):
+    """Two problems that differ only in genus, both at least 2|A|^2|B| = 64,
+    get certificates of one length: the program does not grow with g."""
+    c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    problems = {
+        name: {
+            "genus": g, "K": c2, "H": c2, "action": [[0, 1], [0, 1]],
+            "beta_bar": {"x": [1] + [0] * (g - 1), "y": [0] * g},
+        }
+        for name, g in (("small", 64), ("large", 4096))
+    }
+    ws = str(tmp_path / "ws.json")
+    open(ws, "w").write(canonical_json({"problems": problems}))
+    lengths = set()
+    for name in problems:
+        capsys.readouterr()
+        assert main(["solve", ws, name]) == 0
+        lengths.add(len(capsys.readouterr().out))
+    assert len(lengths) == 1
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -1076,13 +1131,13 @@ def test_script_runs(script):
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
 # encoding moves it; refactors must leave it alone.  Both pins were last
-# derived from the v4 output by scripts/repin_v5_goldens.py, which pins only
+# derived from the v5 output by scripts/repin_v6_goldens.py, which pins only
 # the eta.pair reversal of test_verify_bytes_are_pinned fresh.
-GOLDEN_GEN5_SHA256 = "bd162e206b30799fddf44aebf78a5e181dffc42e576f0ca7c4ae38eaa5fc4da3"
+GOLDEN_GEN5_SHA256 = "ab40122defb945e39aaee7b265b04480af512d074f3d17a3b7759d7b35ce2e06"
 # SHA-256 of `surfep verify` stdout and exit codes on the certificates of
 # test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
 # verdict moves it; moving the checks between modules must leave it alone.
-GOLDEN_VERIFY_SHA256 = "55a9e63bf1f2a6a487e32f36afd9a6a6b9b9cf9a41492e2887e4738898227750"
+GOLDEN_VERIFY_SHA256 = "612bb03b2ee4047bfef9b8f4a751c276fab2b65b66dd2985f422db8af538a205"
 
 
 class TestGoldenBytes:
@@ -1102,9 +1157,9 @@ class TestGoldenBytes:
     def test_verify_bytes_are_pinned(self, tmp_path, capsys):
         """`surfep verify` stdout and exit code on every certificate of
         `gen --seed 5 --count 12`, the not_reduced certificate of
-        tests/test_mutations.py, and two edits of each: the value of the
-        first x override changed (where there is a phi) and eta.pair
-        reversed.  stderr is not pinned."""
+        tests/test_mutations.py, and each with eta.pair reversed, which is
+        another valid program where the reversed pair occurs m times.
+        stderr is not pinned."""
         ws = str(tmp_path / "gen5.json")
         assert main(["gen", "--seed", "5", "--count", "12", "--out", ws]) == 0
         cases = [(ws, name) for name in sorted(load_workspace(ws).problems)]
@@ -1135,12 +1190,6 @@ class TestGoldenBytes:
                 continue  # refused (beta(N) != B): no certificate
             cert = json.loads(open(out).read())
             verify(name, cert)
-            if "phi" in cert:
-                problem = json.loads(open(workspace).read())["problems"][name]
-                order = problem["K"]["order"] * problem["H"]["order"]
-                edited = json.loads(json.dumps(cert))
-                edited["phi"]["x"][0][1] = (edited["phi"]["x"][0][1] + 1) % order
-                verify(f"{name} phi.x[0]", edited)
             edited = json.loads(json.dumps(cert))
             edited["eta"]["pair"].reverse()
             verify(f"{name} eta.pair", edited)

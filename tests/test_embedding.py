@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 import surfep as s
 from surfep.embedding import CheckRecord, KernelWitness, SubgroupSpec
-from surfep.errors import BetaNotSurjective, GenusMismatch, NotASolution
+from surfep.errors import (
+    BetaNotSurjective,
+    GenusMismatch,
+    NotASolution,
+    TargetMismatch,
+)
 
 
 def relative_killing_x(genus: int) -> SubgroupSpec:
@@ -35,6 +40,17 @@ class TestSplitEP:
         beta = s.make_surface_tuple(c2, [1, 0], [0, 0])
         with pytest.raises(GenusMismatch):
             s.make_split_ep(c2, c2, action, beta, genus=3)
+
+    def test_beta_into_another_group_is_named(self, cat):
+        # a C3 tuple of genus 4 on a C2 x C2 problem of genus 4: the error
+        # names the target, not the genus
+        c2 = cat["C2"]
+        beta = s.make_surface_tuple(cat["C3"], [1, 0, 0, 0], [0, 0, 0, 0])
+        with pytest.raises(TargetMismatch) as exc:
+            s.make_split_ep(c2, c2, s.trivial_action(c2, c2), beta)
+        assert str(exc.value) == (
+            "beta_bar must map into H (order 2), not into a group of order 3"
+        )
 
     def test_with_beta_bar_checks_nothing_again(self, v4_instance):
         # make_split_ep checked beta_bar once; a tuple read on another basis
@@ -256,6 +272,20 @@ class TestVerifySolution:
         failed = {c.name for c in cert.failed_checks()}
         assert "surface_relation" in failed or "compatibility" in failed
         assert not cert.is_proper
+
+    def test_kernel_factor_breaking_the_relation_fails_surface_relation(self):
+        # K = C3 inverted by H = C2, so A = S3 and phi(x2) = gamma(1) is an
+        # involution: a kernel element of order 3 on y2 keeps alpha o phi =
+        # beta_bar but not the relation
+        c3, c2 = s.cyclic_group(3), s.cyclic_group(2)
+        beta = s.make_surface_tuple(c2, [1, 1], [0, 0])
+        ep = s.make_split_ep(c3, c2, s.inversion_action(c2, c3), beta)
+        phi = s.map_tuple(ep.gamma, ep.beta_bar)
+        kernel_elem = next(k for k in ep.kernel_subgroup.members if k != ep.A.identity)
+        cert = s.verify_solution(ep, phi.ximg, (phi.yimg[0], kernel_elem))
+        failed = [c.name for c in cert.failed_checks()]
+        assert failed[0] == "surface_relation"
+        assert "compatibility" not in failed
 
     def test_witness_word_mismatch_recorded(self, v4_instance):
         ep = v4_instance

@@ -216,13 +216,13 @@ class TestCertificateJson:
         cert = s.solve_gamma_level(v4_instance)
         again = certificate_from_json(json.loads(written(cert)))
         assert written(again) == written(cert)
-        # the flags follow from outcome; phi is read as its overrides
-        for name in ("is_solution", "is_proper", "eta", "phi_overrides"):
+        # the flags follow from outcome; phi is not read
+        for name in ("is_solution", "is_proper", "eta"):
             assert getattr(again, name) == getattr(cert, name), name
         assert again.phi_x == again.phi_y == ()
-        # reverification expands phi in full, and with it the genus
+        # reverification derives phi in full, and with it the genus
         fresh = s.reverify_certificate(v4_instance, again)
-        for name in ("genus", "phi_x", "phi_y", "phi_overrides"):
+        for name in ("genus", "phi_x", "phi_y"):
             assert getattr(fresh, name) == getattr(cert, name), name
 
     def test_relative_roundtrip(self):
@@ -258,7 +258,7 @@ class TestCertificateJson:
     def test_no_basis_words_written(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
         obj = certificate_to_json(cert, "p", "hash")
-        assert obj["format"] == "surfep-certificate-v5"
+        assert obj["format"] == "surfep-certificate-v6"
         assert "basis" not in obj and "selected" not in obj["eta"]
         # the words stay available, derived from genus and the positions the
         # replay of (eta.pair, eta.m) moves
@@ -275,7 +275,7 @@ class TestCertificateJson:
             (("is_proper",), 1),
             (("outcome",), None),
             (("problem",), ["p"]),
-            (("phi", "x", 0, 1), 1.0),
+            (("eta", "n"), 1.0),
             (("eta", "pair"), "1"),
             (("eta", "kgens"), 3),
             (("eta", "kgens", 0), False),
@@ -284,7 +284,7 @@ class TestCertificateJson:
             (("is_solution",), 2.5),
             (("eta", "witnesses"), 0),
             (("phi",), []),
-            (("phi", "x"), MISSING),
+            (("eta", "m"), MISSING),
             (("problem",), MISSING),
             (("eta", "pair"), MISSING),
             (("eta",), MISSING),
@@ -295,8 +295,8 @@ class TestCertificateJson:
     )
     def test_field_types_checked(self, v4_instance, path, value):
         # genus, is_proper, is_solution, checks and witnesses are v2 fields,
-        # eta.s a v4 one: written into a v5 certificate they are refused by
-        # name
+        # eta.s a v4 one and phi a v5 one: written into a v6 certificate
+        # they are refused by name
         obj = json.loads(canonical_json(
             certificate_to_json(s.solve_gamma_level(v4_instance), "p", "h")
         ))

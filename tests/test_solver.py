@@ -10,6 +10,7 @@ from surfep.errors import (
     BetaNRestrictionNotSurjective,
     GenusTooSmall,
     HypothesisViolated,
+    TargetMismatch,
 )
 from surfep.oracle import GeneratedInstance
 from surfep.solver import _memberships, make_eta_params
@@ -119,32 +120,36 @@ def replayed(t, selected):
 
 
 class TestOverridesOfGammaBetaBar:
-    """A certificate writes phi as its overrides of gamma o beta_bar on the
-    certificate basis.  Verify takes that base as gamma applied to the
-    replayed beta_bar, the solver as the replayed gamma o beta_bar; they
-    agree because gamma is a homomorphism."""
+    """phi is gamma o beta_bar on the certificate basis with the eta rule's
+    overrides: x-slot in+j+1 goes to gamma(pair.x) kgens[i] for i < s and
+    1 <= j <= n.  Verify takes that base as gamma applied to the replayed
+    beta_bar, the solver's staged route as the replayed gamma o beta_bar;
+    they agree because gamma is a homomorphism."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6), st.randoms(use_true_random=False))
     def test_gamma_commutes_with_the_replay(self, seed, rnd):
-        ep = s.generate_instances(s.InstanceRecipe(seed=seed), 1)[0].ep
+        inst = s.generate_instances(s.InstanceRecipe(seed=seed), 1)[0]
+        ep = inst.ep
         k = rnd.randint(0, min(12, ep.genus))
         selected = sorted(rnd.sample(range(1, ep.genus + 1), k))
         assert s.map_tuple(ep.gamma, replayed(ep.beta_bar, selected)) == replayed(
             s.map_tuple(ep.gamma, ep.beta_bar), selected
         )
 
-        cert = s.solve_gamma_level(ep)
-        base = s.map_tuple(ep.gamma, replayed(ep.beta_bar, cert.eta.selected))
-        x_overrides, y_overrides = cert.phi_overrides
-        # eta_construct sets x_{in+j+1} = phi(x1) k_{i+1}, with k_{i+1} != 1
-        span = cert.eta.s * cert.eta.n
-        assert [i for i, _ in x_overrides] == list(range(2, span + 2))
-        assert y_overrides == () and cert.phi_y == base.yimg
+        if inst.relative_valid is False:
+            return  # refused: beta(N) != B
+        cert = (s.solve_gamma_level(ep) if inst.relative is None
+                else s.solve_relative(ep, inst.relative))
+        if cert.outcome == "not_reduced":
+            return
+        eta = cert.eta
+        base = s.map_tuple(ep.gamma, replayed(ep.beta_bar, eta.selected))
         phi_x = list(base.ximg)
-        for i, a in x_overrides:
-            phi_x[i - 1] = a
-        assert tuple(phi_x) == cert.phi_x
+        for i, kgen in enumerate(eta.kgens):
+            for j in range(1, eta.n + 1):
+                phi_x[i * eta.n + j] = ep.A.mul[ep.gamma.map[eta.pair[0]]][kgen]
+        assert (tuple(phi_x), base.yimg) == (cert.phi_x, cert.phi_y)
 
 
 def staged(ep, relative=None):
@@ -291,16 +296,12 @@ class TestSolveGammaLevel:
         assert fresh.phi_x == cert.phi_x and fresh.phi_y == cert.phi_y
 
     def test_tampered_certificate_fails_reverify(self, v4_instance):
-        from dataclasses import replace
         cert = s.solve_gamma_level(v4_instance)
-        # phi(x1) changed: an override at position 1, which eta_construct
-        # leaves alone
-        bad = (1, (cert.phi_x[0] + 1) % v4_instance.A.order)
-        x_overrides, y_overrides = cert.phi_overrides
-        tampered = replace(cert, phi_overrides=((bad, *x_overrides), y_overrides))
+        # a proper certificate claimed as a mere solution
+        tampered = replace(cert, outcome="solution")
         fresh = s.reverify_certificate(v4_instance, tampered)
-        assert not fresh.is_proper
-        assert fresh.failed_checks()
+        assert fresh.is_proper
+        assert [c.name for c in fresh.failed_checks()] == ["outcome_matches"]
 
     def test_deterministic(self, v4_instance):
         a = s.solve_gamma_level(v4_instance)
@@ -470,6 +471,15 @@ class TestFreeProduct:
             fp.ambient, c2, [a % 2 for a in fp.ambient.elements()]
         )).members)
         assert set(fp.surface_x) | set(fp.surface_y) <= ker
+
+    def test_beta_surface_into_another_group_is_named(self):
+        c2, c3 = s.cyclic_group(2), s.cyclic_group(3)
+        g = 64
+        beta_surface = s.make_surface_tuple(c3, [0] * g, [0] * g)
+        with pytest.raises(TargetMismatch, match="beta_surface must map into H"):
+            s.solve_free_product(
+                c2, c2, s.trivial_action(c2, c2), g, beta_surface, beta_g=[1]
+            )
 
     def test_bound_enforced(self):
         c2 = s.cyclic_group(2)
