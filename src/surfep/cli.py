@@ -9,6 +9,7 @@ stdout or the requested output file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -42,11 +43,21 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """True when the paths a and b name one existing file, through any
+    symlink."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def cmd_solve(args) -> int:
     try:
+        if args.out is not None and _same_file(args.out, args.file):
+            raise ValueError(f"--out {args.out!r} is the workspace file {args.file!r}")
         ws = load_workspace(args.file)
         ep, relative = ws.build_problem(args.problem)
-        content_hash = ws.problem_hash(args.problem)
     except (SurfepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -63,7 +74,9 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
+    # hashed only now: a refused problem writes no certificate
     try:
+        content_hash = ws.problem_hash(args.problem)
         _emit(
             canonical_json(certificate_to_json(cert, args.problem, content_hash)),
             args.out,
@@ -259,35 +272,47 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``surfep`` parser: only ``command``'s subparser when it names one
-    in COMMANDS, every subparser otherwise (no name, or an unknown one)."""
+def _with_command(
+    parser: argparse.ArgumentParser, name: str
+) -> argparse.ArgumentParser:
+    """Add command name's arguments and handler to parser."""
+    _, specs, handler = COMMANDS[name]
+    for arg, kwargs in specs:
+        parser.add_argument(arg, **kwargs)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``surfep`` parser, one subparser per command in COMMANDS.
+    main builds it only to answer an argv that names no command, or to
+    word the error for arguments a command's own parser leaves over."""
     parser = argparse.ArgumentParser(
         prog="surfep",
         description="Solve and verify finite split embedding problems over "
         "surface groups.",
     )
-    if command in COMMANDS:
-        # a top-level error's usage line lists every command, as in the full
-        # parser; only here, since a metavar also renames `command` in the
-        # error for a missing command
-        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
-    else:
-        names, metavar = list(COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, specs, handler = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for arg, kwargs in specs:
-            p.add_argument(arg, **kwargs)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _with_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one ``surfep`` call.  When argv names a command in COMMANDS,
+    only that command's parser is built, as the ``surfep <command>``
+    subparser of build_parser would be, and parses the rest of argv.
+    Anything else, and arguments that parser leaves over, goes to the full
+    parser, whose help and errors read as they always have."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _with_command(argparse.ArgumentParser(prog=f"surfep {name}"), name)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args.func(args)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

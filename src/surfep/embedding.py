@@ -188,8 +188,7 @@ def claim_proper(
     closure = subgroup_closure(
         ep.A, [*phi.ximg, *phi.yimg, *extra_image_elements]
     )
-    cset = set(closure.members)
-    return all(k in cset for k in ep.kernel_subgroup.members)
+    return set(closure.members).issuperset(ep.sd.embed_k.map)
 
 
 # --- certificates -------------------------------------------------------------
@@ -337,14 +336,16 @@ def verify_solution(
 
     is_solution = ok_relation and ok_compat
 
-    # properness, direct route: closure of the images
-    closure = subgroup_closure(ep.A, [*phi_x, *phi_y])
-    direct_proper = closure.order == ep.A.order
+    # properness, direct route: closure of the images, which shape has
+    # range-checked
+    amul = ep.A.mul
+    order = len(_closure(ep.A.identity, [*phi_x, *phi_y], lambda a, b: amul[a][b]))
+    direct_proper = order == ep.A.order
     checks.append(
         CheckRecord(
             "image_closure",
             direct_proper,
-            f"closure order {closure.order} of {ep.A.order}",
+            f"closure order {order} of {ep.A.order}",
         )
     )
 
@@ -363,9 +364,10 @@ def verify_solution(
                 break
         checks.append(CheckRecord("witness_words", wit_ok, detail))
         if wit_ok:
-            kc = subgroup_closure(ep.A, [w.value for w in witnesses])
-            kset = set(kc.members)
-            contained = all(k in kset for k in ep.kernel_subgroup.members)
+            # each value is a word's value under the range-checked phi
+            kc = _closure(ep.A.identity, [w.value for w in witnesses],
+                          lambda a, b: amul[a][b])
+            contained = set(kc).issuperset(ep.sd.embed_k.map)
             checks.append(
                 CheckRecord(
                     "kernel_containment",

@@ -2,12 +2,14 @@
 
 Elements of a group of order n are the indices 0..n-1; all structure
 (products, inverses, subgroups, homomorphisms) is stored as index tables.
-Every table is validated exactly and deterministically, whatever its order:
-associativity by Light's test on a greedy generating set, multiplicativity
-of a map on a generating set of the domain.  Subgroups and images are
-found by one closure under right multiplication over the seeds that add
-something; permutation groups by a breadth-first search over every
-generator, whose order fixes their element indices.
+Every input table is validated exactly and deterministically, whatever its
+order: associativity by Light's test on a greedy generating set,
+multiplicativity of a map on a generating set of the domain.  A semidirect
+product is assembled from its validated factors and action, not checked
+again.  Subgroups and images are found by one closure under right
+multiplication over the seeds that add something; permutation groups by a
+breadth-first search over every generator, whose order fixes their element
+indices.
 """
 
 from __future__ import annotations
@@ -462,23 +464,32 @@ class SemidirectProduct:
 def semidirect_product(
     k_group: FiniteGroup, h_group: FiniteGroup, action: ActionSpec
 ) -> SemidirectProduct:
-    """(k, h)(k', h') = (k * h.k', hh') with the given action of H on K."""
+    """(k, h)(k', h') = (k * h.k', hh') with the given action of H on K.
+
+    Assembled, not validated: K and H are groups and the action is by
+    automorphisms (ActionSpec), so the table is a group with identity
+    (1, 1) and (k, h)^-1 = (h^-1.k^-1, h^-1), alpha and gamma are
+    homomorphisms and embed_k maps K onto Ker(alpha).  Only the factors
+    and the action are checked, on input."""
     if action.acting != h_group or action.acted != k_group:
         raise InvalidAction("action does not match the given factor groups")
     nk, nh = k_group.order, h_group.order
-    table = [[0] * (nk * nh) for _ in range(nk * nh)]
-    for k1, h1 in itertools.product(range(nk), range(nh)):
-        row = table[k1 * nh + h1]
-        act = action.perms[h1]
-        for k2, h2 in itertools.product(range(nk), range(nh)):
-            row[k2 * nh + h2] = (
-                k_group.mul[k1][act[k2]] * nh + h_group.mul[h1][h2]
-            )
-    grp = make_group(table, identity_hint=k_group.identity * nh + h_group.identity)
-    alpha = make_hom(grp, h_group, [x % nh for x in range(nk * nh)])
-    gamma = make_hom(h_group, grp, [k_group.identity * nh + h for h in range(nh)])
-    embed = make_hom(k_group, grp, [k * nh + h_group.identity for k in range(nk)])
-    assert set(kernel(alpha).members) == set(embed.map)
+    kinv, hinv, perms = k_group.inv, h_group.inv, action.perms
+    table = tuple(
+        tuple(krow[a] * nh + h for a in perms[h1] for h in h_group.mul[h1])
+        for krow in k_group.mul
+        for h1 in range(nh)
+    )
+    inv = tuple(
+        perms[hinv[h]][kinv[k]] * nh + hinv[h]
+        for k in range(nk)
+        for h in range(nh)
+    )
+    ke, he = k_group.identity, h_group.identity
+    grp = FiniteGroup(nk * nh, ke * nh + he, table, inv)
+    alpha = GroupHom(grp, h_group, tuple(x % nh for x in range(nk * nh)))
+    gamma = GroupHom(h_group, grp, tuple(ke * nh + h for h in range(nh)))
+    embed = GroupHom(k_group, grp, tuple(k * nh + he for k in range(nk)))
     return SemidirectProduct(grp, alpha, gamma, embed, action)
 
 

@@ -288,7 +288,7 @@ def _eta_check(
     beta_bar pair is pair."""
     if eta is None:
         return CheckRecord("eta_program", False, "no move program recorded"), eta
-    a, b, kernel = ep.A.order, ep.B.order, set(ep.kernel_subgroup.members)
+    a, b, kernel = ep.A.order, ep.B.order, set(ep.sd.embed_k.map)
     m = 2 * a * a // b
     positions = _positions(ep.beta_bar, eta.pair)
     times = len(positions)

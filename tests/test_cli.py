@@ -494,6 +494,59 @@ class TestUnwritableOut:
         assert captured.out == ""
 
 
+class TestOutIsTheWorkspace:
+    """solve refuses an --out that names its workspace file, by any path,
+    and leaves the workspace as it was."""
+
+    @pytest.mark.parametrize("via", ["same_path", "symlink"])
+    def test_refused_and_untouched(self, tmp_path, capsys, via):
+        ws = tmp_path / "gen.json"
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", str(ws)])
+        before = ws.read_bytes()
+        out = ws
+        if via == "symlink":
+            out = tmp_path / "link.json"
+            out.symlink_to(ws)
+        capsys.readouterr()
+        assert main(["solve", str(ws), "ep000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --out {str(out)!r} is the workspace file {str(ws)!r}\n"
+        )
+        assert captured.out == ""
+        assert ws.read_bytes() == before
+        assert main(["solve", str(ws), "ep001"]) == 0
+
+
+class TestHashOnlyWhatIsWritten:
+    """solve hashes the problem only for the certificate it writes."""
+
+    @pytest.fixture
+    def no_hash(self, monkeypatch):
+        def refuse(resolved):
+            raise AssertionError("instance_hash called")
+
+        monkeypatch.setattr(serialize, "instance_hash", refuse)
+
+    def test_refused_relative(self, tmp_path, capsys, no_hash):
+        # nu = beta_bar with S trivial: N = Ker(beta_bar), so beta(N) = 1
+        g = 64
+        c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+        beta = {"x": [1] + [0] * (g - 1), "y": [0] * g}
+        problem = {"genus": g, "K": c2, "H": c2, "action": [[0, 1], [0, 1]],
+                   "beta_bar": beta, "relative": {"Q": c2, "nu": beta, "S": [0]}}
+        ws = tmp_path / "ws.json"
+        ws.write_text(canonical_json({"problems": {"p": problem}}))
+        assert main(["solve", str(ws), "p", "--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: restriction of the reference map to N has image of order 1 < 2\n"
+        )
+        assert not (tmp_path / "c.json").exists()
+
+    def test_genus_below_the_bound(self, tmp_path, capsys, no_hash):
+        assert main(["solve", v4_workspace(tmp_path), "too_small"]) == 2
+
+
 def s3_inversion_workspace(tmp_path, name, edit=None):
     """Workspace with one problem "p": K = C3, H = C2 acting by inversion
     (so A = S3 is not abelian), beta_bar = (1, ..., 1; 0, ..., 0) at genus
@@ -1307,9 +1360,12 @@ class TestParserPerCommand:
             "surfep: error: unrecognized arguments: c\n"
         ))
 
+    # a command's own help builds no subparser at all; its id still ends
+    # in the command's name
     @pytest.mark.parametrize(
         "argv,added",
-        [([name, "--help"], [name]) for name in sorted(SUBCOMMANDS)]
+        [pytest.param([name, "--help"], [], id=f"{name} --help-{name}")
+         for name in sorted(SUBCOMMANDS)]
         + [(argv, ["solve", "verify", "plan", "genus", "count", "gen"])
            for argv in (["--help"], ["solv"])],
         ids=argv_id,
@@ -1325,3 +1381,30 @@ class TestParserPerCommand:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
         parse_exit(main, argv, capsys)
         assert names == added
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "WS", "v4_plain"],
+        ["solve", "WS", "v4_plain", "--out", "OUT"],
+        ["verify", "OUT", "WS"],
+        ["solve", "a", "b", "c"],
+    ], ids=argv_id)
+    def test_full_parser_only_for_leftovers(self, tmp_path, monkeypatch, capsys,
+                                            argv):
+        ws = v4_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        main(["solve", ws, "v4_plain", "--out", out])
+        calls = []
+        build_parser = cli.build_parser
+
+        def recording():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        full = argv == ["solve", "a", "b", "c"]
+        argv = [{"WS": ws, "OUT": out}.get(a, a) for a in argv]
+        if full:
+            assert parse_exit(main, argv, capsys)[0] == 2
+        else:
+            assert main(argv) == 0
+        assert calls == ([1] if full else [])

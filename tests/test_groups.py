@@ -12,6 +12,7 @@ from surfep.errors import (
     NotAssociative,
 )
 from surfep.groups import _closure, automorphism_list, make_hom
+from surfep.oracle import _hom_actions
 
 
 def full_subgroup(group):
@@ -117,6 +118,52 @@ class TestSemidirectProduct:
         assert set(ker.members) == set(sd.embed_k.map)
         overlap = set(ker.members) & set(sd.gamma.map)
         assert overlap == {sd.group.identity}
+
+
+def assembled_cases():
+    """(id, K, H, action): every action of a catalog H on a catalog K, both
+    of order at most 4, and the ladder's V4 x| C3 (A4) and V4 x| S3 (S4),
+    H permuting V4's three involutions."""
+    small = {n: g for n, g in s.catalog().items() if g.order <= 4}
+    cases = [
+        (f"{kn}x{hn}-{i}", k, h, act)
+        for kn, k in small.items()
+        for hn, h in small.items()
+        for i, act in enumerate(_hom_actions(h, k))
+    ]
+    v4 = s.klein_four_group()
+    for name, gens in (("A4", [(1, 2, 0)]), ("S4", [(1, 0, 2), (1, 2, 0)])):
+        h, perms = s.group_from_permutations(gens)
+        act = tuple((0, *(1 + p[i] for i in range(3))) for p in perms)
+        cases.append((name, v4, h, s.ActionSpec(h, v4, act)))
+    return cases
+
+
+class TestAssembledSemidirectProduct:
+    """semidirect_product assembles A from validated factors and checks
+    nothing; make_group and make_hom must accept what it assembles."""
+
+    @pytest.mark.parametrize(
+        "k,h,action", [c[1:] for c in assembled_cases()],
+        ids=[c[0] for c in assembled_cases()],
+    )
+    def test_validation_accepts_the_assembly(self, k, h, action):
+        sd = s.semidirect_product(k, h, action)
+        grp = sd.group
+        checked = s.make_group(grp.mul)
+        assert (checked.identity, checked.inv) == (grp.identity, grp.inv)
+        assert checked == grp
+        assert make_hom(grp, h, sd.alpha.map) == sd.alpha
+        assert make_hom(h, grp, sd.gamma.map) == sd.gamma
+        assert make_hom(k, grp, sd.embed_k.map) == sd.embed_k
+        assert set(s.kernel(sd.alpha).members) == set(sd.embed_k.map)
+
+    def test_cases_cover_every_action(self):
+        # 52 actions over the catalog groups of order <= 4, plus A4 and S4
+        cases = assembled_cases()
+        assert len(cases) == 54
+        assert {c[0] for c in cases} >= {"V4xC3-1", "V4xV4-9", "A4", "S4"}
+        assert [c[1].order * c[2].order for c in cases[-2:]] == [12, 24]
 
 
 class TestSubgroupClosure:
