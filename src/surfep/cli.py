@@ -1,9 +1,10 @@
 """Command-line front end: instance files in, certificates and reports out.
 
 Exit codes: 0 success / proper solution, 1 validation or verification error,
-2 solvability bound failure, 3 the relative pipeline stopped at a membership
-failure (outcome "not_reduced").  Diagnostics go to stderr, results to
-stdout or the requested output file.
+2 solvability bound failure (solve only), 3 the relative pipeline stopped
+at a membership failure (outcome "not_reduced").  The handlers raise what
+refuses a call, and main alone turns it into one "error:" line and exit 1.
+Diagnostics go to stderr, results to stdout or the requested output file.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import solver
-from .errors import (
-    BetaNRestrictionNotSurjective,
-    GenusTooSmall,
-    SurfepError,
-)
+from .errors import GenusTooSmall, SurfepError
 from .groups import catalog
 from .serialize import (
     canonical_json,
@@ -46,22 +43,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _same_file(a: str, b: str) -> bool:
     """True when the paths a and b name one existing file, through any
     symlink."""
-    try:
-        return os.path.samefile(a, b)
-    except OSError:
-        return False
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
 
 
 def cmd_solve(args) -> int:
-    try:
-        if args.out is not None and _same_file(args.out, args.file):
-            raise ValueError(f"--out {args.out!r} is the workspace file {args.file!r}")
-        ws = load_workspace(args.file)
-        ep, relative = ws.build_problem(args.problem)
-    except (SurfepError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    if args.out is not None and _same_file(args.out, args.file):
+        raise ValueError(f"--out {args.out!r} is the workspace file {args.file!r}")
+    ws = load_workspace(args.file)
+    ep, relative = ws.build_problem(args.problem)
     try:
         if relative is None:
             cert = solver.solve_gamma_level(ep)
@@ -70,20 +59,13 @@ def cmd_solve(args) -> int:
     except GenusTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (BetaNRestrictionNotSurjective, SurfepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
     # hashed only now: a refused problem writes no certificate
-    try:
-        content_hash = ws.problem_hash(args.problem)
-        _emit(
-            canonical_json(certificate_to_json(cert, args.problem, content_hash)),
-            args.out,
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    content_hash = ws.problem_hash(args.problem)
+    _emit(
+        canonical_json(certificate_to_json(cert, args.problem, content_hash)),
+        args.out,
+    )
     if cert.outcome == "not_reduced":
         print(
             f"not reduced: membership fails at basis position "
@@ -95,28 +77,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        ws = load_workspace(args.instance)
-        cert_obj = read_json(args.certificate)
-        cert = certificate_from_json(cert_obj)
-        name = cert_obj["problem"]
-        ep, relative = ws.build_problem(name)
-        if ws.problem_hash(name) != cert_obj["instance_hash"]:
-            print(
-                f"error: instance_hash: certificate field instance_hash "
-                f"is not the hash of problem {name!r}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-    except (SurfepError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    try:
-        checks = solver.reverify_certificate(ep, cert, relative).checks
-    except SurfepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    ws = load_workspace(args.instance)
+    cert_obj = read_json(args.certificate)
+    # type-checks problem and instance_hash, which are read below
+    cert = certificate_from_json(cert_obj)
+    name = cert_obj["problem"]
+    ep, relative = ws.build_problem(name)
+    if ws.problem_hash(name) != cert_obj["instance_hash"]:
+        raise ValueError(
+            f"instance_hash: certificate field instance_hash "
+            f"is not the hash of problem {name!r}"
+        )
+    checks = solver.reverify_certificate(ep, cert, relative).checks
 
     width = max(len(c.name) for c in checks)
     for c in checks:
@@ -133,11 +105,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    try:
-        plan = solver.plan_extension(args.genus, args.K, args.H)
-    except (SurfepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    plan = solver.plan_extension(args.genus, args.K, args.H)
     sys.stdout.write(
         canonical_json(
             {"m": plan.m, "required_index": plan.required_index, "h": plan.h}
@@ -147,11 +115,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    try:
-        result = open_subgroup_genus(args.genus, args.index)
-    except (SurfepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    result = open_subgroup_genus(args.genus, args.index)
     sys.stdout.write(
         canonical_json({"genus": args.genus, "index": args.index, "result": result})
     )
@@ -161,21 +125,17 @@ def cmd_genus(args) -> int:
 def cmd_count(args) -> int:
     from . import oracle
 
-    try:
-        if args.file is not None:
-            ws = load_workspace(args.file)
-            groups = dict(catalog())
-            groups.update(ws.groups)
-        else:
-            groups = catalog()
-        if args.group not in groups:
-            raise ValueError(f"unknown group {args.group!r}")
-        count = oracle.enumerate_surface_tuples(
-            groups[args.group], args.genus, budget=args.budget
-        )
-    except (SurfepError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.file is not None:
+        ws = load_workspace(args.file)
+        groups = dict(catalog())
+        groups.update(ws.groups)
+    else:
+        groups = catalog()
+    if args.group not in groups:
+        raise ValueError(f"unknown group {args.group!r}")
+    count = oracle.enumerate_surface_tuples(
+        groups[args.group], args.genus, budget=args.budget
+    )
     sys.stdout.write(
         canonical_json({"group": args.group, "genus": args.genus, "count": count})
     )
@@ -185,23 +145,15 @@ def cmd_count(args) -> int:
 def cmd_gen(args) -> int:
     from . import oracle
 
-    try:
-        recipe = oracle.InstanceRecipe(
-            seed=args.seed,
-            size_k_choices=tuple(args.size_k),
-            size_h_choices=tuple(args.size_h),
-            action_mode=args.action,
-            genus_rule=args.genus_rule,
-        )
-        instances = oracle.generate_instances(recipe, args.count)
-    except (SurfepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        _emit(canonical_json(workspace_to_json(instances)), args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    recipe = oracle.InstanceRecipe(
+        seed=args.seed,
+        size_k_choices=tuple(args.size_k),
+        size_h_choices=tuple(args.size_h),
+        action_mode=args.action,
+        genus_rule=args.genus_rule,
+    )
+    instances = oracle.generate_instances(recipe, args.count)
+    _emit(canonical_json(workspace_to_json(instances)), args.out)
     return EXIT_OK
 
 
@@ -303,17 +255,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     only that command's parser is built, as the ``surfep <command>``
     subparser of build_parser would be, and parses the rest of argv.
     Anything else, and arguments that parser leaves over, goes to the full
-    parser, whose help and errors read as they always have."""
+    parser, whose help and errors read as they always have.  What a
+    handler raises is mapped here alone: one ``error:`` line, EXIT_ERROR."""
     if argv is None:
         argv = sys.argv[1:]
+    args = None
     if argv and argv[0] in COMMANDS:
         name = argv[0]
         parser = _with_command(argparse.ArgumentParser(prog=f"surfep {name}"), name)
         args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args.func(args)
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+        if extras:
+            args = None
+    if args is None:
+        args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (SurfepError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

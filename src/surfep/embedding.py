@@ -176,12 +176,14 @@ def claim_proper(
 ) -> bool:
     """Kernel-containment criterion for surjectivity.
 
-    Requires phi to be a solution (compatibility with beta_bar checked
-    generatorwise); returns True iff Ker(alpha) lies in the closure of the
-    phi-images together with the extra evidence elements.  Because beta_bar
-    is surjective, that closure then maps onto B, so containing the kernel
-    forces it to be all of A.
+    Requires phi to be a solution of ep's genus (GenusMismatch otherwise;
+    compatibility with beta_bar checked generatorwise); returns True iff
+    Ker(alpha) lies in the closure of the phi-images together with the
+    extra evidence elements.  Because beta_bar is surjective, that closure
+    then maps onto B, so containing the kernel forces it to be all of A.
     """
+    if phi.genus != ep.genus:
+        raise GenusMismatch(ep.genus, phi.genus)
     bad = _first_incompatible(ep, phi.ximg, phi.yimg)
     if bad is not None:
         raise NotASolution(bad)

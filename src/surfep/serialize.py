@@ -254,12 +254,32 @@ def _surface_tuple(
         return make_surface_tuple(group, *images)
 
 
+def problem_to_json(ep: SplitEP, relative: Optional[SubgroupSpec]) -> dict:
+    """A problem as a workspace holds it, every group inline and the genus
+    explicit: what gen writes (with relative_valid) and what the instance
+    hash covers."""
+    obj: dict[str, Any] = {
+        "genus": ep.genus,
+        "K": group_to_json(ep.sd.embed_k.domain),
+        "H": group_to_json(ep.B),
+        "action": [list(p) for p in ep.sd.action.perms],
+        "beta_bar": {"x": list(ep.beta_bar.ximg), "y": list(ep.beta_bar.yimg)},
+    }
+    if relative is not None:
+        obj["relative"] = {
+            "Q": group_to_json(relative.Q),
+            "nu": {"x": list(relative.nu.ximg), "y": list(relative.nu.yimg)},
+            "S": list(relative.S.members),
+        }
+    return obj
+
+
 def problem_from_json(
     obj: dict, groups: dict[str, FiniteGroup]
 ) -> tuple[SplitEP, Optional[SubgroupSpec], dict]:
     """The problem obj describes, its relative (None without one), and the
-    resolved problem the instance hash covers: every group inlined and the
-    genus explicit, built from the values read.  Each field is read once."""
+    resolved problem the instance hash covers: problem_to_json of the two,
+    built from the values read.  Each field is read once."""
     k_group = _resolve_group(_get(obj, "K", what=_PROBLEM), groups, "K", _PROBLEM)
     h_group = _resolve_group(_get(obj, "H", what=_PROBLEM), groups, "H", _PROBLEM)
     perms = tuple(
@@ -272,16 +292,9 @@ def problem_from_json(
     genus = _typed(obj.get("genus"), (int, type(None)), "genus", _PROBLEM)
     beta_bar = _surface_tuple(h_group, beta, "beta_bar", _PROBLEM)
     ep = make_split_ep(k_group, h_group, action, beta_bar, genus=genus)
-    resolved = {
-        "genus": ep.genus,
-        "K": group_to_json(k_group),
-        "H": group_to_json(h_group),
-        "action": [list(p) for p in action.perms],
-        "beta_bar": dict(zip("xy", map(list, beta))),
-    }
     rel = obj.get("relative")
     if rel is None:
-        return ep, None, resolved
+        return ep, None, problem_to_json(ep, None)
     rel = _typed(rel, dict, "relative", _PROBLEM)
     q_group = _resolve_group(_get(rel, "Q", what=_RELATIVE), groups, "Q", _RELATIVE)
     nu = _images(rel, "nu", _RELATIVE)
@@ -290,12 +303,7 @@ def problem_from_json(
     with _naming("S", _RELATIVE):
         s_handle = SubgroupHandle(q_group, tuple(members))
     relative = SubgroupSpec(q_group, nu_tuple, s_handle)
-    resolved["relative"] = {
-        "Q": group_to_json(q_group),
-        "nu": dict(zip("xy", map(list, nu))),
-        "S": members,
-    }
-    return ep, relative, resolved
+    return ep, relative, problem_to_json(ep, relative)
 
 
 class _Members(Mapping):
@@ -553,23 +561,8 @@ def workspace_to_json(instances) -> dict:
     """
     problems = {}
     for inst in instances:
-        ep = inst.ep
-        obj: dict[str, Any] = {
-            "genus": ep.genus,
-            "K": group_to_json(ep.sd.embed_k.domain),
-            "H": group_to_json(ep.B),
-            "action": [list(p) for p in ep.sd.action.perms],
-            "beta_bar": {"x": list(ep.beta_bar.ximg), "y": list(ep.beta_bar.yimg)},
-        }
+        obj = problem_to_json(inst.ep, inst.relative)
         if inst.relative is not None:
-            obj["relative"] = {
-                "Q": group_to_json(inst.relative.Q),
-                "nu": {
-                    "x": list(inst.relative.nu.ximg),
-                    "y": list(inst.relative.nu.yimg),
-                },
-                "S": list(inst.relative.S.members),
-            }
             obj["relative_valid"] = inst.relative_valid
         problems[inst.name] = obj
     return {"problems": problems}

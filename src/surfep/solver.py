@@ -28,6 +28,7 @@ from .errors import (
 from .groups import (
     ActionSpec,
     FiniteGroup,
+    _closure,
     _greedy_generators,
     make_hom,
     semidirect_product,
@@ -59,22 +60,30 @@ from .surface import (
 )
 
 
+def _program_sizes(ep: SplitEP) -> tuple[int, int, int]:
+    """n = |A|, m = 2|A|^2/|B| and the genus bound m|B|^2 = 2|A|^2|B| of
+    the move program; |B| divides |A|, since alpha is onto B.  n = |A|:
+    for any phi with alpha o phi = beta_bar, K phi(Gamma) = alpha^-1(B) =
+    A because beta_bar is onto B."""
+    a, b = ep.A.order, ep.B.order
+    m = 2 * a * a // b
+    return a, m, m * b * b
+
+
 def make_eta_params(
     ep: SplitEP, phi: Optional[SurfaceTuple] = None
 ) -> EtaSummary:
-    """n, m and kgens of the move program; _move_program adds pair and
-    selected from the pigeonhole.  n = |A|: for any phi with alpha o phi =
-    beta_bar, K phi(Gamma) = alpha^-1(B) = A because beta_bar is onto B.
-    kgens is K's greedy generating tuple mapped into A by the increasing
-    embed_k: each generator is the smallest kernel member not yet reached,
-    so s <= log2 |Ker(alpha)|.  phi is not read, since none of these
-    depends on it; the parameter stays because perfbench/tracing.py's
-    staged replay passes gamma o beta_bar."""
+    """n, m (_program_sizes) and kgens of the move program the solver
+    picks; _move_program adds pair and selected from the pigeonhole, and
+    verify checks a recorded program instead (_eta_check).  kgens is K's
+    greedy generating tuple mapped into A by the increasing embed_k: each
+    generator is the smallest kernel member not yet reached, so s <= log2
+    |Ker(alpha)|.  phi is not read; the parameter stays because
+    perfbench/tracing.py's staged replay passes gamma o beta_bar."""
+    n, m, _ = _program_sizes(ep)
     embed = ep.sd.embed_k
     gens = _greedy_generators(embed.domain.mul, embed.domain.identity)
-    kgens = tuple(embed.map[k] for k in gens)
-    # |B| divides |A|, since alpha is onto B
-    return EtaSummary(None, ep.A.order, 2 * ep.A.order ** 2 // ep.B.order, kgens)
+    return EtaSummary(None, n, m, tuple(embed.map[k] for k in gens))
 
 
 def eta_construct(
@@ -83,20 +92,21 @@ def eta_construct(
     ep: SplitEP,
     relative: Optional[SubgroupSpec] = None,
 ) -> SurfaceTuple:
-    """Redistribute the kernel generators over the first s blocks.
+    """The eta rule, in its one implementation: phi with x_{in+j+1} set to
+    x_1 k_{i+1} for i < s and 1 <= j <= n, the kernel generators spread
+    over the first s blocks.  Solve and verify derive phi with it
+    (_phi_checks).
 
     Needs phi constant on x_1..x_{sn+s} and y_1..y_{sn+s} and, in the
     relative case, both x_1^-1 x_i and x_i x_1^-1 inside N for
-    2 <= i <= sn+s.  Returns phi with the eta rule applied (_eta_rule); the
-    per-block power identities are asserted on the way out.  Neither the
-    relation nor compatibility is checked, and ep is not read.  Block i is
-    n equal pairs, so it contributes c^n for its commutator c before the
-    change and after it, and both powers are trivial.  The result differs
-    from phi only by kernel factors, so alpha o result = alpha o phi =
-    beta_bar for phi = gamma o beta_bar_n.  Solve and verify derive the same
-    tuple in _phi_checks, which needs none of these guards: the replay
-    makes gamma o beta_bar_n constant on the first m positions, and
-    eta_program checks s(n + 1) <= m.
+    2 <= i <= sn+s; the per-block power identities are asserted on the way
+    out.  Neither the relation nor compatibility is checked, and ep is not
+    read.  Block i is n equal pairs, so it contributes c^n for its
+    commutator c before the change and after it, and both powers are
+    trivial.  The result differs from phi only by kernel factors, so alpha
+    o result = alpha o phi = beta_bar for phi = gamma o beta_bar_n.  The
+    guards cannot fire on a program that passes eta_program: the replay
+    makes gamma o beta_bar_n constant on the first m >= s(n + 1) positions.
     """
     s, n = params.s, params.n
     g = phi.genus
@@ -113,7 +123,11 @@ def eta_construct(
             raise HypothesisViolated("membership", bad)
 
     a_group = phi.target
-    new_x = _eta_rule(a_group, phi.ximg, params)
+    new_x = list(phi.ximg)
+    row = a_group.mul[x1]
+    for i, k in enumerate(params.kgens):
+        new_x[i * n + 1 : i * n + n + 1] = repeat(row[k], n)
+    new_x = tuple(new_x)
 
     # block power identities from the proof: both the modified and the
     # original block commutators have order dividing n = |K phi(Gamma)|
@@ -125,21 +139,6 @@ def eta_construct(
                 raise AssertionError(f"block identity fails at block {i}")
 
     return SurfaceTuple(a_group, g, new_x, phi.yimg)
-
-
-def _eta_rule(
-    a_group: FiniteGroup, ximg: Sequence[int], eta: EtaSummary
-) -> tuple[int, ...]:
-    """ximg with x_{in+j+1} set to x_1 k_{i+1} for i < s and 1 <= j <= n.
-
-    A plain formula that never raises; it keeps the genus when sn + 1 <=
-    len(ximg), which s(n + 1) <= m <= genus ensures for a program that
-    passes eta_program."""
-    new_x = list(ximg)
-    n, row = eta.n, a_group.mul[ximg[0]]
-    for i, k in enumerate(eta.kgens):
-        new_x[i * n + 1 : i * n + n + 1] = repeat(row[k], n)
-    return tuple(new_x)
 
 
 def _flags(
@@ -221,11 +220,12 @@ def _phi_checks(
 ) -> SolutionCertificate:
     """phi as the move program determines it, through verify_solution on
     the replayed problem with the kernel witnesses eta implies: phi is
-    gamma o beta_bar_n with the eta rule applied, beta_bar_n being beta_bar
-    replayed through eta."""
-    base = map_tuple(ep_n.gamma, ep_n.beta_bar)
+    eta_construct of gamma o beta_bar_n, beta_bar_n being beta_bar replayed
+    through eta, which has passed eta_program.  N is not passed to it: a
+    witness leaving N fails witness_memberships instead."""
+    phi = eta_construct(map_tuple(ep_n.gamma, ep_n.beta_bar), eta, ep_n)
     return verify_solution(
-        ep_n, _eta_rule(ep_n.A, base.ximg, eta), base.yimg, relative=rel_n,
+        ep_n, phi.ximg, phi.yimg, relative=rel_n,
         witnesses=_witnesses_for(eta, rel_n),
     )
 
@@ -234,7 +234,7 @@ def _solve_pipeline(
     ep: SplitEP, nspec: Optional[SubgroupSpec]
 ) -> SolutionCertificate:
     g = ep.genus
-    needed = 2 * ep.A.order * ep.A.order * ep.B.order
+    needed = _program_sizes(ep)[2]
     if g < needed:
         raise GenusTooSmall(needed, g)
     if nspec is not None:
@@ -288,13 +288,14 @@ def _eta_check(
     beta_bar pair is pair."""
     if eta is None:
         return CheckRecord("eta_program", False, "no move program recorded"), eta
-    a, b, kernel = ep.A.order, ep.B.order, set(ep.sd.embed_k.map)
-    m = 2 * a * a // b
+    a, m, _ = _program_sizes(ep)
+    b, kernel, amul = ep.B.order, set(ep.sd.embed_k.map), ep.A.mul
     positions = _positions(ep.beta_bar, eta.pair)
     times = len(positions)
-    generates = kernel.issuperset(eta.kgens) and (
-        subgroup_closure(ep.A, eta.kgens).order == len(kernel)
-    )
+    # seeds inside the kernel close inside it: equal orders mean they generate it
+    generates = kernel.issuperset(eta.kgens) and len(
+        _closure(ep.A.identity, eta.kgens, lambda x, y: amul[x][y])
+    ) == len(kernel)
     occurs = f"pair {eta.pair} occurs {times} times among beta_bar's pairs"
     failed = next((detail for bad, detail in (
         (eta.n != a, f"n = {eta.n}, not |A| = {a}"),

@@ -12,6 +12,7 @@ import pytest
 import surfep
 from surfep import cli, embedding, serialize, solver, surface
 from surfep.cli import main
+from surfep.errors import HypothesisViolated
 from surfep.serialize import canonical_json, certificate_from_json, load_workspace
 
 
@@ -1072,6 +1073,53 @@ class TestPlanGenusCount:
 
     def test_count_unknown_group(self, capsys):
         assert main(["count", "--group", "nope", "--genus", "1"]) == 1
+
+    def test_genus_bad_genus(self, capsys):
+        # exit 2 is solve's alone; genus below 2 is an error like any other
+        assert main(["genus", "--genus", "1", "--index", "2"]) == 1
+        assert capsys.readouterr().err == "error: genus 1 below required bound 2\n"
+
+
+class TestMainMapsEveryRefusal:
+    """main is the one place a refusal becomes an exit code: what a handler
+    raises, from any stage, is one error line and exit 1, never a
+    traceback."""
+
+    @pytest.mark.parametrize("exc", [ValueError("bad value"), OSError("bad file")],
+                             ids=["ValueError", "OSError"])
+    @pytest.mark.parametrize("target", ["solve_gamma_level", "reverify_certificate"])
+    def test_solver_stage(self, tmp_path, capsys, monkeypatch, target, exc):
+        ws = v4_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        assert main(["solve", ws, "v4_plain", "--out", out]) == 0
+
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(solver, target, refuse)
+        argv = (["solve", ws, "v4_plain"] if target == "solve_gamma_level"
+                else ["verify", out, ws])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
+def test_verify_derives_phi_with_eta_construct(tmp_path, capsys, monkeypatch):
+    """eta_construct is the eta rule verify runs: with it refusing, a proper
+    certificate no longer verifies."""
+    ws = v4_workspace(tmp_path)
+    out = str(tmp_path / "cert.json")
+    assert main(["solve", ws, "v4", "--out", out]) == 0
+    assert main(["verify", out, ws]) == 0
+
+    def refuse(*args, **kwargs):
+        raise HypothesisViolated("equal_images", 2)
+
+    monkeypatch.setattr(solver, "eta_construct", refuse)
+    capsys.readouterr()
+    assert main(["verify", out, ws]) == 1
+    assert capsys.readouterr() == (
+        "", "error: construction hypothesis violated: equal_images (witness 2)\n"
+    )
 
 
 class TestGen:

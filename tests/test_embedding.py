@@ -193,6 +193,23 @@ class TestClaimProper:
         with pytest.raises(NotASolution):
             s.claim_proper(ep, bad)
 
+    @pytest.mark.parametrize("genus", [63, 65])
+    def test_refuses_another_genus(self, v4_instance, genus):
+        """A phi whose genus is not the problem's is refused by name, as
+        verify_solution's shape check refuses it: at genus 65 the extra
+        x-image, a kernel generator, would make the claim True, and at 63
+        the compatibility scan would index past phi's end."""
+        ep = v4_instance
+        base = s.map_tuple(ep.gamma, ep.beta_bar)
+        kgen = next(k for k in ep.kernel_subgroup.members if k != ep.A.identity)
+        x = (*base.ximg, kgen)[:genus]
+        y = (*base.yimg, ep.A.identity)[:genus]
+        with pytest.raises(GenusMismatch, match="expected 64, got " + str(genus)):
+            s.claim_proper(ep, s.SurfaceTuple(ep.A, genus, x, y))
+        assert s.verify_solution(ep, x, y).checks[0] == CheckRecord(
+            "shape", False, "genus 64"
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
     def test_claim_agrees_with_direct_closure(self, seed):
