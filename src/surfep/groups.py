@@ -386,20 +386,6 @@ class DirectProduct:
     proj2: GroupHom
 
 
-def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> DirectProduct:
-    """Componentwise product with index encoding (a, b) -> a*|G2| + b."""
-    n1, n2 = g1.order, g2.order
-    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for a1, b1 in itertools.product(range(n1), range(n2)):
-        row = table[a1 * n2 + b1]
-        for a2, b2 in itertools.product(range(n1), range(n2)):
-            row[a2 * n2 + b2] = g1.mul[a1][a2] * n2 + g2.mul[b1][b2]
-    grp = make_group(table, identity_hint=g1.identity * n2 + g2.identity)
-    proj1 = make_hom(grp, g1, [x // n2 for x in range(n1 * n2)])
-    proj2 = make_hom(grp, g2, [x % n2 for x in range(n1 * n2)])
-    return DirectProduct(grp, proj1, proj2)
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """An action of `acting` on `acted` by automorphisms, one permutation
@@ -491,6 +477,15 @@ def semidirect_product(
     gamma = GroupHom(h_group, grp, tuple(ke * nh + h for h in range(nh)))
     embed = GroupHom(k_group, grp, tuple(k * nh + he for k in range(nk)))
     return SemidirectProduct(grp, alpha, gamma, embed, action)
+
+
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> DirectProduct:
+    """Componentwise product with index encoding (a, b) -> a*|G2| + b: the
+    semidirect product with the trivial action, whose alpha is proj2, plus
+    proj1."""
+    sd = semidirect_product(g1, g2, trivial_action(g2, g1))
+    proj1 = GroupHom(sd.group, g1, tuple(x // g2.order for x in sd.group.elements()))
+    return DirectProduct(sd.group, proj1, sd.alpha)
 
 
 # --- permutation realization and catalog -------------------------------------

@@ -38,7 +38,7 @@ from .groups import (
     group_from_permutations,
     make_group,
 )
-from .errors import InvalidAction, NotASubgroup, RelationViolated
+from .errors import SurfepError
 from .surface import SurfaceTuple, make_surface_tuple
 
 # v6 writes the move program (the beta_bar value pair moved, m, n and the
@@ -188,24 +188,30 @@ def group_from_json(obj: Any, path: str = "group") -> FiniteGroup:
             table = _ints(table, f"{path}.table", _GROUP)
             n = _get(obj, f"{path}.order", int, _GROUP)
             if len(table) != n * n:
-                raise ValueError("flat table length must be order squared")
+                raise ValueError(f"{_GROUP} {path}.table: flat table length "
+                                 "must be order squared")
             table = [table[i * n : (i + 1) * n] for i in range(n)]
         else:
             for i, row in enumerate(table):
                 _typed(row, list, f"{path}.table[{i}]", _GROUP)
-        group = make_group(table, labels=labels)
+        named = next((f"{path}.table[{i}]" for i, row in enumerate(table)
+                      if len(row) != len(table)), path)
+        with _naming(named, _GROUP):
+            group = make_group(table, labels=labels)
     else:
         perms = _typed(obj["permutations"], list, f"{path}.permutations", _GROUP)
-        group, _ = group_from_permutations([
-            _ints(p, f"{path}.permutations[{i}]", _GROUP) for i, p in enumerate(perms)
-        ])
+        perms = [_ints(p, f"{path}.permutations[{i}]", _GROUP)
+                 for i, p in enumerate(perms)]
+        with _naming(path, _GROUP):
+            group, _ = group_from_permutations(perms)
         if labels is not None:
             group = FiniteGroup(
                 group.order, group.identity, group.mul, group.inv, labels
             )
     if order is not None and order != group.order:
         raise ValueError(
-            f"declared order {order} but the group has order {group.order}"
+            f"{_GROUP} {path}.order: declared order {order} but the group has "
+            f"order {group.order}"
         )
     if labels is not None and len(labels) != group.order:
         raise ValueError(
@@ -241,7 +247,7 @@ def _naming(path: str, what: str):
     with the field's name: "<what> <path>: <error>"."""
     try:
         yield
-    except (InvalidAction, NotASubgroup, RelationViolated, ValueError) as exc:
+    except (SurfepError, ValueError) as exc:
         raise ValueError(f"{what} {path}: {exc}") from None
 
 

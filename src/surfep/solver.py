@@ -8,6 +8,8 @@ with a certificate that re-verifies from scratch.  The certificate records
 only the move program: the value pair moved, how often, and the kernel
 generators.  Verify checks that program against the problem, replays it
 without repeating the search, and derives phi from it by the eta rule.
+That check is one verdict (_verdict): verify prints it, and solve returns a
+certificate only once the same verdict passes it.
 """
 
 from __future__ import annotations
@@ -60,14 +62,16 @@ from .surface import (
 )
 
 
+def _bounds(size_k: int, size_h: int) -> tuple[int, int]:
+    """m = 2|K|^2|H| and the genus bound m|H|^2 = 2|K|^2|H|^3 for K x| H."""
+    return 2 * size_k ** 2 * size_h, 2 * size_k ** 2 * size_h ** 3
+
+
 def _program_sizes(ep: SplitEP) -> tuple[int, int, int]:
-    """n = |A|, m = 2|A|^2/|B| and the genus bound m|B|^2 = 2|A|^2|B| of
-    the move program; |B| divides |A|, since alpha is onto B.  n = |A|:
-    for any phi with alpha o phi = beta_bar, K phi(Gamma) = alpha^-1(B) =
-    A because beta_bar is onto B."""
+    """n = |A| and _bounds for A = K x| B, |K| = |A|/|B|.  n = |A|: for any
+    phi with alpha o phi = beta_bar, K phi(Gamma) = alpha^-1(B) = A."""
     a, b = ep.A.order, ep.B.order
-    m = 2 * a * a // b
-    return a, m, m * b * b
+    return (a, *_bounds(a // b, b))
 
 
 def make_eta_params(
@@ -95,7 +99,7 @@ def eta_construct(
     """The eta rule, in its one implementation: phi with x_{in+j+1} set to
     x_1 k_{i+1} for i < s and 1 <= j <= n, the kernel generators spread
     over the first s blocks.  Solve and verify derive phi with it
-    (_phi_checks).
+    (_verdict).
 
     Needs phi constant on x_1..x_{sn+s} and y_1..y_{sn+s} and, in the
     relative case, both x_1^-1 x_i and x_i x_1^-1 inside N for
@@ -215,53 +219,31 @@ def _replay(
     return ep.with_beta_bar(state.channel_tuple(0)), rel_n
 
 
-def _phi_checks(
-    ep_n: SplitEP, rel_n: Optional[SubgroupSpec], eta: EtaSummary
-) -> SolutionCertificate:
-    """phi as the move program determines it, through verify_solution on
-    the replayed problem with the kernel witnesses eta implies: phi is
-    eta_construct of gamma o beta_bar_n, beta_bar_n being beta_bar replayed
-    through eta, which has passed eta_program.  N is not passed to it: a
-    witness leaving N fails witness_memberships instead."""
-    phi = eta_construct(map_tuple(ep_n.gamma, ep_n.beta_bar), eta, ep_n)
-    return verify_solution(
-        ep_n, phi.ximg, phi.yimg, relative=rel_n,
-        witnesses=_witnesses_for(eta, rel_n),
-    )
-
-
 def _solve_pipeline(
     ep: SplitEP, nspec: Optional[SubgroupSpec]
 ) -> SolutionCertificate:
-    g = ep.genus
     needed = _program_sizes(ep)[2]
-    if g < needed:
-        raise GenusTooSmall(needed, g)
+    if ep.genus < needed:
+        raise GenusTooSmall(needed, ep.genus)
     if nspec is not None:
-        if nspec.genus != g:
-            raise GenusMismatch(g, nspec.genus)
+        # raises GenusMismatch unless nu has ep's genus
         bn = image_of_restriction(ep.beta_bar, nspec)
         if bn.order != ep.B.order:
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)
 
+    # one replay; the claim is not_reduced at the first position leaving N
+    # (escalating needs the quotient construction, outside this solver) and
+    # proper otherwise, and solve returns it once verify's verdict passes it
     eta = _move_program(ep)
-    ep_n, rel_n = _replay(ep, nspec, eta.selected)
-    if rel_n is not None:
-        offending = _first_leaving(rel_n, eta.m)
-        if offending is not None:
-            # the finite argument stops here; escalating needs the quotient
-            # construction, which is outside this solver.  phi stays in
-            # full: the certificate's genus is read from it
-            phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
-            return SolutionCertificate(phi_n.ximg, phi_n.yimg, "not_reduced",
-                                       eta=eta, relative=RelativeEvidence(offending))
-
-    cert = _phi_checks(ep_n, rel_n, eta)
-    if not cert.is_proper:
-        raise AssertionError(
-            f"pipeline produced a non-proper certificate: {cert.failed_checks()}"
-        )
-    return replace(cert, eta=eta)
+    replayed = _replay(ep, nspec, eta.selected)
+    off = _first_leaving(replayed[1], eta.m) if nspec is not None else None
+    claim = SolutionCertificate(
+        (), (), "proper" if off is None else "not_reduced", eta=eta,
+        relative=None if off is None else RelativeEvidence(off))
+    cert = _verdict(ep, nspec, claim, replayed)
+    if cert.failed_checks():
+        raise AssertionError(f"solve's certificate fails {cert.failed_checks()}")
+    return cert
 
 
 def solve_gamma_level(ep: SplitEP) -> SolutionCertificate:
@@ -310,42 +292,40 @@ def _eta_check(
     return check, replace(eta, selected=selected)
 
 
-def reverify_certificate(
+def _verdict(
     ep: SplitEP,
-    cert: SolutionCertificate,
-    nspec: Optional[SubgroupSpec] = None,
+    nspec: Optional[SubgroupSpec],
+    claim: SolutionCertificate,
+    replayed: Optional[tuple[SplitEP, Optional[SubgroupSpec]]] = None,
 ) -> SolutionCertificate:
-    """Re-check a certificate from raw data, trusting none of its flags.
-
-    Returns the certificate with the recomputed outcome and, in order, every
-    check `surfep verify` prints.  First the recorded move program is checked
-    against the problem (eta_program), not searched for, and replayed from
-    (pair, m) on the values of beta_bar (and nu).  A stopped relative run
-    (outcome "not_reduced") keeps its outcome only if beta(N) = B and its
-    offending_index is the first position in 2..m whose x-difference leaves
-    N on the replayed nu.  Any other certificate goes through _phi_checks,
-    the solver's own final check: phi derived from the program by the eta
-    rule, through verify_solution with the kernel witnesses the program
-    implies; its recorded outcome must match the recomputed one
-    (outcome_matches).  The returned certificate carries phi in full and
-    eta.selected.
-    """
-    if nspec is not None and nspec.genus != ep.genus:
-        raise GenusMismatch(ep.genus, nspec.genus)
-    check, eta = _eta_check(ep, cert.eta)
+    """The verdict verify prints and solve's last step runs: claim with the
+    recomputed outcome, phi in full once the program passes, eta.selected,
+    and every check in order.  The move program is checked (eta_program),
+    not searched for, and replayed on beta_bar (and nu); replayed, solve's
+    replay of claim.eta.selected, stands in if the check selects the same
+    positions.  A "not_reduced" claim needs beta(N) = B and offending_index
+    the first position in 2..m whose x-difference leaves N.  Any other gets
+    phi by the eta rule, checked by verify_solution with the witnesses the
+    program implies, and its outcome must match (outcome_matches)."""
+    check, eta = _eta_check(ep, claim.eta)
     checks = [check]
+    phi_x, phi_y = claim.phi_x, claim.phi_y
     if check.passed:
-        ep_n, rel_n = _replay(ep, nspec, eta.selected)
+        if replayed is None or eta.selected != claim.eta.selected:
+            replayed = _replay(ep, nspec, eta.selected)
+        ep_n, rel_n = replayed
+        phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
+        phi_x, phi_y = phi_n.ximg, phi_n.yimg
 
-    if cert.outcome == "not_reduced":
+    if claim.outcome == "not_reduced":
         if nspec is None:
             checks.append(CheckRecord(
                 "relative_present", False, "certificate needs a relative spec"
             ))
-        elif checks[0].passed:
+        elif check.passed:
             bn = image_of_restriction(ep.beta_bar, nspec)
             first = _first_leaving(rel_n, eta.m)
-            off = cert.relative.offending_index
+            off = claim.relative.offending_index
             detail = (f"position {off} leaves N" if off == first else
                       f"the first position leaving N is {first or 'none'}, not {off}")
             checks += [
@@ -354,18 +334,36 @@ def reverify_certificate(
                 CheckRecord("offending_index", off == first, detail),
             ]
         outcome = "not_reduced" if all(c.passed for c in checks) else "invalid"
-        return replace(cert, outcome=outcome, checks=tuple(checks), eta=eta)
+        return replace(claim, phi_x=phi_x, phi_y=phi_y, outcome=outcome,
+                       checks=tuple(checks), eta=eta)
 
-    fresh = SolutionCertificate(cert.phi_x, cert.phi_y, "invalid")
-    if checks[0].passed:
-        fresh = _phi_checks(ep_n, rel_n, eta)
+    fresh = SolutionCertificate(phi_x, phi_y, "invalid")
+    if check.passed:
+        phi = eta_construct(phi_n, eta, ep_n)
+        fresh = verify_solution(
+            ep_n, phi.ximg, phi.yimg, relative=rel_n,
+            witnesses=_witnesses_for(eta, rel_n),
+        )
         checks += fresh.checks
     checks.append(CheckRecord(
         "outcome_matches",
-        fresh.outcome == cert.outcome,
+        fresh.outcome == claim.outcome,
         f"recomputed outcome {fresh.outcome}",
     ))
     return replace(fresh, eta=eta, checks=tuple(checks))
+
+
+def reverify_certificate(
+    ep: SplitEP,
+    cert: SolutionCertificate,
+    nspec: Optional[SubgroupSpec] = None,
+) -> SolutionCertificate:
+    """Re-check a certificate from raw data, trusting none of its flags, by
+    the verdict solve also ends in (_verdict).  GenusMismatch unless nu has
+    ep's genus."""
+    if nspec is not None and nspec.genus != ep.genus:
+        raise GenusMismatch(ep.genus, nspec.genus)
+    return _verdict(ep, nspec, cert)
 
 
 # --- free products -------------------------------------------------------------
@@ -400,7 +398,7 @@ def solve_free_product(
     kernel already sits inside the surface part's image, so the combined map
     is onto.
     """
-    needed = 2 * k_group.order ** 2 * h_group.order ** 3
+    needed = _bounds(k_group.order, h_group.order)[1]
     if genus < needed:
         raise GenusTooSmall(needed, genus)
     if beta_surface.target != h_group:
@@ -485,7 +483,7 @@ class ExtensionPlan:
 
     @property
     def bound(self) -> int:
-        return 2 * self.size_k ** 2 * self.size_h ** 3
+        return _bounds(self.size_k, self.size_h)[1]
 
 
 def plan_extension(genus: int, size_k: int, size_h: int) -> ExtensionPlan:
@@ -493,8 +491,7 @@ def plan_extension(genus: int, size_k: int, size_h: int) -> ExtensionPlan:
         raise GenusTooSmall(2, genus)
     if size_k < 1 or size_h < 1:
         raise ValueError("group sizes must be positive")
-    m = 2 * size_k ** 2 * size_h
-    bound = 2 * size_k ** 2 * size_h ** 3
+    m, bound = _bounds(size_k, size_h)
     required_index = -((bound + m - 1) // -(genus - 1))
     h = open_subgroup_genus(genus, required_index)
     if h - m < bound:

@@ -231,9 +231,12 @@ class TestProblemFieldTypes:
     @pytest.mark.parametrize(
         "path,value,message",
         [
-            (("K", "table", 0, 1), 1.5, "table entries must be integers"),
-            (("K", "table", 0, 1), "1", "table entries must be integers"),
-            (("K", "table", 0, 1), True, "table entries must be integers"),
+            (("K", "table", 0, 1), 1.5,
+             "group field K: table entries must be integers"),
+            (("K", "table", 0, 1), "1",
+             "group field K: table entries must be integers"),
+            (("K", "table", 0, 1), True,
+             "group field K: table entries must be integers"),
             (("action", 0, 1), 1.0, "problem field action[0][1] must be"),
             (("beta_bar", "x", 0), 1.0, "problem field beta_bar.x[0] must be"),
             (("beta_bar", "y", 0), True, "problem field beta_bar.y[0] must be"),
@@ -358,12 +361,27 @@ class TestWorkspaceStructure:
             (problem_edit(("K",), {"permutations": [[1, 0]],
                                    "labels": ["e", "a", "b"]}),
              "group field K.labels must hold 2 labels, one per element, got 3"),
+            (problem_edit(("K",), {"table": [[0, 1], [1, 1]]}),
+             "group field K: element 1 has no two-sided inverse"),
+            (problem_edit(("relative", "Q"), {"table": [[0, 1], [1, 1]]}),
+             "group field Q: element 1 has no two-sided inverse"),
+            (problem_edit(("K",), {"table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]}),
+             "group field K: multiplication table not associative at triple "
+             "(1, 1, 2)"),
+            (problem_edit(("K",), {"permutations": [[1, 0], [0, 1, 2]]}),
+             "group field K: (0, 1, 2) is not a permutation of 0..1"),
+            (problem_edit(("K",), {"table": [[0, 1], [1]]}),
+             "group field K.table[1]: need a nonempty square table, got 2 rows"),
+            (lambda doc: {**doc, "groups": {"G": {"table": [[0, 1], [1, 1]]}}},
+             "group field groups.G: element 1 has no two-sided inverse"),
         ],
         ids=["top_level_list", "groups_list", "problems_list", "problem_list",
              "K_int", "labels_int", "flat_order_string", "mixed_table",
              "row_not_a_list", "float_permutation", "table_labels_too_few",
              "table_labels_too_many", "permutation_labels_too_few",
-             "permutation_labels_too_many"],
+             "permutation_labels_too_many", "K_no_inverse", "Q_no_inverse",
+             "K_not_associative", "K_permutation_lengths", "K_ragged",
+             "unused_named_group"],
     )
     def test_solve_names_the_field(self, tmp_path, edit, message):
         ws = str(tmp_path / "gen.json")

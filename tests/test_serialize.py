@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 import surfep as s
 from surfep.embedding import SubgroupSpec
 from surfep.errors import GenusMismatch
-from surfep import serialize
+from surfep import serialize, solver
 from surfep.oracle import InstanceRecipe, generate_instances
+from surfep.surface import normalize_to_front
 from surfep.serialize import (
     canonical_json,
     certificate_from_json,
@@ -134,6 +136,19 @@ class TestGroupJson:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             group_from_json({"order": 3, "table": [[0, 1], [1, 0]]})
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [({"order": 3, "table": [0, 1, 1, 0]},
+          "group field K.table: flat table length must be order squared"),
+         ({"order": 3, "table": [[0, 1], [1, 0]]},
+          "group field K.order: declared order 3 but the group has order 2")],
+        ids=["flat_table_length", "declared_order"],
+    )
+    def test_order_refusals_name_the_field(self, obj, message):
+        with pytest.raises(ValueError) as exc:
+            group_from_json(obj, "K")
+        assert str(exc.value) == message
 
 
 class TestTupleAndProblemJson:
@@ -324,6 +339,81 @@ class TestCertificateJson:
             bad["relative"][key] = value
             with pytest.raises(ValueError, match="certificate field relative"):
                 certificate_from_json(bad)
+
+
+def not_reduced_problem():
+    """The problem of not_reduced_certificate, with its relative."""
+    c2 = s.cyclic_group(2)
+    g = 64
+    beta = s.make_surface_tuple(c2, [1] + [0] * (g - 1), [0] * g)
+    ep = s.make_split_ep(c2, c2, s.trivial_action(c2, c2), beta)
+    nu = s.make_surface_tuple(c2, [0] + [i % 2 for i in range(1, g)], [0] * g)
+    return ep, SubgroupSpec(c2, nu, s.subgroup_closure(c2, []))
+
+
+class TestSolveEndsInVerify:
+    """solve returns a certificate only once verify's checks pass on it:
+    its checks are the ones reverify_certificate gives the certificate read
+    back from its JSON, and the problem is replayed once per solve."""
+
+    def reverified(self, ep, cert, relative=None):
+        again = certificate_from_json(json.loads(written(cert)))
+        return s.reverify_certificate(ep, again, relative)
+
+    def test_gamma_level(self, v4_instance):
+        cert = s.solve_gamma_level(v4_instance)
+        assert cert.checks == self.reverified(v4_instance, cert).checks
+        assert [cert.checks[0].name, cert.checks[-1].name] == [
+            "eta_program", "outcome_matches"]
+
+    def test_relative(self):
+        inst = next(
+            g
+            for g in generate_instances(InstanceRecipe(seed=11), 4)
+            if g.relative_valid is True
+        )
+        cert = s.solve_relative(inst.ep, inst.relative)
+        assert cert.outcome == "proper"
+        fresh = self.reverified(inst.ep, cert, inst.relative)
+        assert cert.checks == fresh.checks
+        assert "witness_memberships" in [c.name for c in cert.checks]
+
+    def test_not_reduced(self):
+        ep, spec = not_reduced_problem()
+        cert = s.solve_relative(ep, spec)
+        assert cert.outcome == "not_reduced"
+        fresh = self.reverified(ep, cert, spec)
+        assert cert.checks == fresh.checks
+        assert [c.name for c in cert.checks] == [
+            "eta_program", "beta_n_surjective", "offending_index"]
+        # phi in full, gamma o beta_bar_n, on the parsed certificate too
+        assert fresh.genus == ep.genus
+        assert (fresh.phi_x, fresh.phi_y) == (cert.phi_x, cert.phi_y)
+
+    def test_solve_refuses_what_verify_refuses(self, monkeypatch, v4_instance):
+        # a move program one position short: verify fails its eta_program
+        real = solver.make_eta_params
+        monkeypatch.setattr(solver, "make_eta_params",
+                            lambda ep, phi=None: replace(real(ep), m=real(ep).m - 1))
+        with pytest.raises(AssertionError, match="eta_program"):
+            s.solve_gamma_level(v4_instance)
+
+    @pytest.mark.parametrize("stops", [False, True], ids=["proper", "not_reduced"])
+    def test_one_replay_per_solve(self, monkeypatch, stops):
+        ep, spec = not_reduced_problem()
+        if not stops:
+            spec = SubgroupSpec(spec.Q, spec.nu, s.subgroup_closure(spec.Q, [1]))
+        calls = []
+
+        def counted(state, selected):
+            calls.append(len(state.channels))
+            return normalize_to_front(state, selected)
+
+        monkeypatch.setattr(solver, "normalize_to_front", counted)
+        cert = s.solve_relative(ep, spec)
+        assert cert.outcome == ("not_reduced" if stops else "proper")
+        # one replay, of beta_bar and nu together
+        assert calls == [2]
 
 
 class TestWorkspace:
