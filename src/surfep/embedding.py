@@ -250,7 +250,7 @@ class SolutionCertificate:
     certificate basis: the original basis after the move program eta (the
     original basis itself when eta is None).  A certificate file holds
     outcome, eta and, for a "not_reduced" one, relative: phi follows from
-    the problem and eta (solver._verdict), so phi_x / phi_y and
+    the problem and eta (solver.reverify_certificate), so phi_x / phi_y and
     eta.selected are empty on a parsed certificate until
     reverify_certificate replays it.
     basis_x_words / basis_y_words spell the basis out as words in the
@@ -261,7 +261,7 @@ class SolutionCertificate:
 
     phi_x: tuple[int, ...]
     phi_y: tuple[int, ...]
-    outcome: str  # "proper" | "solution" | "invalid" | "not_reduced"
+    outcome: Optional[str]  # "proper" | "solution" | "invalid" | "not_reduced" | None
     checks: tuple[CheckRecord, ...] = ()
     eta: Optional[EtaSummary] = None
     witnesses: tuple[KernelWitness, ...] = ()

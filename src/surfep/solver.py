@@ -1,22 +1,21 @@
 """Constructive solvers for split embedding problems over surface groups.
 
-The core pipeline starts from the section-composed candidate, pigeonholes a
+The core pipeline starts from the section-composed candidate, pulls a
 repeated image pair to the front of the basis by conjugation moves, then
 redistributes kernel generators over blocks of equal-image generators; the
 resulting map is surjective by the kernel-containment criterion and comes
 with a certificate that re-verifies from scratch.  The certificate records
 only the move program: the value pair moved, how often, and the kernel
-generators.  Verify checks that program against the problem, replays it
-without repeating the search, and derives phi from it by the eta rule.
-That check is one verdict (_verdict): verify prints it, and solve returns a
-certificate only once the same verdict passes it.
+generators.  The solver's one decision is the pair (_move_program); solve is
+that search followed by reverify_certificate, the check verify runs, which
+lists the pair's positions, replays the program once, derives phi from it
+by the eta rule and reads the outcome off the replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress, count, repeat
-from operator import eq
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -56,7 +55,8 @@ from .surface import (
     map_tuple,
     normalize_to_front,
     open_subgroup_genus,
-    pigeonhole_select,
+    pair_positions,
+    repeated_pair,
     tuple_image,
     word_x,
 )
@@ -78,8 +78,8 @@ def make_eta_params(
     ep: SplitEP, phi: Optional[SurfaceTuple] = None
 ) -> EtaSummary:
     """n, m (_program_sizes) and kgens of the move program the solver
-    picks; _move_program adds pair and selected from the pigeonhole, and
-    verify checks a recorded program instead (_eta_check).  kgens is K's
+    picks; _move_program adds the pair, and _eta_check, which solve and
+    verify both run, checks the program and fills in selected.  kgens is K's
     greedy generating tuple mapped into A by the increasing embed_k: each
     generator is the smallest kernel member not yet reached, so s <= log2
     |Ker(alpha)|.  phi is not read; the parameter stays because
@@ -99,7 +99,7 @@ def eta_construct(
     """The eta rule, in its one implementation: phi with x_{in+j+1} set to
     x_1 k_{i+1} for i < s and 1 <= j <= n, the kernel generators spread
     over the first s blocks.  Solve and verify derive phi with it
-    (_verdict).
+    (reverify_certificate).
 
     Needs phi constant on x_1..x_{sn+s} and y_1..y_{sn+s} and, in the
     relative case, both x_1^-1 x_i and x_i x_1^-1 inside N for
@@ -160,10 +160,6 @@ def _flags(
     )
 
 
-def _memberships(rel_n: SubgroupSpec, positions: Iterable[int]) -> tuple:
-    return tuple(_flags(rel_n, positions))
-
-
 def _first_leaving(rel_n: SubgroupSpec, last: int) -> Optional[int]:
     """The first basis position i in 2..last whose x-difference leaves N in
     either orientation; None when none does."""
@@ -179,7 +175,7 @@ def _witnesses_for(
     with both membership orientations in N when there is a relative."""
     positions = [j * eta.n + 2 for j in range(len(eta.kgens))]
     flags = (
-        _memberships(rel_n, positions)
+        _flags(rel_n, positions)
         if rel_n is not None
         else [(i, None, None) for i in positions]
     )
@@ -190,21 +186,15 @@ def _witnesses_for(
 
 
 def _move_program(ep: SplitEP) -> EtaSummary:
-    """The program the solver picks: selected from the pigeonhole on
-    beta_bar's pairs (NoRepeatedPair if no pair occurs m times), the first
-    m occurrences of one pair.  That is the choice the pigeonhole on gamma
-    o beta_bar makes too: gamma(h) = e_K |H| + h is injective and
-    increasing, so it keeps every pair's count and the pairs' order."""
+    """The program the solver picks, without its positions: the
+    lexicographically smallest beta_bar pair that occurs m times
+    (NoRepeatedPair if none does).  That is the pair gamma o beta_bar gives
+    too: gamma(h) = e_K |H| + h is injective and increasing, so it keeps
+    every pair's count and the pairs' order.  _eta_check lists the first m
+    positions it moves."""
     params = make_eta_params(ep)
-    pairs = list(zip(ep.beta_bar.ximg, ep.beta_bar.yimg))
-    selected = pigeonhole_select(pairs, params.m)
-    return replace(params, pair=pairs[selected[0] - 1], selected=tuple(selected))
-
-
-def _positions(beta_bar: SurfaceTuple, pair: tuple[int, int]) -> list[int]:
-    """The 1-based basis positions whose beta_bar value pair is pair."""
-    hits = map(eq, zip(beta_bar.ximg, beta_bar.yimg), repeat(pair))
-    return list(compress(count(1), hits))
+    pairs = zip(ep.beta_bar.ximg, ep.beta_bar.yimg)
+    return replace(params, pair=repeated_pair(pairs, params.m))
 
 
 def _replay(
@@ -231,16 +221,11 @@ def _solve_pipeline(
         if bn.order != ep.B.order:
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)
 
-    # one replay; the claim is not_reduced at the first position leaving N
-    # (escalating needs the quotient construction, outside this solver) and
-    # proper otherwise, and solve returns it once verify's verdict passes it
-    eta = _move_program(ep)
-    replayed = _replay(ep, nspec, eta.selected)
-    off = _first_leaving(replayed[1], eta.m) if nspec is not None else None
-    claim = SolutionCertificate(
-        (), (), "proper" if off is None else "not_reduced", eta=eta,
-        relative=None if off is None else RelativeEvidence(off))
-    cert = _verdict(ep, nspec, claim, replayed)
+    # the claim holds only the program; its outcome is the replay's, and
+    # stopping at a position leaving N is not_reduced (escalating needs the
+    # quotient construction, outside this solver)
+    claim = SolutionCertificate((), (), None, eta=_move_program(ep))
+    cert = reverify_certificate(ep, claim, nspec)
     if cert.failed_checks():
         raise AssertionError(f"solve's certificate fails {cert.failed_checks()}")
     return cert
@@ -266,13 +251,13 @@ def _eta_check(
     with s(n + 1) <= m, and pair a value pair of B that occurs at least m
     times among beta_bar's pairs, so that the program can be replayed.  Any
     such program will do, not only the one the solver picks.  Returns the
-    check and eta with selected filled in: the first m positions whose
-    beta_bar pair is pair."""
+    check and eta with selected filled in: the first m of the pair's
+    positions, listed once here for both the count and the replay."""
     if eta is None:
         return CheckRecord("eta_program", False, "no move program recorded"), eta
     a, m, _ = _program_sizes(ep)
     b, kernel, amul = ep.B.order, set(ep.sd.embed_k.map), ep.A.mul
-    positions = _positions(ep.beta_bar, eta.pair)
+    positions = pair_positions(zip(ep.beta_bar.ximg, ep.beta_bar.yimg), eta.pair)
     times = len(positions)
     # seeds inside the kernel close inside it: equal orders mean they generate it
     generates = kernel.issuperset(eta.kgens) and len(
@@ -292,40 +277,48 @@ def _eta_check(
     return check, replace(eta, selected=selected)
 
 
-def _verdict(
+def reverify_certificate(
     ep: SplitEP,
-    nspec: Optional[SubgroupSpec],
-    claim: SolutionCertificate,
-    replayed: Optional[tuple[SplitEP, Optional[SubgroupSpec]]] = None,
+    cert: SolutionCertificate,
+    nspec: Optional[SubgroupSpec] = None,
 ) -> SolutionCertificate:
-    """The verdict verify prints and solve's last step runs: claim with the
+    """Re-check a certificate from raw data, trusting none of its flags.
+    Verify prints this check, and solve ends in it.  Returns cert with the
     recomputed outcome, phi in full once the program passes, eta.selected,
     and every check in order.  The move program is checked (eta_program),
-    not searched for, and replayed on beta_bar (and nu); replayed, solve's
-    replay of claim.eta.selected, stands in if the check selects the same
-    positions.  A "not_reduced" claim needs beta(N) = B and offending_index
-    the first position in 2..m whose x-difference leaves N.  Any other gets
-    phi by the eta rule, checked by verify_solution with the witnesses the
-    program implies, and its outcome must match (outcome_matches)."""
-    check, eta = _eta_check(ep, claim.eta)
+    not searched for, and replayed once on beta_bar (and nu).  A claim
+    without an outcome, solve's, takes the one its replay shows:
+    "not_reduced" at the first position in 2..m whose x-difference leaves N,
+    "proper" otherwise.  A "not_reduced" claim needs beta(N) = B and
+    offending_index that first position.  Any other gets phi by the eta
+    rule, checked by verify_solution with the witnesses the program implies,
+    and its outcome must match (outcome_matches).  GenusMismatch unless nu
+    has ep's genus."""
+    if nspec is not None and nspec.genus != ep.genus:
+        raise GenusMismatch(ep.genus, nspec.genus)
+    check, eta = _eta_check(ep, cert.eta)
     checks = [check]
-    phi_x, phi_y = claim.phi_x, claim.phi_y
+    phi_x, phi_y = cert.phi_x, cert.phi_y
+    first = None  # first position leaving N; read for not_reduced or no outcome
     if check.passed:
-        if replayed is None or eta.selected != claim.eta.selected:
-            replayed = _replay(ep, nspec, eta.selected)
-        ep_n, rel_n = replayed
+        ep_n, rel_n = _replay(ep, nspec, eta.selected)
         phi_n = map_tuple(ep.gamma, ep_n.beta_bar)
         phi_x, phi_y = phi_n.ximg, phi_n.yimg
+        if rel_n is not None and cert.outcome in (None, "not_reduced"):
+            first = _first_leaving(rel_n, eta.m)
+    if cert.outcome is None:
+        cert = replace(
+            cert, outcome="proper" if first is None else "not_reduced",
+            relative=None if first is None else RelativeEvidence(first))
 
-    if claim.outcome == "not_reduced":
+    if cert.outcome == "not_reduced":
         if nspec is None:
             checks.append(CheckRecord(
                 "relative_present", False, "certificate needs a relative spec"
             ))
         elif check.passed:
             bn = image_of_restriction(ep.beta_bar, nspec)
-            first = _first_leaving(rel_n, eta.m)
-            off = claim.relative.offending_index
+            off = cert.relative.offending_index
             detail = (f"position {off} leaves N" if off == first else
                       f"the first position leaving N is {first or 'none'}, not {off}")
             checks += [
@@ -334,7 +327,7 @@ def _verdict(
                 CheckRecord("offending_index", off == first, detail),
             ]
         outcome = "not_reduced" if all(c.passed for c in checks) else "invalid"
-        return replace(claim, phi_x=phi_x, phi_y=phi_y, outcome=outcome,
+        return replace(cert, phi_x=phi_x, phi_y=phi_y, outcome=outcome,
                        checks=tuple(checks), eta=eta)
 
     fresh = SolutionCertificate(phi_x, phi_y, "invalid")
@@ -347,23 +340,10 @@ def _verdict(
         checks += fresh.checks
     checks.append(CheckRecord(
         "outcome_matches",
-        fresh.outcome == claim.outcome,
+        fresh.outcome == cert.outcome,
         f"recomputed outcome {fresh.outcome}",
     ))
     return replace(fresh, eta=eta, checks=tuple(checks))
-
-
-def reverify_certificate(
-    ep: SplitEP,
-    cert: SolutionCertificate,
-    nspec: Optional[SubgroupSpec] = None,
-) -> SolutionCertificate:
-    """Re-check a certificate from raw data, trusting none of its flags, by
-    the verdict solve also ends in (_verdict).  GenusMismatch unless nu has
-    ep's genus."""
-    if nspec is not None and nspec.genus != ep.genus:
-        raise GenusMismatch(ep.genus, nspec.genus)
-    return _verdict(ep, nspec, cert)
 
 
 # --- free products -------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from operator import eq
 from typing import Iterable, Sequence
 
@@ -217,19 +217,34 @@ def map_tuple(hom: GroupHom, t: SurfaceTuple) -> SurfaceTuple:
     )
 
 
+def repeated_pair(
+    pairs: Iterable[tuple[int, int]], multiplicity: int
+) -> tuple[int, int]:
+    """The lexicographically smallest value pair occurring at least
+    multiplicity times among pairs (NoRepeatedPair if none does)."""
+    if multiplicity < 1:
+        raise ValueError("multiplicity must be positive")
+    winners = [p for p, c in Counter(pairs).items() if c >= multiplicity]
+    if not winners:
+        raise NoRepeatedPair(multiplicity)
+    return min(winners)
+
+
+def pair_positions(
+    pairs: Iterable[tuple[int, int]], pair: tuple[int, int]
+) -> list[int]:
+    """The 1-based positions at which pairs holds pair."""
+    return list(compress(count(1), map(eq, pairs, repeat(pair))))
+
+
 def pigeonhole_select(
     pairs: Sequence[tuple[int, int]], multiplicity: int
 ) -> list[int]:
     """First positions (1-based) of the lexicographically smallest value pair
-    attaining the requested multiplicity."""
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be positive")
+    attaining the requested multiplicity: repeated_pair, then the first
+    multiplicity of its pair_positions."""
     keys = list(map(tuple, pairs))
-    winners = [p for p, c in Counter(keys).items() if c >= multiplicity]
-    if not winners:
-        raise NoRepeatedPair(multiplicity)
-    hits = map(eq, keys, repeat(min(winners)))
-    return list(islice(compress(count(1), hits), multiplicity))
+    return pair_positions(keys, repeated_pair(keys, multiplicity))[:multiplicity]
 
 
 def open_subgroup_genus(g: int, index: int) -> int:

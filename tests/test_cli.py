@@ -800,11 +800,11 @@ class TestVerifyEtaProgram:
         assert json.loads(open(out).read())["eta"]["pair"] == [0, 0]
 
         def largest(pairs, m):
-            # the pigeonhole, choosing the largest pair that reaches m
-            best = max(p for p in set(pairs) if pairs.count(p) >= m)
-            return [i for i, p in enumerate(pairs, 1) if p == best][:m]
+            # the pair search, choosing the largest pair that reaches m
+            pairs = list(pairs)
+            return max(p for p in set(pairs) if pairs.count(p) >= m)
 
-        monkeypatch.setattr(solver, "pigeonhole_select", largest)
+        monkeypatch.setattr(solver, "repeated_pair", largest)
         assert main(["solve", ws, "p", "--out", out]) == 0
         monkeypatch.undo()
         cert = json.loads(open(out).read())
@@ -824,7 +824,7 @@ class TestVerifyDoesNotSearch:
             def boom(*args, **kwargs):
                 raise AssertionError("the solver's search on the verify path")
 
-            for name in ("_move_program", "make_eta_params", "pigeonhole_select",
+            for name in ("_move_program", "make_eta_params", "repeated_pair",
                          "_greedy_generators"):
                 monkeypatch.setattr(solver, name, boom)
         return patch

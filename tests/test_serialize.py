@@ -403,17 +403,36 @@ class TestSolveEndsInVerify:
         ep, spec = not_reduced_problem()
         if not stops:
             spec = SubgroupSpec(spec.Q, spec.nu, s.subgroup_closure(spec.Q, [1]))
-        calls = []
+        calls = {"replay": [], "listing": 0, "search": 0, "scan": 0}
 
         def counted(state, selected):
-            calls.append(len(state.channels))
+            calls["replay"].append(len(state.channels))
             return normalize_to_front(state, selected)
 
+        def tally(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
         monkeypatch.setattr(solver, "normalize_to_front", counted)
+        for name, attr in (("listing", "pair_positions"),
+                           ("search", "repeated_pair"),
+                           ("scan", "_first_leaving")):
+            monkeypatch.setattr(solver, attr, tally(name, getattr(solver, attr)))
         cert = s.solve_relative(ep, spec)
         assert cert.outcome == ("not_reduced" if stops else "proper")
-        # one replay, of beta_bar and nu together
-        assert calls == [2]
+        # one replay, of beta_bar and nu together, one listing of the
+        # moved pair's positions, one pair search and one scan for N
+        assert calls == {"replay": [2], "listing": 1, "search": 1, "scan": 1}
+
+        # verify replays and lists the recorded program but searches nothing;
+        # a proper certificate's memberships are verify_solution's witnesses
+        calls.update(replay=[], listing=0, search=0, scan=0)
+        again = certificate_from_json(json.loads(written(cert)))
+        assert s.reverify_certificate(ep, again, spec).checks == cert.checks
+        assert calls == {"replay": [2], "listing": 1, "search": 0,
+                         "scan": int(stops)}
 
 
 class TestWorkspace:

@@ -13,7 +13,7 @@ from surfep.errors import (
     TargetMismatch,
 )
 from surfep.oracle import GeneratedInstance
-from surfep.solver import _memberships, make_eta_params
+from surfep.solver import _flags, make_eta_params
 
 
 class TestEtaParams:
@@ -438,7 +438,7 @@ def test_memberships_read_both_orientations(cat):
     for a in s3.elements():
         for b in s3.elements():
             nu = s.make_surface_tuple(s3, [a, b], [s3.identity] * 2)
-            flags = _memberships(SubgroupSpec(s3, nu, subgroup), [2])
+            flags = tuple(_flags(SubgroupSpec(s3, nu, subgroup), [2]))
             words = ("x1^-1 x2", "x2 x1^-1")
             assert flags == ((2, *(
                 s.evaluate_word(nu, s.parse_word(w)) in subgroup for w in words
