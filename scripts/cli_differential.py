@@ -10,7 +10,9 @@ and `count`, bad argv for all six commands, unreadable files, every field
 of four certificates and of three workspace problems set to each of ten
 hostile values or deleted, then `verify` of every certificate against every
 variant.  Each call's exit code, stdout, stderr and any file it writes must
-match byte for byte.  The one difference allowed is a call the baseline
+match byte for byte.  The summary counts the differing calls by command and
+by which of exit code, stdout, stderr and written file differ, then shows
+the first 20 in full.  The one difference allowed is a call the baseline
 left to a traceback (an uncaught ValueError or OSError) that this tree
 answers with exit 1 and ``error: <the same message>``; those are counted
 as mended.  Exits 0 when nothing else differs.
@@ -27,11 +29,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent / "src"
 HOSTILE = (None, True, -1, 0, 2**40, 1.5, "a", [], {}, [-1])
 DELETE = "<deleted>"
+FIELDS = ("exit code", "stdout", "stderr", "written file")  # a result's parts
 C2 = {"order": 2, "table": [[0, 1], [1, 0]]}
 G = 64
 
@@ -292,6 +296,12 @@ def main(argv: list[str]) -> int:
           f"{mended} tracebacks mended, {differ} differ")
     for argv_, kind, message in tally["mended"]:
         print(f"mended: {argv_[0]} ({kind}: {message})")
+    groups = Counter(
+        (argv_[0] if argv_ else "(no command)",
+         ", ".join(f for f, x, y in zip(FIELDS, b, n) if x != y))
+        for argv_, b, n in tally["differ"])
+    for (command, fields), count in sorted(groups.items()):
+        print(f"differ: {count} {command} call(s) in {fields}")
     for argv_, b, n in tally["differ"][:20]:
         print(f"DIFFER: {argv_}\n  baseline: {b[:3]}\n  this tree: {n[:3]}")
     return 1 if tally["differ"] else 0

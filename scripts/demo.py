@@ -32,8 +32,6 @@ def main() -> int:
     print(f"eta parameters: s={cert.eta.s} n={cert.eta.n} m={cert.eta.m}")
     print(f"move program: the first {cert.eta.m} positions with beta_bar pair "
           f"{cert.eta.pair}: {cert.eta.selected[:6]}...")
-    for w in cert.witnesses:
-        print(f"kernel witness: {w.word} evaluates to {w.value}")
     rewritten = sum(
         1 for w in cert.basis_x_words + cert.basis_y_words if len(w.factors) != 1
     )

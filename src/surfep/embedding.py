@@ -35,7 +35,6 @@ from .surface import (
     SurfaceTuple,
     Word,
     basis_words,
-    evaluate_word,
     relation_value,
     tuple_image,
 )
@@ -203,19 +202,6 @@ class CheckRecord:
 
 
 @dataclass(frozen=True)
-class KernelWitness:
-    """A word (in the certificate basis) whose phi-value is one kernel
-    generator; for relative problems both membership orientations of the
-    word in N are read on nu.  Derived from the move program, never
-    written."""
-
-    word: Word
-    value: int
-    in_n_left: Optional[bool] = None   # the word itself lies in N
-    in_n_right: Optional[bool] = None  # the reversed product lies in N
-
-
-@dataclass(frozen=True)
 class RelativeEvidence:
     """Why a relative run stopped: the first basis position i whose
     x-difference (x1^-1 x_i or x_i x1^-1) leaves N on the certificate
@@ -256,7 +242,9 @@ class SolutionCertificate:
     basis_x_words / basis_y_words spell the basis out as words in the
     original one, derived on first use; nothing on the solve or verify path
     needs them.  genus, is_solution and is_proper follow from phi and
-    outcome.
+    outcome.  The certificate claims the properties verify_solution checks,
+    not a proof of them: no kernel witness is derived or recorded, and
+    witnesses is always empty.
     """
 
     phi_x: tuple[int, ...]
@@ -264,7 +252,7 @@ class SolutionCertificate:
     outcome: Optional[str]  # "proper" | "solution" | "invalid" | "not_reduced" | None
     checks: tuple[CheckRecord, ...] = ()
     eta: Optional[EtaSummary] = None
-    witnesses: tuple[KernelWitness, ...] = ()
+    witnesses: tuple = ()  # always (); perfbench/tracing.py still reads it
     relative: Optional[RelativeEvidence] = None
 
     @property
@@ -300,13 +288,19 @@ def verify_solution(
     phi_x: Sequence[int],
     phi_y: Sequence[int],
     relative: Optional[SubgroupSpec] = None,
-    witnesses: Sequence[KernelWitness] = (),
 ) -> SolutionCertificate:
     """Check a candidate tuple against the problem and record every result.
 
-    The candidate and ep.beta_bar (and relative.nu, if given) must refer to
-    the same basis.  Nothing is thrown for a failed check; failures land in
-    the certificate.
+    Each property the outcome claims has one exact check, read off the
+    definition: surface_relation (the product of commutators is 1),
+    compatibility (alpha o phi = beta_bar), image_closure (phi(Gamma) = A)
+    and, with a relative, beta_n_surjective and relative_image_full (beta(N)
+    = B and phi(N) = A).  "proper" is surface_relation and compatibility
+    together with image_closure, or with a relative together with
+    beta_n_surjective and relative_image_full.  How phi was built is not
+    read.  The candidate and ep.beta_bar (and relative.nu, if given) must
+    refer to the same basis.  Nothing is thrown for a failed check; failures
+    land in the certificate.
     """
     checks: list[CheckRecord] = []
     g = ep.genus
@@ -338,47 +332,19 @@ def verify_solution(
 
     is_solution = ok_relation and ok_compat
 
-    # properness, direct route: closure of the images, which shape has
-    # range-checked
+    # properness: the closure of the images, which shape has range-checked
     amul = ep.A.mul
     order = len(_closure(ep.A.identity, [*phi_x, *phi_y], lambda a, b: amul[a][b]))
-    direct_proper = order == ep.A.order
+    ok_closure = order == ep.A.order
     checks.append(
         CheckRecord(
             "image_closure",
-            direct_proper,
+            ok_closure,
             f"closure order {order} of {ep.A.order}",
         )
     )
 
-    # claim route when witnesses are supplied: each witness word must
-    # evaluate to its recorded value, and the values must generate a
-    # subgroup containing Ker(alpha)
-    if witnesses:
-        phi_tuple = SurfaceTuple(ep.A, g, tuple(phi_x), tuple(phi_y))
-        wit_ok = True
-        detail = ""
-        for w in witnesses:
-            got = evaluate_word(phi_tuple, w.word)
-            if got != w.value:
-                wit_ok = False
-                detail = f"word {w.word} evaluates to {got}, recorded {w.value}"
-                break
-        checks.append(CheckRecord("witness_words", wit_ok, detail))
-        if wit_ok:
-            # each value is a word's value under the range-checked phi
-            kc = _closure(ep.A.identity, [w.value for w in witnesses],
-                          lambda a, b: amul[a][b])
-            contained = set(kc).issuperset(ep.sd.embed_k.map)
-            checks.append(
-                CheckRecord(
-                    "kernel_containment",
-                    contained,
-                    "witness values generate a subgroup containing Ker(alpha)",
-                )
-            )
-
-    is_proper = is_solution and direct_proper
+    is_proper = is_solution and ok_closure
     if relative is not None:
         ok_genus = relative.genus == g
         checks.append(CheckRecord("relative_genus", ok_genus, ""))
@@ -399,14 +365,7 @@ def verify_solution(
                     "relative_image_full", an_full, f"|phi(N)| = {an.order}"
                 )
             )
-            mem_ok = all(
-                (w.in_n_left is not False) and (w.in_n_right is not False)
-                for w in witnesses
-            )
-            checks.append(
-                CheckRecord("witness_memberships", mem_ok, "all witness words in N")
-            )
-            is_proper = is_solution and bn_full and an_full and mem_ok
+            is_proper = is_solution and bn_full and an_full
         else:
             is_proper = False
 
@@ -416,5 +375,4 @@ def verify_solution(
         phi_y=tuple(phi_y),
         outcome=outcome,
         checks=tuple(checks),
-        witnesses=tuple(witnesses),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BetaNotSurjective,
@@ -39,7 +39,6 @@ from .groups import (
 from .embedding import (
     CheckRecord,
     EtaSummary,
-    KernelWitness,
     RelativeEvidence,
     SolutionCertificate,
     SplitEP,
@@ -58,7 +57,6 @@ from .surface import (
     pair_positions,
     repeated_pair,
     tuple_image,
-    word_x,
 )
 
 
@@ -103,14 +101,15 @@ def eta_construct(
 
     Needs phi constant on x_1..x_{sn+s} and y_1..y_{sn+s} and, in the
     relative case, both x_1^-1 x_i and x_i x_1^-1 inside N for
-    2 <= i <= sn+s; the per-block power identities are asserted on the way
-    out.  Neither the relation nor compatibility is checked, and ep is not
-    read.  Block i is n equal pairs, so it contributes c^n for its
-    commutator c before the change and after it, and both powers are
-    trivial.  The result differs from phi only by kernel factors, so alpha
-    o result = alpha o phi = beta_bar for phi = gamma o beta_bar_n.  The
-    guards cannot fire on a program that passes eta_program: the replay
-    makes gamma o beta_bar_n constant on the first m >= s(n + 1) positions.
+    2 <= i <= sn+s.  Nothing is checked on the way out, and ep is not read:
+    verify_solution checks the relation, compatibility and the image of
+    the result exactly.  (In the paper's proof, block i is n = |A| equal
+    pairs, so it contributes c^n = 1 for its commutator c before the change
+    and after it, by Lagrange; the result differs from phi only by kernel
+    factors, so alpha o result = alpha o phi = beta_bar for phi = gamma o
+    beta_bar_n.)  The guards cannot fire on a program that passes
+    eta_program: the replay makes gamma o beta_bar_n constant on the first
+    m >= s(n + 1) positions.
     """
     s, n = params.s, params.n
     g = phi.genus
@@ -126,63 +125,25 @@ def eta_construct(
         if bad is not None:
             raise HypothesisViolated("membership", bad)
 
-    a_group = phi.target
     new_x = list(phi.ximg)
-    row = a_group.mul[x1]
+    row = phi.target.mul[x1]
     for i, k in enumerate(params.kgens):
         new_x[i * n + 1 : i * n + n + 1] = repeat(row[k], n)
-    new_x = tuple(new_x)
-
-    # block power identities from the proof: both the modified and the
-    # original block commutators have order dividing n = |K phi(Gamma)|
-    for i in range(s):
-        idx = i * n + 1  # 0-based position of x_{in+2}
-        for xs in (new_x, phi.ximg):
-            c = a_group.commutator(xs[idx], phi.yimg[idx])
-            if a_group.power(c, n) != a_group.identity:
-                raise AssertionError(f"block identity fails at block {i}")
-
-    return SurfaceTuple(a_group, g, new_x, phi.yimg)
+    return SurfaceTuple(phi.target, g, tuple(new_x), phi.yimg)
 
 
-def _flags(
-    rel_n: SubgroupSpec, positions: Iterable[int]
-) -> Iterator[tuple[int, bool, bool]]:
-    """(i, x1^-1 x_i in N, x_i x1^-1 in N) for each basis position i, read
-    lazily on rel_n.nu."""
+def _first_leaving(rel_n: SubgroupSpec, last: int) -> Optional[int]:
+    """The first basis position i in 2..last whose x-difference (x1^-1 x_i
+    or x_i x1^-1) leaves N, read on rel_n.nu; None when none does."""
     nu = rel_n.nu
     sset = set(rel_n.S.members)
     mul = nu.target.mul
     inv1 = nu.target.inv[nu.ximg[0]]
-    return (
-        (i, mul[inv1][nu.ximg[i - 1]] in sset, mul[nu.ximg[i - 1]][inv1] in sset)
-        for i in positions
-    )
-
-
-def _first_leaving(rel_n: SubgroupSpec, last: int) -> Optional[int]:
-    """The first basis position i in 2..last whose x-difference leaves N in
-    either orientation; None when none does."""
-    flags = _flags(rel_n, range(2, last + 1))
-    return next((i for i, left, right in flags if not (left and right)), None)
-
-
-def _witnesses_for(
-    eta: EtaSummary, rel_n: Optional[SubgroupSpec]
-) -> tuple[KernelWitness, ...]:
-    """The kernel witnesses a move program implies: for each j the word
-    x1^-1 x_{jn+2}, whose value on the certificate basis must be kgens[j],
-    with both membership orientations in N when there is a relative."""
-    positions = [j * eta.n + 2 for j in range(len(eta.kgens))]
-    flags = (
-        _flags(rel_n, positions)
-        if rel_n is not None
-        else [(i, None, None) for i in positions]
-    )
-    return tuple(
-        KernelWitness(word_x(1, -1) * word_x(i), k, left, right)
-        for (i, left, right), k in zip(flags, eta.kgens)
-    )
+    return next((
+        i for i in range(2, last + 1)
+        if mul[inv1][nu.ximg[i - 1]] not in sset
+        or mul[nu.ximg[i - 1]][inv1] not in sset
+    ), None)
 
 
 def _move_program(ep: SplitEP) -> EtaSummary:
@@ -291,9 +252,11 @@ def reverify_certificate(
     "not_reduced" at the first position in 2..m whose x-difference leaves N,
     "proper" otherwise.  A "not_reduced" claim needs beta(N) = B and
     offending_index that first position.  Any other gets phi by the eta
-    rule, checked by verify_solution with the witnesses the program implies,
-    and its outcome must match (outcome_matches).  GenusMismatch unless nu
-    has ep's genus."""
+    rule, checked by verify_solution against what the outcome claims (the
+    relation, compatibility, phi(Gamma) = A and, with nu, beta(N) = B and
+    phi(N) = A), and its outcome must match (outcome_matches).  No step of
+    the construction's proof is replayed.  GenusMismatch unless nu has ep's
+    genus."""
     if nspec is not None and nspec.genus != ep.genus:
         raise GenusMismatch(ep.genus, nspec.genus)
     check, eta = _eta_check(ep, cert.eta)
@@ -333,10 +296,7 @@ def reverify_certificate(
     fresh = SolutionCertificate(phi_x, phi_y, "invalid")
     if check.passed:
         phi = eta_construct(phi_n, eta, ep_n)
-        fresh = verify_solution(
-            ep_n, phi.ximg, phi.yimg, relative=rel_n,
-            witnesses=_witnesses_for(eta, rel_n),
-        )
+        fresh = verify_solution(ep_n, phi.ximg, phi.yimg, relative=rel_n)
         checks += fresh.checks
     checks.append(CheckRecord(
         "outcome_matches",

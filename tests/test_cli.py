@@ -125,8 +125,7 @@ class TestSolveVerify:
         capsys.readouterr()
         assert main(["verify", out, ws]) == 0
         lines = capsys.readouterr().out
-        for check in ("witness_words", "kernel_containment", "beta_n_surjective",
-                      "relative_image_full", "witness_memberships"):
+        for check in ("beta_n_surjective", "relative_image_full"):
             assert re.search(rf"^{check} +pass", lines, re.M)
 
     def test_verify_rejects_tampered_certificate(self, tmp_path, capsys):
@@ -1256,7 +1255,10 @@ GOLDEN_GEN5_SHA256 = "ab40122defb945e39aaee7b265b04480af512d074f3d17a3b7759d7b35
 # SHA-256 of `surfep verify` stdout and exit codes on the certificates of
 # test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
 # verdict moves it; moving the checks between modules must leave it alone.
-GOLDEN_VERIFY_SHA256 = "612bb03b2ee4047bfef9b8f4a751c276fab2b65b66dd2985f422db8af538a205"
+# Re-pinned when the kernel-witness checks went: the v6 output with every
+# witness_words, kernel_containment and witness_memberships line dropped
+# and the columns re-padded hashes to this value.
+GOLDEN_VERIFY_SHA256 = "c9a83624b6f6c0ce6980a8f2b8d063e19b9a64fe7e64ebb3afaf0b6d04b0c74d"
 
 
 class TestGoldenBytes:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfep as s
-from surfep.embedding import CheckRecord, KernelWitness, SubgroupSpec
+from surfep.embedding import CheckRecord, SubgroupSpec
 from surfep.errors import (
     BetaNotSurjective,
     GenusMismatch,
@@ -303,27 +303,6 @@ class TestVerifySolution:
         failed = [c.name for c in cert.failed_checks()]
         assert failed[0] == "surface_relation"
         assert "compatibility" not in failed
-
-    def test_witness_word_mismatch_recorded(self, v4_instance):
-        ep = v4_instance
-        phi = s.map_tuple(ep.gamma, ep.beta_bar)
-        bogus = KernelWitness(word=s.parse_word("x1^-1 x2"), value=3)
-        cert = s.verify_solution(ep, phi.ximg, phi.yimg, witnesses=[bogus])
-        failed = {c.name for c in cert.failed_checks()}
-        assert "witness_words" in failed
-
-    def test_witness_kernel_containment(self, v4_instance):
-        ep = v4_instance
-        # hand-build a proper solution: put the kernel generator on y64
-        kgen = next(k for k in ep.kernel_subgroup.members if k != ep.A.identity)
-        phi = s.map_tuple(ep.gamma, ep.beta_bar)
-        phi_y = list(phi.yimg)
-        phi_y[63] = kgen  # A is abelian here so the relation survives
-        wit = KernelWitness(word=s.word_y(64), value=kgen)
-        cert = s.verify_solution(ep, phi.ximg, phi_y, witnesses=[wit])
-        names = {c.name: c.passed for c in cert.checks}
-        assert names["witness_words"] and names["kernel_containment"]
-        assert cert.outcome == "proper"
 
     def test_relative_checks_present(self, v4_instance):
         ep = v4_instance

@@ -376,7 +376,7 @@ class TestSolveEndsInVerify:
         assert cert.outcome == "proper"
         fresh = self.reverified(inst.ep, cert, inst.relative)
         assert cert.checks == fresh.checks
-        assert "witness_memberships" in [c.name for c in cert.checks]
+        assert "relative_image_full" in [c.name for c in cert.checks]
 
     def test_not_reduced(self):
         ep, spec = not_reduced_problem()
@@ -427,7 +427,8 @@ class TestSolveEndsInVerify:
         assert calls == {"replay": [2], "listing": 1, "search": 1, "scan": 1}
 
         # verify replays and lists the recorded program but searches nothing;
-        # a proper certificate's memberships are verify_solution's witnesses
+        # a proper certificate is not scanned: its claim in N is phi(N) = A,
+        # which verify_solution's relative_image_full checks
         calls.update(replay=[], listing=0, search=0, scan=0)
         again = certificate_from_json(json.loads(written(cert)))
         assert s.reverify_certificate(ep, again, spec).checks == cert.checks

@@ -13,7 +13,7 @@ from surfep.errors import (
     TargetMismatch,
 )
 from surfep.oracle import GeneratedInstance
-from surfep.solver import _flags, make_eta_params
+from surfep.solver import _first_leaving, make_eta_params
 
 
 class TestEtaParams:
@@ -350,7 +350,7 @@ class TestSolveGammaLevel:
     def test_missing_eta_fails_the_eta_check(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
         # without a move program there is no certificate basis to read phi
-        # on, and no kernel witness to check
+        # on
         fresh = s.reverify_certificate(v4_instance, replace(cert, eta=None))
         assert fresh.outcome == "invalid" and not fresh.is_solution
         assert fresh.checks == (
@@ -369,9 +369,6 @@ class TestSolveRelative:
         inst = self.good_instance()
         cert = s.solve_relative(inst.ep, inst.relative)
         assert cert.outcome == "proper"
-        assert cert.witnesses
-        for w in cert.witnesses:
-            assert w.in_n_left and w.in_n_right
         fresh = s.reverify_certificate(inst.ep, cert, inst.relative)
         assert fresh.outcome == "proper"
 
@@ -438,11 +435,12 @@ def test_memberships_read_both_orientations(cat):
     for a in s3.elements():
         for b in s3.elements():
             nu = s.make_surface_tuple(s3, [a, b], [s3.identity] * 2)
-            flags = tuple(_flags(SubgroupSpec(s3, nu, subgroup), [2]))
             words = ("x1^-1 x2", "x2 x1^-1")
-            assert flags == ((2, *(
+            inside = all(
                 s.evaluate_word(nu, s.parse_word(w)) in subgroup for w in words
-            )),)
+            )
+            first = _first_leaving(SubgroupSpec(s3, nu, subgroup), 2)
+            assert first == (None if inside else 2)
 
 
 class TestFreeProduct:
