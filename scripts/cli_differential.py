@@ -6,16 +6,17 @@ BASELINE is a git revision (its ``src/`` is taken with ``git archive``) or
 the ``src`` directory of another checkout.  A corpus of valid and hostile
 calls goes through ``surfep.cli.main`` in one child process per tree: `gen`
 at several recipes and `solve` of every problem they hold, `plan`, `genus`
-and `count`, bad argv for all six commands, unreadable files, every field
-of four certificates and of three workspace problems set to each of ten
-hostile values or deleted, then `verify` of every certificate against every
-variant.  Each call's exit code, stdout, stderr and any file it writes must
-match byte for byte.  The summary counts the differing calls by command and
-by which of exit code, stdout, stderr and written file differ, then shows
-the first 20 in full.  The one difference allowed is a call the baseline
-left to a traceback (an uncaught ValueError or OSError) that this tree
-answers with exit 1 and ``error: <the same message>``; those are counted
-as mended.  Exits 0 when nothing else differs.
+and `count`, bad argv for all six commands and argv that argparse reads in
+ways of its own, unreadable files, every field of four certificates and of
+three workspace problems set to each of ten hostile values or deleted, then
+`verify` of every certificate against every variant.  Each call's exit
+code, stdout, stderr and any file it writes must match byte for byte.  The
+summary counts the differing calls by command and by which of exit code,
+stdout, stderr and written file differ, then shows the first 20 in full.
+The one difference allowed is a call the baseline left to a traceback (an
+uncaught ValueError or OSError) that this tree answers with exit 1 and
+``error: <the same message>``; those are counted as mended.  Exits 0 when
+nothing else differs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def run_cases(cases_path: str, out_dir: str) -> None:
     results = []
     out = os.path.join(out_dir, "out.json")
     for argv in json.loads(Path(cases_path).read_text()):
-        argv = [out if a == "{OUT}" else a for a in argv]
+        argv = [a.replace("{OUT}", out) for a in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -207,6 +208,14 @@ def argv_cases(work: Path, ws: str) -> list:
         ["gen", "--count", "2", "--out", "{OUT}"],
         ["gen", "--count", "1", "--out", missing],
         ["gen", "--count", "1", "--out", str(work)], ["gen", "--action", "bogus"],
+        # argv that argparse reads in ways of its own, and plain forms
+        ["solve", ws, "v4", "--out={OUT}"], ["solve", ws, "v4", "--o", "{OUT}"],
+        ["solve", "--", ws, "v4"], ["solve", "-", "v4"],
+        ["solve", ws, "v4", "--out", str(work / "first.json"), "--out", "{OUT}"],
+        ["genus", "--genus", "-3", "--index", "2"],
+        ["gen", "--count", "1", "--size-k", "2", "-2"],
+        ["solve", "--out", "{OUT}", ws, "v4"],
+        ["gen", "--size-k", "2", "3", "--size-h", "1", "--count", "2"],
     ]
     cases += [[name, "--help"] for name in ("solve", "verify", "plan", "genus",
                                              "count", "gen")]

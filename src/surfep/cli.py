@@ -5,14 +5,19 @@ Exit codes: 0 success / proper solution, 1 validation or verification error,
 at a membership failure (outcome "not_reduced").  The handlers raise what
 refuses a call, and main alone turns it into one "error:" line and exit 1.
 Diagnostics go to stderr, results to stdout or the requested output file.
+
+Every command's arguments are described once, in COMMANDS.  A plain argv is
+read straight from that table, without argparse; argparse is imported only
+to answer any other argv, so help, usage lines and errors read as its
+parsers word them.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import solver
 from .errors import GenusTooSmall, SurfepError
@@ -26,6 +31,9 @@ from .serialize import (
     workspace_to_json,
 )
 from .surface import open_subgroup_genus
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -159,7 +167,10 @@ def cmd_gen(args) -> int:
 
 # name -> (help, argument specs, handler), in the order help lists them;
 # each spec is the (name, kwargs) of one add_argument call.  Defaults and
-# choices are tuples, since every parser built from the table shares them.
+# choices are tuples, since every parser built from the table, and every
+# plain read, shares them.  _read_plain knows the kwargs type, choices,
+# required, default, help and nargs="+"; a spec using another must teach
+# it that first.
 COMMANDS = {
     "solve": (
         "solve a problem from a workspace file",
@@ -239,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The full ``surfep`` parser, one subparser per command in COMMANDS.
     main builds it only to answer an argv that names no command, or to
     word the error for arguments a command's own parser leaves over."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="surfep",
         description="Solve and verify finite split embedding problems over "
@@ -250,24 +263,92 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one ``surfep`` call.  When argv names a command in COMMANDS,
-    only that command's parser is built, as the ``surfep <command>``
-    subparser of build_parser would be, and parses the rest of argv.
-    Anything else, and arguments that parser leaves over, goes to the full
-    parser, whose help and errors read as they always have.  What a
-    handler raises is mapped here alone: one ``error:`` line, EXIT_ERROR."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = None
+def _read_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a plain argv, read from its command's COMMANDS
+    specs as the ``surfep <command>`` subparser reads them: every dest, and
+    func.  Plain means the command's name, then its positionals in order
+    and each of its options, spelled in full, at most once, with its value
+    (an ``nargs="+"`` option takes the tokens up to the next one that
+    starts with ``-``); no other token starts with ``-``.  Each value is
+    converted by its ``type`` and must be one of its ``choices``, and every
+    positional and required option must be there.  None for any other
+    argv, which main leaves to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, specs, handler = COMMANDS[argv[0]]
+    kwargs_of = dict(specs)
+    positionals = iter(arg for arg, _ in specs if not arg.startswith("-"))
+    words = {}  # spec name -> the tokens it takes
+    rest = argv[1:]
+    i = 0
+    while i < len(rest):
+        if not rest[i].startswith("-"):
+            name = next(positionals, None)
+            if name is None:
+                return None
+            words[name] = [rest[i]]
+            i += 1
+            continue
+        name = rest[i]
+        if name not in kwargs_of or name in words:
+            return None
+        end = i + 2
+        if kwargs_of[name].get("nargs") == "+":
+            while end < len(rest) and not rest[end].startswith("-"):
+                end += 1
+        if end > len(rest) or rest[i + 1].startswith("-"):
+            return None
+        words[name] = rest[i + 1:end]
+        i = end
+
+    args = SimpleNamespace(func=handler)
+    for name, kwargs in specs:
+        option = name.startswith("-")
+        dest = name.lstrip("-").replace("-", "_") if option else name
+        if name not in words:
+            if not option or kwargs.get("required"):
+                return None
+            setattr(args, dest, kwargs.get("default"))
+            continue
+        convert = kwargs.get("type", str)
+        try:
+            values = [convert(word) for word in words[name]]
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and any(v not in kwargs["choices"] for v in values):
+            return None
+        setattr(args, dest, values if kwargs.get("nargs") == "+" else values[0])
+    return args
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argparse's reading of argv, or its exit with help or an error.  When
+    argv names a command in COMMANDS, only that command's parser is built,
+    as the ``surfep <command>`` subparser of build_parser would be, and
+    parses the rest of argv.  Anything else, and arguments that parser
+    leaves over, goes to the full parser."""
+    import argparse
+
     if argv and argv[0] in COMMANDS:
         name = argv[0]
         parser = _with_command(argparse.ArgumentParser(prog=f"surfep {name}"), name)
         args, extras = parser.parse_known_args(argv[1:])
-        if extras:
-            args = None
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one ``surfep`` call.  A plain argv (see _read_plain) is read
+    straight from COMMANDS and loads no argparse; any other goes to
+    argparse (_parse), whose help and errors read as they always have.
+    What a handler raises is mapped here alone: one ``error:`` line,
+    EXIT_ERROR."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     try:
         return args.func(args)
     except (SurfepError, ValueError, OSError) as exc:

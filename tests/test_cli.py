@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfep
 from surfep import cli, embedding, serialize, solver, surface
@@ -1381,6 +1383,31 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False False\n"
 
+    def test_plain_calls_load_no_argparse(self, tmp_path):
+        # argparse (and the gettext it imports) is loaded only to word
+        # help and errors: a plain solve and verify never load it
+        ws = v4_workspace(tmp_path)
+        out = str(tmp_path / "cert.json")
+        code = (
+            "import sys, surfep.cli as cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('argparse', 'gettext') if m in sys.modules]\n"
+            "report = [loaded()]\n"
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    report.append(cli.main(['solve', {ws!r}, 'v4_plain',"
+            f" '--out', {out!r}]))\n"
+            f"    report.append(cli.main(['verify', {out!r}, {ws!r}]))\n"
+            "report.append(loaded())\n"
+            "print(report)\n"
+            "cli.main(['solve', '--help'])\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        report, help_text = proc.stdout.split("\n", 1)
+        assert report == "[[], 0, 0, []]"
+        assert help_text.startswith("usage: surfep solve")
+
 
 # argv whose parse ends the call: help, usage errors and bad values
 PARSE_EXITS = [
@@ -1476,3 +1503,70 @@ class TestParserPerCommand:
         else:
             assert main(argv) == 0
         assert calls == ([1] if full else [])
+
+
+# one plain argv per command: _read_plain reads each without argparse
+PLAIN_ARGV = [
+    ["solve", "--out", "OUT", "WS", "v4"],
+    ["verify", "OUT", "WS"],
+    ["plan", "--genus", "3", "--K", "2", "--H", "1"],
+    ["genus", "--index", "3", "--genus", "2"],
+    ["count", "--group", "C2", "--genus", "2", "--budget", "10"],
+    ["gen", "--size-k", "2", "3", "--count", "2", "--action", "trivial"],
+]
+
+
+def argv_tokens(command):
+    """What a drawn argv of command is made of: the command's option names
+    and their prefixes, and tokens argparse reads in ways of its own."""
+    names = [arg for arg, _ in cli.COMMANDS[command][1] if arg.startswith("-")]
+    prefixes = {name[:end] for name in names for end in range(3, len(name))}
+    return sorted({*names, *prefixes, "--out=x", "-h", "--", "-", "-3", "3", "x", ""})
+
+
+@st.composite
+def drawn_argv(draw):
+    """A command and up to six tokens: its specs in any order, each option
+    that is not required at most once, each with a value, and then maybe
+    one more token or one more option with a value, anywhere."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    specs = cli.COMMANDS[command][1]
+    value = st.sampled_from(["3", "x", ""])
+    argv = []
+    for name, kwargs in draw(st.permutations(specs)):
+        option = name.startswith("-")
+        if option and not kwargs.get("required") and not draw(st.booleans()):
+            continue
+        argv += [name, draw(value)] if option else [draw(value)]
+    extras = [st.just([]), st.sampled_from(argv_tokens(command)).map(lambda t: [t])]
+    options = [name for name, _ in specs if name.startswith("-")]
+    if options:
+        extras.append(st.tuples(st.sampled_from(options), value).map(list))
+    at = draw(st.integers(0, len(argv)))
+    argv[at:at] = draw(st.one_of(extras))
+    return [command, *argv[:6]]
+
+
+def read_as_argparse(argv):
+    """_read_plain(argv), required to be what the full parser reads, less
+    its command, whenever it is not None."""
+    args = cli._read_plain(argv)
+    if args is not None:
+        try:
+            full = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which _read_plain reads")
+        del full["command"]
+        assert vars(args) == full
+    return args
+
+
+class TestPlainArgvReadsAsArgparse:
+    @pytest.mark.parametrize("argv", PLAIN_ARGV, ids=argv_id)
+    def test_plain_argv(self, argv):
+        assert read_as_argparse(argv) is not None
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argv=drawn_argv())
+    def test_drawn_argv(self, argv):
+        read_as_argparse(argv)
