@@ -7,9 +7,9 @@ refuses a call, and main alone turns it into one "error:" line and exit 1.
 Diagnostics go to stderr, results to stdout or the requested output file.
 
 Every command's arguments are described once, in COMMANDS.  A plain argv is
-read straight from that table, without argparse; argparse is imported only
-to answer any other argv, so help, usage lines and errors read as its
-parsers word them.
+read straight from that table, without argparse; any other argv goes to the
+one full parser, build_parser, so help, usage lines and errors read as
+argparse words them.
 """
 
 from __future__ import annotations
@@ -235,21 +235,10 @@ COMMANDS = {
 }
 
 
-def _with_command(
-    parser: argparse.ArgumentParser, name: str
-) -> argparse.ArgumentParser:
-    """Add command name's arguments and handler to parser."""
-    _, specs, handler = COMMANDS[name]
-    for arg, kwargs in specs:
-        parser.add_argument(arg, **kwargs)
-    parser.set_defaults(func=handler)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full ``surfep`` parser, one subparser per command in COMMANDS.
-    main builds it only to answer an argv that names no command, or to
-    word the error for arguments a command's own parser leaves over."""
+    main builds it, and imports argparse, only for an argv that
+    _read_plain does not read."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -258,8 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
         "surface groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _with_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, specs, handler) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for arg, kwargs in specs:
+            command.add_argument(arg, **kwargs)
+        command.set_defaults(func=handler)
     return parser
 
 
@@ -321,34 +313,15 @@ def _read_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return args
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """argparse's reading of argv, or its exit with help or an error.  When
-    argv names a command in COMMANDS, only that command's parser is built,
-    as the ``surfep <command>`` subparser of build_parser would be, and
-    parses the rest of argv.  Anything else, and arguments that parser
-    leaves over, goes to the full parser."""
-    import argparse
-
-    if argv and argv[0] in COMMANDS:
-        name = argv[0]
-        parser = _with_command(argparse.ArgumentParser(prog=f"surfep {name}"), name)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one ``surfep`` call.  A plain argv (see _read_plain) is read
     straight from COMMANDS and loads no argparse; any other goes to
-    argparse (_parse), whose help and errors read as they always have.
+    build_parser, whose help and errors read as they always have.
     What a handler raises is mapped here alone: one ``error:`` line,
     EXIT_ERROR."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_plain(argv)
-    if args is None:
-        args = _parse(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SurfepError, ValueError, OSError) as exc:

@@ -38,7 +38,7 @@ from .groups import (
     group_from_permutations,
     make_group,
 )
-from .errors import SurfepError
+from .errors import BetaNotSurjective, GenusMismatch, SurfepError
 from .surface import SurfaceTuple, make_surface_tuple
 
 # v6 writes the move program (the beta_bar value pair moved, m, n and the
@@ -297,7 +297,12 @@ def problem_from_json(
     beta = _images(obj, "beta_bar", _PROBLEM)
     genus = _typed(obj.get("genus"), (int, type(None)), "genus", _PROBLEM)
     beta_bar = _surface_tuple(h_group, beta, "beta_bar", _PROBLEM)
-    ep = make_split_ep(k_group, h_group, action, beta_bar, genus=genus)
+    try:
+        ep = make_split_ep(k_group, h_group, action, beta_bar, genus=genus)
+    except GenusMismatch as exc:
+        raise ValueError(f"{_PROBLEM} genus: {exc}") from None
+    except BetaNotSurjective as exc:
+        raise ValueError(f"{_PROBLEM} beta_bar: {exc}") from None
     rel = obj.get("relative")
     if rel is None:
         return ep, None, problem_to_json(ep, None)
@@ -306,6 +311,9 @@ def problem_from_json(
     nu = _images(rel, "nu", _RELATIVE)
     members = sorted(set(_ints(_get(rel, "S", what=_RELATIVE), "S", _RELATIVE)))
     nu_tuple = _surface_tuple(q_group, nu, "nu", _RELATIVE)
+    with _naming("nu", _RELATIVE):
+        if nu_tuple.genus != ep.genus:
+            raise GenusMismatch(ep.genus, nu_tuple.genus)
     with _naming("S", _RELATIVE):
         s_handle = SubgroupHandle(q_group, tuple(members))
     relative = SubgroupSpec(q_group, nu_tuple, s_handle)

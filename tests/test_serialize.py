@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import surfep as s
 from surfep.embedding import SubgroupSpec
-from surfep.errors import GenusMismatch
 from surfep import serialize, solver
 from surfep.oracle import InstanceRecipe, generate_instances
 from surfep.surface import normalize_to_front
@@ -160,8 +159,12 @@ class TestTupleAndProblemJson:
 
     def test_tuple_genus_mismatch(self):
         # a declared genus that differs from the length of the image lists
-        with pytest.raises(GenusMismatch):
+        # is refused by the field's name
+        with pytest.raises(ValueError) as exc:
             problem_from_json({**self.problem_obj(), "genus": 3}, {})
+        assert str(exc.value) == (
+            "problem field genus: genus mismatch: expected 3, got 64"
+        )
 
     def problem_obj(self, genus=64):
         return {
