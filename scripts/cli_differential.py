@@ -8,12 +8,13 @@ calls goes through ``surfep.cli.main`` in one child process per tree: `gen`
 at several recipes and `solve` of every problem they hold, `plan`, `genus`
 and `count`, bad argv for all six commands and argv that argparse reads in
 ways of its own, unreadable files, every field of four certificates and of
-three workspace problems set to each of ten hostile values or deleted, then
-`verify` of every certificate against every variant.  Each call's exit
-code, stdout, stderr and any file it writes must match byte for byte.  The
-summary counts the differing calls by command and by which of exit code,
-stdout, stderr and written file differ, then shows the first 20 in full.
-The one difference allowed is a call the baseline left to a traceback (an
+three workspace problems set to each of ten hostile values or deleted, and
+a relative ``nu`` of another genus than ``beta_bar``'s, then `verify` of
+every certificate against every variant.  Each call's exit code, stdout,
+stderr and any file it writes must match byte for byte.  The summary counts
+the differing calls by command and by which of exit code, stdout, stderr
+and written file differ, then shows the first 20 in full.  The one
+difference allowed is a call the baseline left to a traceback (an
 uncaught ValueError or OSError) that this tree answers with exit 1 and
 ``error: <the same message>``; those are counted as mended.  Exits 0 when
 nothing else differs.
@@ -77,7 +78,7 @@ def baseline_src(spec: str, work: Path) -> str:
     tar = subprocess.run(["git", "archive", spec, "src"], capture_output=True,
                          check=True, cwd=HERE.parent).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(work / "baseline")
+        tf.extractall(work / "baseline", filter="data")
     return str(work / "baseline" / "src")
 
 
@@ -290,10 +291,14 @@ def main(argv: list[str]) -> int:
                 path = work / f"hw_{len(cases)}.json"
                 path.write_text(json.dumps(edited))
                 cases += [["solve", str(path), name], ["verify", cert, str(path)]]
-        # the named groups, and the two top-level members themselves
+        # the named groups, the two top-level members themselves, and a
+        # relative nu one pair longer: a valid C2 tuple of genus G + 1
         tops = [{**ws_doc, key: value} for key in ("groups", "problems")
                 for value in HOSTILE]
-        for edited in [*variants(ws_doc, ("groups",)), *tops]:
+        long_nu = copy.deepcopy(ws_doc)
+        for images in long_nu["problems"]["v4"]["relative"]["nu"].values():
+            images.append(0)
+        for edited in [*variants(ws_doc, ("groups",)), *tops, long_nu]:
             path = work / f"hw_{len(cases)}.json"
             path.write_text(json.dumps(edited))
             cases += [["solve", str(path), "v4"],

@@ -141,7 +141,7 @@ def image_of_restriction(t: SurfaceTuple, spec: SubgroupSpec) -> SubgroupHandle:
     if t.genus != spec.nu.genus:
         raise GenusMismatch(t.genus, spec.nu.genus)
     tmul, qmul = t.target.mul, spec.Q.mul
-    pairs = _closure(
+    pairs, _ = _closure(
         (t.target.identity, spec.Q.identity),
         zip((*t.ximg, *t.yimg), (*spec.nu.ximg, *spec.nu.yimg)),
         lambda p, g: (tmul[p[0]][g[0]], qmul[p[1]][g[1]]),
@@ -170,25 +170,21 @@ def _first_incompatible(
     return None
 
 
-def claim_proper(
-    ep: SplitEP, phi: SurfaceTuple, extra_image_elements: Sequence[int] = ()
-) -> bool:
+def claim_proper(ep: SplitEP, phi: SurfaceTuple) -> bool:
     """Kernel-containment criterion for surjectivity.
 
     Requires phi to be a solution of ep's genus (GenusMismatch otherwise;
     compatibility with beta_bar checked generatorwise); returns True iff
-    Ker(alpha) lies in the closure of the phi-images together with the
-    extra evidence elements.  Because beta_bar is surjective, that closure
-    then maps onto B, so containing the kernel forces it to be all of A.
+    Ker(alpha) lies in the closure of the phi-images.  Because beta_bar is
+    surjective, that closure maps onto B, so containing the kernel forces
+    it to be all of A.
     """
     if phi.genus != ep.genus:
         raise GenusMismatch(ep.genus, phi.genus)
     bad = _first_incompatible(ep, phi.ximg, phi.yimg)
     if bad is not None:
         raise NotASolution(bad)
-    closure = subgroup_closure(
-        ep.A, [*phi.ximg, *phi.yimg, *extra_image_elements]
-    )
+    closure = subgroup_closure(ep.A, [*phi.ximg, *phi.yimg])
     return set(closure.members).issuperset(ep.sd.embed_k.map)
 
 
@@ -334,7 +330,8 @@ def verify_solution(
 
     # properness: the closure of the images, which shape has range-checked
     amul = ep.A.mul
-    order = len(_closure(ep.A.identity, [*phi_x, *phi_y], lambda a, b: amul[a][b]))
+    image, _ = _closure(ep.A.identity, [*phi_x, *phi_y], lambda a, b: amul[a][b])
+    order = len(image)
     ok_closure = order == ep.A.order
     checks.append(
         CheckRecord(

@@ -20,7 +20,6 @@ from operator import itemgetter
 from typing import (
     Callable,
     Iterable,
-    Iterator,
     NamedTuple,
     Optional,
     Sequence,
@@ -39,23 +38,27 @@ from .errors import (
 E = TypeVar("E")
 
 
-def _closure(identity: E, seeds: Iterable[E], mul: Callable[[E, E], E]) -> list[E]:
+def _closure(
+    identity: E, seeds: Iterable[E], mul: Callable[[E, E], E]
+) -> tuple[list[E], list[E]]:
     """Elements reached from the identity by right multiplication by the
-    seeds, in discovery order.
+    seeds, in discovery order, and the seeds kept as generators.
 
     The seeds are walked in first-occurrence order without repeats
     (dict.fromkeys, one bulk pass; a repeat is reached already, since the
     identity times a seed is that seed), and a seed already reached is
-    skipped.  When a seed s adds something, every element found so far is
-    multiplied by s, and each element found from then on by every
-    generator kept, s included; so the work is |H| times the number of
-    generators kept, not the number of distinct seeds.  Every element ends
-    up multiplied by every kept generator, so without skips the result is
-    the exact right-multiplication closure of any table with an identity:
-    _greedy_generators, which runs before associativity is checked, only
-    passes seeds not yet reached.  Skipping needs a group: the reached set
-    is then a subgroup (a finite submonoid of a group is one), and a seed
-    inside it maps it onto itself.
+    skipped; the others are kept.  When a seed s is kept, every element
+    found so far is multiplied by s, and each element found from then on by
+    every generator kept, s included; so the work is |H| times the number
+    of generators kept, not the number of distinct seeds.  Every element
+    ends up multiplied by every kept generator, so the reached set at each
+    seed is the exact right-multiplication closure of the generators kept
+    before it, on any table with a two-sided identity, associative or not.
+    Seeds range(n) thus keep a greedy generating set, each generator the
+    smallest element not yet reached, and reach every element; make_group
+    takes it before associativity is checked.  Skipping a seed that adds
+    nothing needs a group: the reached set is then a subgroup (a finite
+    submonoid of a group is one), and a seed inside it maps it onto itself.
     """
     elems = [identity]
     seen = {identity}
@@ -78,7 +81,7 @@ def _closure(identity: E, seeds: Iterable[E], mul: Callable[[E, E], E]) -> list[
                 if p not in seen:
                     seen.add(p)
                     elems.append(p)
-    return elems
+    return elems, gens
 
 
 @dataclass(frozen=True)
@@ -128,32 +131,14 @@ class FiniteGroup:
         return range(self.order)
 
 
-def _greedy_generators(mul: Sequence[Sequence[int]], identity: int) -> Iterator[int]:
-    """Yield a set S that reaches every element from the identity by right
-    multiplication: each new s is the smallest element not yet reached.
-
-    Right multiplication needs no associativity or inverses, so this is exact
-    on any table with a two-sided identity; in a group each new element at
-    least doubles the reached subgroup, so |S| <= log2(n).
-    """
-    n = len(mul)
-    gens: list[int] = []
-    reached = {identity}
-    s = 0
-    while len(reached) < n:
-        while s in reached:
-            s += 1
-        yield s
-        gens.append(s)
-        reached = set(_closure(identity, gens, lambda a, b: mul[a][b]))
-
-
 def _check_associativity(mul: tuple[tuple[int, ...], ...], identity: int) -> None:
     """Light's test on a two-sided identity: if (x*s)*y = x*(s*y) for all x, y
     and each s in S, the same holds for every product of elements of S, so
-    it suffices that S reaches every element from the identity.
+    it suffices that S reaches every element from the identity, as the
+    generators _closure keeps from the seeds range(n) do.
     """
-    for s in _greedy_generators(mul, identity):
+    _, gens = _closure(identity, range(len(mul)), lambda a, b: mul[a][b])
+    for s in gens:
         times_s_row = itemgetter(*mul[s])      # row of x -> [x*(s*y) for y]
         for x, row in enumerate(mul):
             left = mul[row[s]]                 # [(x*s)*y for y]
@@ -175,10 +160,10 @@ def _indices(rows: Sequence[Sequence], bound: int) -> bool:
 
 def make_group(
     mul_table: Sequence[Sequence[int]],
-    identity_hint: Optional[int] = None,
     labels: Optional[Sequence[str]] = None,
 ) -> FiniteGroup:
-    """Validate a square index table and return the group it defines."""
+    """Validate a square index table and return the group it defines; its
+    identity is the one two-sided identity, found by a scan (NoIdentity)."""
     try:
         mul = tuple(map(tuple, mul_table))
     except TypeError:
@@ -190,9 +175,8 @@ def make_group(
         raise ValueError(f"table entries must be integers in 0..{n - 1}")
 
     idx = tuple(range(n))
-    candidates = [identity_hint] if identity_hint is not None else idx
     identity = next(
-        (e for e in candidates
+        (e for e in idx
          if mul[e] == idx and all(row[e] == x for x, row in enumerate(mul))),
         None,
     )
@@ -265,7 +249,7 @@ class SubgroupHandle:
         table = [
             [pos[self.parent.mul[a][b]] for b in self.members] for a in self.members
         ]
-        grp = make_group(table, identity_hint=pos[self.parent.identity])
+        grp = make_group(table)
         incl = make_hom(grp, self.parent, self.members)
         return grp, incl
 
@@ -276,7 +260,7 @@ def subgroup_closure(group: FiniteGroup, seeds: Sequence[int]) -> SubgroupHandle
         bad = next(s for s in seeds if not 0 <= s < group.order)
         raise ValueError(f"seed {bad} out of range for order {group.order}")
     mul = group.mul
-    members = _closure(group.identity, seeds, lambda a, b: mul[a][b])
+    members, _ = _closure(group.identity, seeds, lambda a, b: mul[a][b])
     return SubgroupHandle(group, tuple(sorted(members)))
 
 
@@ -298,8 +282,8 @@ class GroupHom:
 def make_hom(
     domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]
 ) -> GroupHom:
-    """Check f(a*s) = f(a)*f(s) for every a and each s in a generating set of
-    the domain, and wrap.
+    """Check f(a*s) = f(a)*f(s) for every a and each s in the greedy
+    generating set of the domain (_closure over its elements), and wrap.
 
     With f(e) = e this is exact: every element is a product of generators,
     so f(a*s1*...*sk) = f(a)*f(s1)*...*f(sk) = f(a)*f(s1*...*sk).  f(e) = e
@@ -317,10 +301,11 @@ def make_hom(
     e = domain.identity
     if f[e] != codomain.identity:
         raise NotAHomomorphism((e, e))
-    cmul = codomain.mul
-    for s in _greedy_generators(domain.mul, e):
+    dmul, cmul = domain.mul, codomain.mul
+    _, gens = _closure(e, range(n), lambda a, b: dmul[a][b])
+    for s in gens:
         fs = f[s]
-        for a, row in enumerate(domain.mul):
+        for a, row in enumerate(dmul):
             if f[row[s]] != cmul[f[a]][fs]:
                 raise NotAHomomorphism((a, s))
     return GroupHom(domain, codomain, f)
@@ -526,7 +511,7 @@ def group_from_permutations(
                 elems.append(r)
     table = [[index[mul(p, q)] for q in elems] for p in elems]
     labels = ["(" + " ".join(map(str, p)) + ")" for p in elems]
-    return make_group(table, identity_hint=0, labels=labels), elems
+    return make_group(table, labels=labels), elems
 
 
 def trivial_group() -> FiniteGroup:
@@ -572,7 +557,7 @@ def quaternion_group() -> FiniteGroup:
             row.append(2 * qc + ((sa + sb + sc) % 2))
         table.append(row)
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return make_group(table, identity_hint=0, labels=labels)
+    return make_group(table, labels=labels)
 
 
 def catalog() -> dict[str, FiniteGroup]:

@@ -30,7 +30,6 @@ from .groups import (
     ActionSpec,
     FiniteGroup,
     _closure,
-    _greedy_generators,
     make_hom,
     semidirect_product,
     subgroup_closure,
@@ -78,13 +77,14 @@ def make_eta_params(
     """n, m (_program_sizes) and kgens of the move program the solver
     picks; _move_program adds the pair, and _eta_check, which solve and
     verify both run, checks the program and fills in selected.  kgens is K's
-    greedy generating tuple mapped into A by the increasing embed_k: each
-    generator is the smallest kernel member not yet reached, so s <= log2
-    |Ker(alpha)|.  phi is not read; the parameter stays because
+    greedy generating tuple (the seeds _closure keeps over K's elements)
+    mapped into A by the increasing embed_k: each generator is the smallest
+    kernel member not yet reached, so s <= log2 |Ker(alpha)|.  phi is not read; the parameter stays because
     perfbench/tracing.py's staged replay passes gamma o beta_bar."""
     n, m, _ = _program_sizes(ep)
     embed = ep.sd.embed_k
-    gens = _greedy_generators(embed.domain.mul, embed.domain.identity)
+    kg = embed.domain
+    _, gens = _closure(kg.identity, kg.elements(), lambda a, b: kg.mul[a][b])
     return EtaSummary(None, n, m, tuple(embed.map[k] for k in gens))
 
 
@@ -222,7 +222,7 @@ def _eta_check(
     times = len(positions)
     # seeds inside the kernel close inside it: equal orders mean they generate it
     generates = kernel.issuperset(eta.kgens) and len(
-        _closure(ep.A.identity, eta.kgens, lambda x, y: amul[x][y])
+        _closure(ep.A.identity, eta.kgens, lambda x, y: amul[x][y])[0]
     ) == len(kernel)
     occurs = f"pair {eta.pair} occurs {times} times among beta_bar's pairs"
     failed = next((detail for bad, detail in (

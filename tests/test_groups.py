@@ -215,9 +215,33 @@ def a4_group():
 CLOSURE_GROUPS = list(s.catalog().values()) + [a4_group()]
 
 
+@st.composite
+def identity_tables(draw):
+    """(table, identity): a group of CLOSURE_GROUPS with its elements
+    relabelled and any number of cells outside the identity's row and
+    column overwritten, so the result keeps its two-sided identity and may
+    be a group, a loop, or neither."""
+    base = draw(st.sampled_from(CLOSURE_GROUPS))
+    n = base.order
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a, row in enumerate(base.mul):
+        for b, c in enumerate(row):
+            table[perm[a]][perm[b]] = perm[c]
+    e = perm[base.identity]
+    others = [a for a in range(n) if a != e]
+    if others:
+        cells = st.tuples(st.sampled_from(others), st.sampled_from(others),
+                          st.integers(0, n - 1))
+        for x, y, v in draw(st.lists(cells, max_size=n * n)):
+            table[x][y] = v
+    return table, e
+
+
 class TestClosure:
-    """_closure skips seeds already reached; it must reach exactly what the
-    plain breadth-first closure over every distinct seed reaches."""
+    """_closure skips seeds already reached and returns the ones it keeps;
+    it must reach exactly what the plain breadth-first closure over every
+    distinct seed reaches."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -233,7 +257,7 @@ class TestClosure:
                 b = data.draw(st.sampled_from(seeds))
                 seeds.append(data.draw(st.sampled_from([a, grp.mul[a][b]])))
         mul = lambda a, b: grp.mul[a][b]
-        got = _closure(grp.identity, seeds, mul)
+        got, _ = _closure(grp.identity, seeds, mul)
         want = breadth_first_closure(grp.identity, seeds, mul)
         assert got[0] == grp.identity
         assert len(got) == len(set(got))
@@ -251,23 +275,39 @@ class TestClosure:
         seeds += seeds[: data.draw(st.integers(0, len(seeds)))]
         mul = lambda p, q: (g1.mul[p[0]][q[0]], g2.mul[p[1]][q[1]])
         identity = (g1.identity, g2.identity)
-        got = _closure(identity, iter(seeds), mul)
+        got, _ = _closure(identity, iter(seeds), mul)
         want = breadth_first_closure(identity, seeds, mul)
         assert len(got) == len(set(got))
         assert sorted(got) == sorted(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(identity_tables())
+    def test_seeds_range_n_keep_the_greedy_generators(self, case):
+        # on any table with a two-sided identity, associative or not, each
+        # generator kept is the smallest element outside the closure of the
+        # ones kept before it, and the walk reaches every element
+        table, e = case
+        mul = lambda a, b: table[a][b]
+        n = len(table)
+        elems, gens = _closure(e, range(n), mul)
+        assert sorted(elems) == list(range(n))
+        for i, g in enumerate(gens):
+            before = set(breadth_first_closure(e, gens[:i], mul))
+            assert g == min(set(range(n)) - before)
+        assert set(breadth_first_closure(e, gens, mul)) == set(range(n))
 
     @pytest.mark.parametrize("grp", CLOSURE_GROUPS, ids=lambda g: str(g.order))
     def test_empty_redundant_and_repeated_seeds(self, grp):
         mul = lambda a, b: grp.mul[a][b]
         e = grp.identity
-        assert _closure(e, [], mul) == [e]
-        assert _closure(e, [e, e], mul) == [e]
+        assert _closure(e, [], mul) == ([e], [])
+        assert _closure(e, [e, e], mul) == ([e], [])
         everything = list(grp.elements()) * 2
-        assert sorted(_closure(e, everything, mul)) == list(grp.elements())
+        assert sorted(_closure(e, everything, mul)[0]) == list(grp.elements())
         # powers of one element after it add nothing
         a = grp.order - 1
         powers = [grp.power(a, k) for k in range(1, 5)]
-        assert sorted(_closure(e, powers, mul)) == sorted(
+        assert sorted(_closure(e, powers, mul)[0]) == sorted(
             breadth_first_closure(e, [a], mul)
         )
 
