@@ -79,12 +79,14 @@ def make_eta_params(
     verify both run, checks the program and fills in selected.  kgens is K's
     greedy generating tuple (the seeds _closure keeps over K's elements)
     mapped into A by the increasing embed_k: each generator is the smallest
-    kernel member not yet reached, so s <= log2 |Ker(alpha)|.  phi is not read; the parameter stays because
-    perfbench/tracing.py's staged replay passes gamma o beta_bar."""
+    kernel member not yet reached, so s <= log2 |Ker(alpha)|.  phi is not
+    read; the parameter stays because perfbench/tracing.py's staged replay
+    passes gamma o beta_bar."""
     n, m, _ = _program_sizes(ep)
     embed = ep.sd.embed_k
     kg = embed.domain
-    _, gens = _closure(kg.identity, kg.elements(), lambda a, b: kg.mul[a][b])
+    kmul = kg.mul
+    _, gens = _closure(kg.identity, kg.elements(), lambda a, b: kmul[a][b])
     return EtaSummary(None, n, m, tuple(embed.map[k] for k in gens))
 
 
