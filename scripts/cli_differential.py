@@ -8,16 +8,17 @@ calls goes through ``surfep.cli.main`` in one child process per tree: `gen`
 at several recipes and `solve` of every problem they hold, `plan`, `genus`
 and `count`, bad argv for all six commands and argv that argparse reads in
 ways of its own, unreadable files, every field of four certificates and of
-three workspace problems set to each of ten hostile values or deleted, and
-a relative ``nu`` of another genus than ``beta_bar``'s, then `verify` of
-every certificate against every variant.  Each call's exit code, stdout,
-stderr and any file it writes must match byte for byte.  The summary counts
-the differing calls by command and by which of exit code, stdout, stderr
-and written file differ, then shows the first 20 in full.  The one
-difference allowed is a call the baseline left to a traceback (an
-uncaught ValueError or OSError) that this tree answers with exit 1 and
-``error: <the same message>``; those are counted as mended.  Exits 0 when
-nothing else differs.
+three workspace problems set to each of ten hostile values or deleted, a
+relative ``nu`` of another genus than ``beta_bar``'s, problem bodies whose
+strings hold braces, escaped quotes and backslashes, and a string left open
+inside a problem body, then `verify` of every certificate against every
+variant.  Each call's exit code, stdout, stderr and any file it writes must
+match byte for byte.  The summary counts the differing calls by command and
+by which of exit code, stdout, stderr and written file differ, then shows
+the first 20 in full.  The one difference allowed is a call the baseline
+left to a traceback (an uncaught ValueError or OSError) that this tree
+answers with exit 1 and ``error: <the same message>``; those are counted as
+mended.  Exits 0 when nothing else differs.
 """
 
 from __future__ import annotations
@@ -303,6 +304,26 @@ def main(argv: list[str]) -> int:
             path.write_text(json.dumps(edited))
             cases += [["solve", str(path), "v4"],
                       ["verify", certs[(ws, "v4")], str(path)]]
+        # strings holding braces, escaped quotes and backslashes in the body
+        # of the solved problem (a group name, an unread member) and of an
+        # unused one, compact and indented; then a string left open inside
+        # the body of the last problem
+        odd = '}{"\\'
+        escaped = copy.deepcopy(ws_doc)
+        escaped["groups"][odd] = C2
+        escaped["problems"]["v4"]["K"] = odd
+        escaped["problems"]["v4"]["note"] = {odd: [odd, {"\\": '"}'}]}
+        escaped["problems"]["too_small"]["note"] = {"a": {odd: {"b": odd + "{"}}}
+        open_string = copy.deepcopy(ws_doc)
+        open_string["problems"]["p"]["note"] = "OPEN"
+        texts = [json.dumps(escaped),
+                 json.dumps(escaped, indent=2, ensure_ascii=False),
+                 json.dumps(open_string).replace('"OPEN"', '"open')]
+        for text in texts:
+            path = work / f"hw_{len(cases)}.json"
+            path.write_text(text, encoding="utf-8")
+            cases += [["solve", str(path), name] for name in ws_doc["problems"]]
+            cases += [["verify", certs[(ws, "v4")], str(path)]]
         both(cases)
 
     mended, differ = len(tally["mended"]), len(tally["differ"])

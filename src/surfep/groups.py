@@ -120,13 +120,6 @@ class FiniteGroup:
         # a^c = c^-1 a c
         return self.product(self.inv[c], a, c)
 
-    def element_order(self, a: int) -> int:
-        acc, k = a, 1
-        while acc != self.identity:
-            acc = self.mul[acc][a]
-            k += 1
-        return k
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -238,10 +231,6 @@ class SubgroupHandle:
 
     def __contains__(self, a: int) -> bool:
         return a in set(self.members)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
 
     def as_group(self) -> tuple[FiniteGroup, "GroupHom"]:
         """Reindex the members 0..|S|-1 and return (group, inclusion hom)."""

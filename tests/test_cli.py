@@ -16,6 +16,8 @@ from surfep.cli import main
 from surfep.errors import HypothesisViolated
 from surfep.serialize import canonical_json, certificate_from_json, load_workspace
 
+from conftest import element_order
+
 
 def v4_workspace(tmp_path, name="ws.json"):
     """Workspace with one solvable V4 problem and a good relative spec."""
@@ -600,8 +602,8 @@ def s3_breaking_pair():
     commutator is not the identity, so a first pair (x1, y1) of these breaks
     the relation whatever the trivial pairs after it."""
     s3 = surfep.symmetric_group_3()
-    trans = next(a for a in s3.elements() if s3.element_order(a) == 2)
-    cycle = next(a for a in s3.elements() if s3.element_order(a) == 3)
+    trans = next(a for a in s3.elements() if element_order(s3, a) == 2)
+    cycle = next(a for a in s3.elements() if element_order(s3, a) == 3)
     return serialize.group_to_json(s3), trans, cycle
 
 

@@ -13,6 +13,8 @@ from surfep.errors import (
     TargetMismatch,
 )
 
+from conftest import element_order
+
 
 def relative_killing_x(genus: int) -> SubgroupSpec:
     """N = kernel of the map sending every x generator to the C2 generator."""
@@ -131,7 +133,7 @@ class TestImageOfRestriction:
         # exhaustively evaluate every genus-3 word image pair (t, nu) by
         # closing in the direct product by hand and compare
         s3 = s.symmetric_group_3()
-        sign = [int(s3.element_order(a) == 2) for a in s3.elements()]
+        sign = [int(element_order(s3, a) == 2) for a in s3.elements()]
         cases = [
             # (|Q|, seeds of S, nu tied to the sign of t)
             (3, [], False),
@@ -280,8 +282,8 @@ class TestVerifySolution:
         beta = s.make_surface_tuple(s3, [1, 2], [0, 0])
         ep = s.make_split_ep(s.trivial_group(), s3,
                              s.trivial_action(s3, s.trivial_group()), beta)
-        trans = next(a for a in s3.elements() if s3.element_order(a) == 2)
-        cyc = next(a for a in s3.elements() if s3.element_order(a) == 3)
+        trans = next(a for a in s3.elements() if element_order(s3, a) == 2)
+        cyc = next(a for a in s3.elements() if element_order(s3, a) == 3)
         cert = s.verify_solution(ep, [trans, 2], [cyc, 0])
         failed = {c.name for c in cert.failed_checks()}
         assert "surface_relation" in failed or "compatibility" in failed

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -535,3 +536,140 @@ class TestWorkspace:
         ws = load_workspace(str(path))
         with pytest.raises(ValueError):
             ws.build_problem("nope")
+
+
+# --- serialize._outline against a token loop over every depth ----------------
+
+_BLANK = re.compile(r"[ \t\n\r]*")
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+
+
+def reference_outline(text: str, start: int) -> tuple[dict[str, int], dict[str, int]]:
+    """What serialize._outline must return or raise, read one quote or
+    brace at a time at every depth."""
+    top: dict[str, int] = {}
+    problems: dict[str, int] = {}
+    n = len(text)
+
+    def following(char: str, i: int) -> int:
+        """Offset of the next char from offset i on; n if there is none."""
+        j = text.find(char, i)
+        return n if j < 0 else j
+
+    quote, opening, closing = (following(char, start) for char in '"{}')
+    depth, in_problems = 0, False
+    while True:
+        if quote < opening and quote < closing:
+            end = text.find('"', quote + 1) + 1
+            if end == 0 or text[end - 2] == "\\":  # open, or an escape to read
+                string = _STRING.match(text, quote)
+                if string is None:
+                    raise json.JSONDecodeError(
+                        "Unterminated string starting at", text, quote
+                    )
+                end = string.end()
+            if depth <= 2:
+                colon = _BLANK.match(text, end).end()
+                if text.startswith(":", colon):  # a member name
+                    name = json.decoder.scanstring(text, quote + 1)[0]
+                    value = _BLANK.match(text, colon + 1).end()
+                    if depth == 1:
+                        top[name] = value
+                        in_problems = name == "problems"
+                        if in_problems:
+                            problems = {}
+                    elif in_problems:
+                        problems[name] = value
+            # braces inside the string are not structure
+            quote = following('"', end)
+            if opening < end:
+                opening = following("{", end)
+            if closing < end:
+                closing = following("}", end)
+        elif opening < closing:
+            depth += 1
+            opening = following("{", opening + 1)
+        elif closing < n:
+            depth -= 1
+            if depth == 0:
+                break
+            closing = following("}", closing + 1)
+        else:
+            raise json.JSONDecodeError("Expecting '}' to close the object", text, n)
+    after = _BLANK.match(text, closing + 1).end()
+    if after != n:
+        raise json.JSONDecodeError("Extra data", text, after)
+    return top, problems
+
+
+def outlined(outline, text: str):
+    """outline's result on text, or its error's message, line, column and
+    offset."""
+    try:
+        return outline(text, _BLANK.match(text).end())
+    except json.JSONDecodeError as exc:
+        return exc.msg, exc.lineno, exc.colno, exc.pos
+
+
+# one-character edits: (offset, character to insert, or None to delete)
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 2**16), st.sampled_from('{}"\\: ,aé') | st.none()),
+    max_size=3,
+)
+
+
+def edited(text: str, edits) -> str:
+    for offset, char in edits:
+        if char is not None:
+            i = offset % (len(text) + 1)
+            text = text[:i] + char + text[i:]
+        elif text:
+            i = offset % len(text)
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+class TestOutlineMatchesReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        problems=st.dictionaries(_NAMES, _VALUES | st.dictionaries(_NAMES, _VALUES),
+                                 max_size=4),
+        others=st.dictionaries(_NAMES, _VALUES, max_size=2),
+        layout=st.sampled_from([
+            {"indent": 2}, {"separators": (",", ":")}, {},
+            {"indent": 2, "ensure_ascii": False},
+            {"separators": (",", ":"), "ensure_ascii": False},
+        ]),
+        edits=_EDITS,
+    )
+    def test_same_result_or_same_error(self, problems, others, layout, edits):
+        # names and values full of quotes, braces, backslashes and non-ASCII,
+        # then up to three characters inserted or deleted anywhere
+        text = edited(json.dumps({**others, "problems": problems}, **layout), edits)
+        assert outlined(serialize._outline, text) == outlined(reference_outline, text)
+
+    @pytest.mark.parametrize(
+        "text,seen",
+        [('{"problems": {"a": {"b": 1 \\ , "c": "{"}, "d": {"e": "x"}}}', ["a", "d"]),
+         ('{"problems": {"a": {"b": [\\"x"], "c": "}"}, "d": 2}}', ["a", "d"]),
+         ('{"problems": {"a": {"b": {"c": "}{"}}, "d": {"e": "{"}}}', ["a", "d"]),
+         ('{"problems": {"a": {"b": {"c": {"d": "}"}}}, "e": 1}}', ["a", "e"]),
+         ('{"problems": {"a": {"b": "x\\"}", "c": 1}, "d": 2}}', ["a", "d"]),
+         ('{"problems": {"a": {"b": "\\\\"}, "c": "x\\\\\\"{"}}', ["a", "c"]),
+         ('{"problems": {"a": {}, "b": {"c": "open}}}',
+          "Unterminated string starting at"),
+         ('{"problems": {"a": {}, "b": {"c": "open\\"}}}',
+          "Unterminated string starting at")],
+        ids=["backslash_outside_strings", "backslash_before_quote",
+             "brace_in_string_depth_4", "brace_in_string_depth_5",
+             "escaped_quote_before_brace", "escaped_backslashes",
+             "open_string_last_problem", "escaped_open_string_last_problem"],
+    )
+    def test_rows(self, text, seen):
+        # seen: the problem names outlined, or the start of the error
+        expected = outlined(reference_outline, text)
+        assert outlined(serialize._outline, text) == expected
+        if isinstance(seen, list):
+            assert list(expected[1]) == seen
+        else:
+            assert expected[0] == seen

@@ -30,6 +30,8 @@ from surfep.surface import (
     word_y,
 )
 
+from conftest import element_order
+
 
 # --- words -------------------------------------------------------------------
 
@@ -107,8 +109,8 @@ class TestSurfaceTuple:
 
     def test_relation_violated(self, cat):
         s3 = cat["S3"]
-        trans = next(a for a in s3.elements() if s3.element_order(a) == 2)
-        cyc = next(a for a in s3.elements() if s3.element_order(a) == 3)
+        trans = next(a for a in s3.elements() if element_order(s3, a) == 2)
+        cyc = next(a for a in s3.elements() if element_order(s3, a) == 3)
         bad = relation_value(s3, [trans], [cyc])
         assert bad != s3.identity
         with pytest.raises(RelationViolated):
@@ -116,7 +118,7 @@ class TestSurfaceTuple:
 
     def test_s3_genus_one_commuting_pair(self, cat):
         s3 = cat["S3"]
-        cyc = next(a for a in s3.elements() if s3.element_order(a) == 3)
+        cyc = next(a for a in s3.elements() if element_order(s3, a) == 3)
         t = s.make_surface_tuple(s3, [cyc], [s3.mul[cyc][cyc]])
         assert s.tuple_image(t).order == 3
 
