@@ -1257,13 +1257,41 @@ def test_script_runs(script):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_files_in_the_indented_layout_still_work(tmp_path):
+    """A workspace and a certificate written as json.dumps(indent=2) writes
+    them, every array item on its own line as earlier versions wrote files,
+    give the same problem hash, the same certificate and a passing verify."""
+    def indented(path, old_path):
+        obj = json.loads(open(path).read())
+        open(old_path, "w").write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+    ws, old_ws = str(tmp_path / "ws.json"), str(tmp_path / "old_ws.json")
+    assert main(["gen", "--seed", "3", "--count", "2", "--out", ws]) == 0
+    indented(ws, old_ws)
+    assert open(old_ws).read() != open(ws).read()
+    solved = 0
+    for name in sorted(load_workspace(ws).problems):
+        assert (load_workspace(old_ws).problem_hash(name)
+                == load_workspace(ws).problem_hash(name))
+        cert, old_cert = str(tmp_path / "cert.json"), str(tmp_path / "old_cert.json")
+        rc = main(["solve", ws, name, "--out", cert])
+        assert main(["solve", old_ws, name, "--out", old_cert]) == rc
+        if rc != 0:
+            continue
+        assert json.loads(open(old_cert).read()) == json.loads(open(cert).read())
+        indented(cert, old_cert)
+        assert main(["verify", old_cert, old_ws]) == 0
+        solved += 1
+    assert solved
+
+
 # SHA-256 of the `gen --seed 5 --count 12` workspace followed by, for each
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
-# encoding moves it; refactors must leave it alone.  Both pins were last
-# derived from the v5 output by scripts/repin_v6_goldens.py, which pins only
-# the eta.pair reversal of test_verify_bytes_are_pinned fresh.
-GOLDEN_GEN5_SHA256 = "ab40122defb945e39aaee7b265b04480af512d074f3d17a3b7759d7b35ce2e06"
+# encoding or layout moves it; refactors must leave it alone.  Last derived by
+# scripts/repin_layout_goldens.py, when arrays went onto one line: it
+# re-writes the previous layout's texts, each to the same json.loads value.
+GOLDEN_GEN5_SHA256 = "decd7579370b821ca13a7f9a2b915f874e105abb3a079ff44ee7243ecd26ed87"
 # SHA-256 of `surfep verify` stdout and exit codes on the certificates of
 # test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
 # verdict moves it; moving the checks between modules must leave it alone.
