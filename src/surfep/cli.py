@@ -6,10 +6,11 @@ at a membership failure (outcome "not_reduced").  The handlers raise what
 refuses a call, and main alone turns it into one "error:" line and exit 1.
 Diagnostics go to stderr, results to stdout or the requested output file.
 
-Every command's arguments are described once, in COMMANDS.  A plain argv is
-read straight from that table, without argparse; any other argv goes to the
-one full parser, build_parser, so help, usage lines and errors read as
-argparse words them.
+Every command's arguments are described once, in COMMANDS.  A plain argv of
+solve or verify, the commands whose specs carry no kwarg but help, is read
+straight from that table, without argparse; any other argv goes to the one
+full parser, build_parser, so help, usage lines and errors read as argparse
+words them.
 """
 
 from __future__ import annotations
@@ -167,10 +168,9 @@ def cmd_gen(args) -> int:
 
 # name -> (help, argument specs, handler), in the order help lists them;
 # each spec is the (name, kwargs) of one add_argument call.  Defaults and
-# choices are tuples, since every parser built from the table, and every
-# plain read, shares them.  _read_plain knows the kwargs type, choices,
-# required, default, help and nargs="+"; a spec using another must teach
-# it that first.
+# choices are tuples, since every parser built from the table shares them
+# and a handler receives the default object itself.  _read_plain reads
+# only the commands whose specs carry no kwarg but help.
 COMMANDS = {
     "solve": (
         "solve a problem from a workspace file",
@@ -256,66 +256,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
-    """The arguments of a plain argv, read from its command's COMMANDS
-    specs as the ``surfep <command>`` subparser reads them: every dest, and
-    func.  Plain means the command's name, then its positionals in order
-    and each of its options, spelled in full, at most once, with its value
-    (an ``nargs="+"`` option takes the tokens up to the next one that
-    starts with ``-``); no other token starts with ``-``.  Each value is
-    converted by its ``type`` and must be one of its ``choices``, and every
-    positional and required option must be there.  None for any other
-    argv, which main leaves to argparse."""
+    """The arguments of a plain argv, as the ``surfep <command>`` subparser
+    reads them: every dest, and func.  Only a command whose COMMANDS specs
+    carry no kwarg but help is read here (solve and verify, the two a
+    workload runs), so every value is the string given, and an option not
+    given is None.  Plain means the command's name, then its positionals
+    in order and each of its options, spelled in full, at most once, with
+    one value that does not start with ``-``; no other token starts with
+    ``-``.  None for any other argv, which main leaves to argparse."""
     if not argv or argv[0] not in COMMANDS:
         return None
     _, specs, handler = COMMANDS[argv[0]]
-    kwargs_of = dict(specs)
-    positionals = iter(arg for arg, _ in specs if not arg.startswith("-"))
-    words = {}  # spec name -> the tokens it takes
-    rest = argv[1:]
-    i = 0
-    while i < len(rest):
-        if not rest[i].startswith("-"):
+    if any(kwargs.keys() - {"help"} for _, kwargs in specs):
+        return None
+    options = {arg for arg, _ in specs if arg.startswith("-")}
+    positionals = iter(arg for arg, _ in specs if arg not in options)
+    words = {}  # spec name -> its value
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            value = next(tokens, "-")  # a missing value reads as a dash
+            if token not in options or token in words or value.startswith("-"):
+                return None
+            words[token] = value
+        else:
             name = next(positionals, None)
             if name is None:
                 return None
-            words[name] = [rest[i]]
-            i += 1
-            continue
-        name = rest[i]
-        if name not in kwargs_of or name in words:
-            return None
-        end = i + 2
-        if kwargs_of[name].get("nargs") == "+":
-            while end < len(rest) and not rest[end].startswith("-"):
-                end += 1
-        if end > len(rest) or rest[i + 1].startswith("-"):
-            return None
-        words[name] = rest[i + 1:end]
-        i = end
-
-    args = SimpleNamespace(func=handler)
-    for name, kwargs in specs:
-        option = name.startswith("-")
-        dest = name.lstrip("-").replace("-", "_") if option else name
-        if name not in words:
-            if not option or kwargs.get("required"):
-                return None
-            setattr(args, dest, kwargs.get("default"))
-            continue
-        convert = kwargs.get("type", str)
-        try:
-            values = [convert(word) for word in words[name]]
-        except (TypeError, ValueError):
-            return None
-        if "choices" in kwargs and any(v not in kwargs["choices"] for v in values):
-            return None
-        setattr(args, dest, values if kwargs.get("nargs") == "+" else values[0])
-    return args
+            words[name] = token
+    if next(positionals, None) is not None:
+        return None
+    return SimpleNamespace(func=handler, **{
+        name.lstrip("-").replace("-", "_"): words.get(name) for name, _ in specs
+    })
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one ``surfep`` call.  A plain argv (see _read_plain) is read
-    straight from COMMANDS and loads no argparse; any other goes to
+    """Run one ``surfep`` call.  A plain solve or verify argv (see
+    _read_plain) is read straight from COMMANDS and loads no argparse; any
+    other, every plan, genus, count and gen call among them, goes to
     build_parser, whose help and errors read as they always have.
     What a handler raises is mapped here alone: one ``error:`` line,
     EXIT_ERROR."""

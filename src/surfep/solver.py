@@ -179,7 +179,10 @@ def _solve_pipeline(
     if ep.genus < needed:
         raise GenusTooSmall(needed, ep.genus)
     if nspec is not None:
-        # raises GenusMismatch unless nu has ep's genus
+        # refused before the move search, so a refused problem costs no
+        # replay; verify's beta_n_surjective computes beta(N) again, as
+        # solve ends in verify's check.  Raises GenusMismatch unless nu has
+        # ep's genus
         bn = image_of_restriction(ep.beta_bar, nspec)
         if bn.order != ep.B.order:
             raise BetaNRestrictionNotSurjective(bn.order, ep.B.order)

@@ -1544,6 +1544,24 @@ def parse_exit(parse, argv, capsys):
     return exc.value.code, captured.out, captured.err
 
 
+# one argv of each command no workload runs, with main's exit code: all
+# are read by the full parser alone (count's handler refuses the budget)
+ARGPARSE_ONLY_ARGV = [
+    (["plan", "--genus", "3", "--K", "2", "--H", "1"], 0),
+    (["genus", "--index", "3", "--genus", "2"], 0),
+    (["count", "--group", "C2", "--genus", "2", "--budget", "10"], 1),
+    (["gen", "--size-k", "2", "3", "--count", "2", "--action", "trivial"], 0),
+]
+# argv -> (exit code, build_parser calls)
+LEFTOVERS = [
+    (["solve", "WS", "v4_plain"], (0, 0)),
+    (["solve", "WS", "v4_plain", "--out", "OUT"], (0, 0)),
+    (["verify", "OUT", "WS"], (0, 0)),
+    (["solve", "a", "b", "c"], (2, 1)),
+    *((argv, (code, 1)) for argv, code in ARGPARSE_ONLY_ARGV),
+]
+
+
 class TestOneFullParser:
     """main answers every argv that _read_plain does not read with the one
     full parser, build_parser."""
@@ -1569,14 +1587,11 @@ class TestOneFullParser:
             for argv, (refusal, choices) in INVALID_CHOICES
         ]
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "WS", "v4_plain"],
-        ["solve", "WS", "v4_plain", "--out", "OUT"],
-        ["verify", "OUT", "WS"],
-        ["solve", "a", "b", "c"],
-    ], ids=argv_id)
+    @pytest.mark.parametrize(
+        "argv, expected", LEFTOVERS, ids=[argv_id(argv) for argv, _ in LEFTOVERS]
+    )
     def test_full_parser_only_for_leftovers(self, tmp_path, monkeypatch, capsys,
-                                            argv):
+                                            argv, expected):
         ws = v4_workspace(tmp_path)
         out = str(tmp_path / "cert.json")
         main(["solve", ws, "v4_plain", "--out", out])
@@ -1588,23 +1603,19 @@ class TestOneFullParser:
             return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", recording)
-        full = argv == ["solve", "a", "b", "c"]
         argv = [{"WS": ws, "OUT": out}.get(a, a) for a in argv]
-        if full:
-            assert parse_exit(main, argv, capsys)[0] == 2
-        else:
-            assert main(argv) == 0
-        assert calls == ([1] if full else [])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, len(calls)) == expected
 
 
-# one plain argv per command: _read_plain reads each without argparse
+# a plain argv of each command a workload runs: _read_plain reads both
+# without argparse
 PLAIN_ARGV = [
     ["solve", "--out", "OUT", "WS", "v4"],
     ["verify", "OUT", "WS"],
-    ["plan", "--genus", "3", "--K", "2", "--H", "1"],
-    ["genus", "--index", "3", "--genus", "2"],
-    ["count", "--group", "C2", "--genus", "2", "--budget", "10"],
-    ["gen", "--size-k", "2", "3", "--count", "2", "--action", "trivial"],
 ]
 
 
@@ -1654,14 +1665,15 @@ def read_as_argparse(argv):
 
 
 class TestPlainArgvReadsAsArgparse:
-    def test_specs_use_only_what_read_plain_knows(self):
-        # a spec with another kwarg (action="store_true", nargs="?", ...)
-        # would be misread by _read_plain with no error
-        known = {"type", "choices", "required", "default", "help", "nargs"}
-        for name, (_, specs, _) in cli.COMMANDS.items():
-            for arg, kwargs in specs:
-                assert set(kwargs) <= known, (name, arg)
-                assert kwargs.get("nargs", "+") == "+", (name, arg)
+    def test_benchmark_commands_stay_plain(self):
+        # every benchmark call is a solve or a verify: a type=, default= or
+        # any other kwarg but help on their specs would quietly send each
+        # one through argparse
+        for name in ("solve", "verify"):
+            for arg, kwargs in cli.COMMANDS[name][1]:
+                assert set(kwargs) <= {"help"}, (name, arg)
+        for argv, _ in ARGPARSE_ONLY_ARGV:
+            assert cli._read_plain(argv) is None, argv
 
     @pytest.mark.parametrize("argv", PLAIN_ARGV, ids=argv_id)
     def test_plain_argv(self, argv):

@@ -1,14 +1,17 @@
-"""Every surfep name the benchmark reads exists.
+"""Every surfep name the benchmark reads exists, and every call it makes
+binds.
 
 perfbench/tracing.py and perfbench/workloads.py call into surfep by module
 attribute (``solver.reverify_certificate``, ``serialize.certificate_to_json``,
 ...) and tracing.WRAPPED names the functions ``--trace 1`` wraps.  Their own
-tests import numpy and run outside this suite, so these names are read from
-the source with ast alone: a pruned library name fails here first.
+tests import numpy and run outside this suite, so these names and calls are
+read from the source with ast alone: a pruned library name, or a pruned or
+added parameter, fails here first.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,9 +20,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FILES = ("tracing.py", "workloads.py")
 
 
-def surfep_reads(path):
-    """(module, attribute) for every ``module.attribute`` read in path whose
-    module is bound by ``from surfep import ...``, plus tracing.WRAPPED."""
+def parse(path):
+    """The AST of path and the names it binds by ``from surfep import ...``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules = {
         alias.asname or alias.name
@@ -27,6 +29,13 @@ def surfep_reads(path):
         if isinstance(node, ast.ImportFrom) and node.module == "surfep"
         for alias in node.names
     }
+    return tree, modules
+
+
+def surfep_reads(path):
+    """(module, attribute) for every ``module.attribute`` read in path whose
+    module is bound by ``from surfep import ...``, plus tracing.WRAPPED."""
+    tree, modules = parse(path)
     reads = {
         (node.value.id, node.attr)
         for node in ast.walk(tree)
@@ -53,3 +62,44 @@ def test_every_name_exists(filename):
         if not hasattr(importlib.import_module(f"surfep.{module}"), name)
     )
     assert not missing, f"{filename} reads names surfep lacks: {missing}"
+
+
+def surfep_calls(path):
+    """(line, module, attribute, number of positional arguments, keyword
+    names) for every ``module.attribute(...)`` call in path whose module is
+    bound by ``from surfep import ...``."""
+    tree, modules = parse(path)
+    calls = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in modules
+        ):
+            continue
+        # *args and **kwargs have no length in the source to bind
+        assert not any(isinstance(a, ast.Starred) for a in node.args), node.lineno
+        assert all(k.arg is not None for k in node.keywords), node.lineno
+        calls.append((
+            node.lineno,
+            node.func.value.id,
+            node.func.attr,
+            len(node.args),
+            [k.arg for k in node.keywords],
+        ))
+    return calls
+
+
+@pytest.mark.parametrize("filename", FILES)
+def test_every_call_binds(filename):
+    calls = surfep_calls(PERFBENCH / filename)
+    assert calls
+    unbound = []
+    for line, module, name, npositional, keywords in calls:
+        fn = getattr(importlib.import_module(f"surfep.{module}"), name)
+        try:
+            inspect.signature(fn).bind(*[None] * npositional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{filename}:{line} {module}.{name}: {exc}")
+    assert not unbound, f"calls that no longer bind: {unbound}"
