@@ -15,10 +15,13 @@ inside a problem body, then `verify` of every certificate against every
 variant.  Each call's exit code, stdout, stderr and any file it writes must
 match byte for byte.  The summary counts the differing calls by command and
 by which of exit code, stdout, stderr and written file differ, then shows
-the first 20 in full.  The one difference allowed is a call the baseline
-left to a traceback (an uncaught ValueError or OSError) that this tree
-answers with exit 1 and ``error: <the same message>``; those are counted as
-mended.  Exits 0 when nothing else differs.
+the first 20 in full.  Under the summary it counts the differing calls that
+differ only in layout: they match in exit code and stderr, and each stdout
+or written file that differs reads to the same json.loads value.  The one
+difference allowed is a call the baseline left to a traceback (an uncaught
+ValueError or OSError) that this tree answers with exit 1 and
+``error: <the same message>``; those are counted as mended.  Exits 0 when
+nothing else differs, layout included.
 """
 
 from __future__ import annotations
@@ -108,6 +111,21 @@ def compare(cases: list, base: list, new: list, tally: dict) -> None:
             tally["mended"].append((argv, code[1], code[3]))
         else:
             tally["differ"].append((argv, b, n))
+
+
+def layout_only(b: list, n: list) -> bool:
+    """Whether results b and n match in exit code and stderr, and each
+    stdout or written file that differs reads to the same json.loads value."""
+    if b[0] != n[0] or b[2] != n[2]:
+        return False
+    for x, y in ((b[1], n[1]), (b[3], n[3])):
+        if x != y:
+            try:
+                if json.loads(x) != json.loads(y):
+                    return False
+            except (TypeError, ValueError):  # None, or not JSON
+                return False
+    return True
 
 
 def problem_workspace() -> dict:
@@ -329,6 +347,8 @@ def main(argv: list[str]) -> int:
     mended, differ = len(tally["mended"]), len(tally["differ"])
     print(f"{tally['cases']} cases: {tally['cases'] - mended - differ} identical, "
           f"{mended} tracebacks mended, {differ} differ")
+    layout = sum(layout_only(b, n) for _, b, n in tally["differ"])
+    print(f"{layout} of the {differ} differing calls differ only in layout")
     for argv_, kind, message in tally["mended"]:
         print(f"mended: {argv_[0]} ({kind}: {message})")
     groups = Counter(

@@ -1,12 +1,13 @@
-"""Derive GOLDEN_GEN5_SHA256 of tests/test_cli.py for the one-line-array layout.
+"""Derive GOLDEN_GEN5_SHA256 of tests/test_cli.py after a layout-only change.
 
-Run it from this checkout against the source of the last commit that wrote
-every array item on its own line (96677d5):
+Run it from this checkout against an unpacked copy of the parent commit,
+the last one that wrote the previous layout:
 
-    mkdir parent && git archive 96677d5 | tar -x -C parent
+    mkdir parent && git archive <parent commit> | tar -x -C parent
     python scripts/repin_layout_goldens.py parent/src
 
-Using only the parent library, it first reproduces the parent's pin from
+It reads the parent's pin from parent/tests/test_cli.py, next to the src it
+is given.  Using only the parent library, it first reproduces that pin from
 the unedited `gen --seed 5 --count 12` workspace and `solve` stdout.  It
 then re-writes each of those same texts with canonical_json from the source
 next to this script, asserts that json.loads reads the same value from the
@@ -15,6 +16,7 @@ prints both pins.  GOLDEN_VERIFY_SHA256 does not move: verify's stdout does
 not depend on the layout of the files it reads.
 """
 
+import ast
 import hashlib
 import io
 import json
@@ -31,7 +33,6 @@ from surfep import serialize  # noqa: E402
 from surfep.cli import main  # noqa: E402
 
 NEW_SRC = Path(__file__).resolve().parent.parent / "src"
-PARENT_GEN5 = "ab40122defb945e39aaee7b265b04480af512d074f3d17a3b7759d7b35ce2e06"
 # canonical_json of the source next to this script, on each text read from
 # stdin as a JSON list; an empty text (a solve that printed nothing) stays
 REWRITE = (
@@ -40,6 +41,16 @@ REWRITE = (
     "texts = json.load(sys.stdin)\n"
     "json.dump([t and canonical_json(json.loads(t)) for t in texts], sys.stdout)\n"
 )
+
+
+def parent_gen5():
+    """GOLDEN_GEN5_SHA256 as the parent's own tests/test_cli.py pins it."""
+    tests = Path(sys.argv[1]).resolve().parent / "tests" / "test_cli.py"
+    for node in ast.parse(tests.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "GOLDEN_GEN5_SHA256"):
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"{tests} pins no GOLDEN_GEN5_SHA256")
 
 
 def run(argv):
@@ -84,7 +95,7 @@ def gen5_pins(tmp):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         old_gen5, new_gen5, changed, total = gen5_pins(Path(d))
-    assert old_gen5 == PARENT_GEN5, old_gen5
+    assert old_gen5 == parent_gen5(), old_gen5
     print(f"parent GOLDEN_GEN5_SHA256 {old_gen5} (reproduced)")
     print(f"{changed} of {total} texts re-written, each with the same json.loads value")
     print(f"new    GOLDEN_GEN5_SHA256 {new_gen5}")

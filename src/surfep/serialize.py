@@ -1,15 +1,16 @@
 """JSON interchange for groups, problems, workspaces, and certificates.
 
 Every file surfep writes is canonical_json, so identical inputs give
-byte-identical outputs: an object has one member per line at indent 2, with
-sorted keys and ": ", and every other value, arrays included, is on one line
-in the compact encoding (sorted keys, "," and ":" separators) that the
-instance hash is over, which equals RFC 8785 on the documents surfep writes:
-integers, booleans, null and ASCII strings.  Objects stay one member per
-line because perfbench finds a certificate's outcome by its
-'\n  "outcome": ' line.  Readers accept any JSON layout.  Every field read
-is type-checked, and a malformed one is named in the error.  A certificate
-holds the move program and no phi, which reverification derives from it.
+byte-identical outputs: the top-level object has one member per line at
+indent 2, with sorted keys and ": ", and each member's value, nested objects
+included, is on its line in the compact encoding (sorted keys, "," and ":"
+separators) that the instance hash is over, which equals RFC 8785 on the
+documents surfep writes: integers, booleans, null and ASCII strings.  The
+top level stays one member per line because perfbench finds a certificate's
+outcome by its '\n  "outcome": ' line.  Readers accept any JSON layout.
+Every field read is type-checked, and a malformed one is named in the error.
+A certificate holds the move program and no phi, which reverification
+derives from it.
 """
 
 from __future__ import annotations
@@ -51,16 +52,16 @@ _COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_json(obj: Any) -> str:
-    """obj as JSON and a newline: a non-empty object one member per line at
-    indent 2, as json.dumps(obj, sort_keys=True, indent=2) writes it, and
-    every other value on one line as _COMPACT_JSON writes it, so an array
-    such as a group table is one line ("table": [[0,1],[1,0]]).  That
-    takes perfbench's seed-101 relative_wide workspace from 2,063,138
-    bytes, with every array item on its own line, to 351,858."""
-    out: list[str] = []
-    _write(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    """obj as JSON and a newline: a non-empty top-level object one member per
+    line at indent 2, with sorted keys and ": ", each member's value on its
+    line as _COMPACT_JSON writes it ("b": {"table":[[0,1],[1,0]]}), and
+    every other value on one line as _COMPACT_JSON writes it."""
+    if not (isinstance(obj, dict) and obj):
+        return _COMPACT_JSON(obj) + "\n"
+    members = ",\n  ".join(
+        _COMPACT_JSON(_key(key)) + ": " + _COMPACT_JSON(obj[key]) for key in sorted(obj)
+    )
+    return "{\n  " + members + "\n}\n"
 
 
 def _key(key: Any) -> str:
@@ -72,20 +73,6 @@ def _key(key: Any) -> str:
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {type(key).__name__}"
     )
-
-
-def _write(obj: Any, nl: str, out: list[str]) -> None:
-    """Append obj's JSON to out; nl is the line break and indent obj sits at."""
-    if isinstance(obj, dict) and obj:
-        inner = nl + "  "
-        opening = "{" + inner
-        for key in sorted(obj):
-            out.append(opening + _COMPACT_JSON(_key(key)) + ": ")
-            _write(obj[key], inner, out)
-            opening = "," + inner
-        out.append(nl + "}")
-    else:
-        out.append(_COMPACT_JSON(obj))
 
 
 def instance_hash(resolved_problem: dict) -> str:

@@ -669,10 +669,9 @@ class TestUnusedProblemsAreNotDecoded:
         ws = str(tmp_path / "gen.json")
         out = str(tmp_path / "cert.json")
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
-        text = open(ws).read().replace(
-            '"ep001": {', '"ep002": ' + broken + ', "ep001": {'
-        )
-        open(ws, "w").write(text)
+        doc = json.loads(open(ws).read())
+        doc["problems"]["ep002"] = "BROKEN"
+        open(ws, "w").write(canonical_json(doc).replace('"BROKEN"', broken))
         assert main(["solve", ws, "ep001", "--out", out]) == 0
         assert main(["verify", out, ws]) == 0
         capsys.readouterr()
@@ -1257,17 +1256,23 @@ def test_script_runs(script):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_files_in_the_indented_layout_still_work(tmp_path):
-    """A workspace and a certificate written as json.dumps(indent=2) writes
-    them, every array item on its own line as earlier versions wrote files,
-    give the same problem hash, the same certificate and a passing verify."""
-    def indented(path, old_path):
+@pytest.mark.parametrize(
+    "layout",
+    [{"indent": 2}, {"separators": (",", ":")}],
+    ids=["indent2", "compact"],
+)
+def test_files_in_any_layout_still_work(tmp_path, layout):
+    """A workspace and a certificate re-written by json.dumps give the same
+    problem hash, the same certificate and a passing verify: at indent=2,
+    every array item on its own line as earlier versions wrote files, and
+    fully compact, as other tools write them."""
+    def rewrite(path, old_path):
         obj = json.loads(open(path).read())
-        open(old_path, "w").write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        open(old_path, "w").write(json.dumps(obj, sort_keys=True, **layout) + "\n")
 
     ws, old_ws = str(tmp_path / "ws.json"), str(tmp_path / "old_ws.json")
     assert main(["gen", "--seed", "3", "--count", "2", "--out", ws]) == 0
-    indented(ws, old_ws)
+    rewrite(ws, old_ws)
     assert open(old_ws).read() != open(ws).read()
     solved = 0
     for name in sorted(load_workspace(ws).problems):
@@ -1279,7 +1284,7 @@ def test_files_in_the_indented_layout_still_work(tmp_path):
         if rc != 0:
             continue
         assert json.loads(open(old_cert).read()) == json.loads(open(cert).read())
-        indented(cert, old_cert)
+        rewrite(cert, old_cert)
         assert main(["verify", old_cert, old_ws]) == 0
         solved += 1
     assert solved
@@ -1289,9 +1294,10 @@ def test_files_in_the_indented_layout_still_work(tmp_path):
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
 # encoding or layout moves it; refactors must leave it alone.  Last derived by
-# scripts/repin_layout_goldens.py, when arrays went onto one line: it
-# re-writes the previous layout's texts, each to the same json.loads value.
-GOLDEN_GEN5_SHA256 = "decd7579370b821ca13a7f9a2b915f874e105abb3a079ff44ee7243ecd26ed87"
+# scripts/repin_layout_goldens.py, when values below the top level went onto
+# one line: it re-writes the previous layout's texts, each to the same
+# json.loads value.
+GOLDEN_GEN5_SHA256 = "052df270460822628cf2dbfa66defdcbf5eee99c0580fd86c9a1abf6fc17afe6"
 # SHA-256 of `surfep verify` stdout and exit codes on the certificates of
 # test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
 # verdict moves it; moving the checks between modules must leave it alone.

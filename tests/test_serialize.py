@@ -66,19 +66,22 @@ class TestCanonicalJson:
 
     @staticmethod
     def reference(doc):
-        """doc as json.dumps(sort_keys=True, indent=2) writes its objects,
-        with every other value as json.dumps writes it compact: each such
-        value is dumped as a marker string, then replaced by its compact
-        JSON (no name of _DOCUMENTS holds a NUL, so no marker is forged)."""
+        """doc as json.dumps(sort_keys=True, indent=2) writes a non-empty
+        top-level object, with each member's value, and any other doc, as
+        json.dumps writes it compact: each such value is dumped as a marker
+        string, then replaced by its compact JSON (no name of _DOCUMENTS
+        holds a NUL, so no marker is forged)."""
         compact = []
 
         def mark(value):
-            if isinstance(value, dict) and value:
-                return {key: mark(v) for key, v in value.items()}
             compact.append(json.dumps(value, sort_keys=True, separators=(",", ":")))
             return f"\0{len(compact) - 1}\0"
 
-        text = json.dumps(mark(doc), sort_keys=True, indent=2) + "\n"
+        if isinstance(doc, dict) and doc:
+            doc = {key: mark(value) for key, value in doc.items()}
+        else:
+            doc = mark(doc)
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         return re.sub(r'"\\u0000(\d+)\\u0000"', lambda m: compact[int(m[1])], text)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -94,11 +97,10 @@ class TestCanonicalJson:
     def test_non_string_keys_and_scalars_as_json_dumps(self, doc):
         assert canonical_json(doc) == self.reference(doc)
 
-    def test_objects_one_member_a_line_and_arrays_on_one_line(self):
+    def test_top_level_members_one_a_line_and_their_values_compact(self):
         doc = {"b": {"table": [[0, 1], [1, 0]], "rows": [{"y": 1, "x": []}]}, "a": {}}
         assert canonical_json(doc) == (
-            '{\n  "a": {},\n  "b": {\n    "rows": [{"x":[],"y":1}],\n'
-            '    "table": [[0,1],[1,0]]\n  }\n}\n'
+            '{\n  "a": {},\n  "b": {"rows":[{"x":[],"y":1}],"table":[[0,1],[1,0]]}\n}\n'
         )
 
     def test_unsupported_key_refused_as_json_dumps_refuses(self):
