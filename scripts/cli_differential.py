@@ -14,10 +14,12 @@ strings hold braces, escaped quotes and backslashes, and a string left open
 inside a problem body, then `verify` of every certificate against every
 variant.  Each call's exit code, stdout, stderr and any file it writes must
 match byte for byte.  The summary counts the differing calls by command and
-by which of exit code, stdout, stderr and written file differ, then shows
-the first 20 in full.  Under the summary it counts the differing calls that
-differ only in layout: they match in exit code and stderr, and each stdout
-or written file that differs reads to the same json.loads value.  The one
+by which of exit code, stdout, stderr and written file differ.  It counts
+the differing calls that differ only in layout: they match in exit code
+and stderr, and each stdout or written file that differs reads to the same
+json.loads value.  It then shows the first 20 calls that differ in more
+than layout, each part that differs as its first differing line on both
+trees, cut to 160 characters.  The one
 difference allowed is a call the baseline left to a traceback (an uncaught
 ValueError or OSError) that this tree answers with exit 1 and
 ``error: <the same message>``; those are counted as mended.  Exits 0 when
@@ -126,6 +128,21 @@ def layout_only(b: list, n: list) -> bool:
             except (TypeError, ValueError):  # None, or not JSON
                 return False
     return True
+
+
+def first_difference(x, y) -> str:
+    """Where two parts of a result first differ: an exit code (or a file
+    not written) in full, a text as the number of its first differing line
+    and that line on each side, cut to 160 characters."""
+    if not (isinstance(x, str) and isinstance(y, str)):
+        return f"baseline {x!r}, this tree {y!r}"
+    xs, ys = x.splitlines(), y.splitlines()
+    i = next((i for i, (a, b) in enumerate(zip(xs, ys)) if a != b),
+             min(len(xs), len(ys)))
+
+    def line(lines):
+        return repr(lines[i][:160]) if i < len(lines) else "(no such line)"
+    return f"line {i + 1}: baseline {line(xs)}, this tree {line(ys)}"
 
 
 def problem_workspace() -> dict:
@@ -357,8 +374,13 @@ def main(argv: list[str]) -> int:
         for argv_, b, n in tally["differ"])
     for (command, fields), count in sorted(groups.items()):
         print(f"differ: {count} {command} call(s) in {fields}")
-    for argv_, b, n in tally["differ"][:20]:
-        print(f"DIFFER: {argv_}\n  baseline: {b[:3]}\n  this tree: {n[:3]}")
+    shown = [(argv_, b, n) for argv_, b, n in tally["differ"]
+             if not layout_only(b, n)]
+    for argv_, b, n in shown[:20]:
+        print(f"DIFFER: {argv_}")
+        for field, x, y in zip(FIELDS, b, n):
+            if x != y:
+                print(f"  {field}: {first_difference(x, y)}")
     return 1 if tally["differ"] else 0
 
 

@@ -201,7 +201,8 @@ class CheckRecord:
 class RelativeEvidence:
     """Why a relative run stopped: the first basis position i whose
     x-difference (x1^-1 x_i or x_i x1^-1) leaves N on the certificate
-    basis."""
+    basis.  reverify_certificate finds it; a certificate file does not
+    hold it."""
 
     offending_index: int
 
@@ -210,13 +211,15 @@ class RelativeEvidence:
 class EtaSummary:
     """The move program: the first m positions whose beta_bar pair is pair
     go to the front, and s = len(kgens) kernel generators over blocks of n
-    of them.  selected, those positions, follows from beta_bar: never
-    written, and left out of comparisons."""
+    of them.  pair is the one choice: a claim, solve's or a parsed
+    certificate's, holds it alone, and reverify_certificate fills in n, m
+    and kgens from the problem (make_eta_params) and selected, those
+    positions, from beta_bar.  selected is left out of comparisons."""
 
     pair: Optional[tuple[int, int]]
-    n: int
-    m: int
-    kgens: tuple[int, ...]
+    n: int = 0
+    m: int = 0
+    kgens: tuple[int, ...] = ()
     selected: tuple[int, ...] = field(default=(), compare=False)
 
     @property
@@ -231,10 +234,10 @@ class SolutionCertificate:
     The candidate images and the reference map are expressed on the
     certificate basis: the original basis after the move program eta (the
     original basis itself when eta is None).  A certificate file holds
-    outcome, eta and, for a "not_reduced" one, relative: phi follows from
-    the problem and eta (solver.reverify_certificate), so phi_x / phi_y and
-    eta.selected are empty on a parsed certificate until
-    reverify_certificate replays it.
+    outcome and eta.pair: the rest of eta, phi and, for a "not_reduced"
+    one, relative follow from the problem and the pair
+    (solver.reverify_certificate), so a parsed certificate holds none of
+    them until reverify_certificate replays it.
     basis_x_words / basis_y_words spell the basis out as words in the
     original one, derived on first use; nothing on the solve or verify path
     needs them.  genus, is_solution and is_proper follow from phi and

@@ -9,8 +9,9 @@ documents surfep writes: integers, booleans, null and ASCII strings.  The
 top level stays one member per line because perfbench finds a certificate's
 outcome by its '\n  "outcome": ' line.  Readers accept any JSON layout.
 Every field read is type-checked, and a malformed one is named in the error.
-A certificate holds the move program and no phi, which reverification
-derives from it.
+A certificate holds the one choice of the move program, the value pair it
+moves, and no phi: reverification derives the rest of the program and phi
+from the problem and the pair.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Any, Optional
 
 from .embedding import (
     EtaSummary,
-    RelativeEvidence,
     SolutionCertificate,
     SplitEP,
     SubgroupSpec,
@@ -42,10 +42,10 @@ from .groups import (
 from .errors import BetaNotSurjective, GenusMismatch, SurfepError
 from .surface import SurfaceTuple, make_surface_tuple
 
-# v6 writes the move program (the beta_bar value pair moved, m, n and the
-# kernel generators) and no phi, which verify derives from it; older formats
-# are refused
-CERTIFICATE_FORMAT = "surfep-certificate-v6"
+# v7 writes the beta_bar value pair the move program moves and nothing that
+# verify derives from the problem: n, m, the kernel generators, phi and a
+# not_reduced run's stop position; older formats are refused
+CERTIFICATE_FORMAT = "surfep-certificate-v7"
 
 
 _COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -505,51 +505,27 @@ def load_workspace(path: str) -> Workspace:
 
 # --- certificates -------------------------------------------------------------
 
-# the fields each outcome adds to format, problem, instance_hash, outcome, eta
-_OUTCOME_FIELDS = {
-    "proper": (),
-    "solution": (),
-    "invalid": (),
-    "not_reduced": ("relative",),
-}
+_OUTCOMES = ("proper", "solution", "invalid", "not_reduced")
+_CERT_FIELDS = ("format", "problem", "instance_hash", "outcome", "pair")
 
 
 def certificate_to_json(
     cert: SolutionCertificate, problem_name: str, content_hash: str
 ) -> dict:
-    eta = cert.eta
-    obj: dict[str, Any] = {
+    return {
         "format": CERTIFICATE_FORMAT,
         "problem": problem_name,
         "instance_hash": content_hash,
         "outcome": cert.outcome,
-        "eta": {"pair": list(eta.pair), "n": eta.n, "m": eta.m,
-                "kgens": list(eta.kgens)},
+        "pair": list(cert.eta.pair),
     }
-    if cert.outcome == "not_reduced":
-        obj["relative"] = {"offending_index": cert.relative.offending_index}
-    return obj
-
-
-def _fields(value: Any, path: str, keys: tuple[str, ...], outcome: str) -> dict:
-    """value as an object none of whose keys lies outside keys; path is ""
-    at the top level."""
-    obj = _typed(value, dict, path or "(top level)")
-    extra = next((k for k in obj if k not in keys), None)
-    if extra is not None:
-        name = f"{path}.{extra}" if path else extra
-        raise ValueError(
-            f"certificate field {name} is not part of a certificate with "
-            f"outcome {outcome!r}"
-        )
-    return obj
 
 
 def certificate_from_json(obj: Any) -> SolutionCertificate:
     """Parse a certificate, checking every field's JSON type and refusing any
-    field that verify does not read, phi included; values are checked by
-    reverification, not here.  eta comes back without the positions it
-    moves and phi empty: both follow from the problem and eta
+    field that verify does not read, phi and the v6 eta included; values are
+    checked by reverification, not here.  eta comes back holding only the
+    pair, and phi empty: the rest follows from the problem and the pair
     (reverify_certificate).
     """
     top = _typed(obj, dict, "(top level)")
@@ -560,26 +536,20 @@ def certificate_from_json(obj: Any) -> SolutionCertificate:
             f"re-run surfep solve to get one"
         )
     outcome = _get(top, "outcome", str)
-    if outcome not in _OUTCOME_FIELDS:
+    if outcome not in _OUTCOMES:
         raise ValueError(
-            f"certificate field outcome must be one of "
-            f"{', '.join(_OUTCOME_FIELDS)}, got {outcome!r}"
+            f"certificate field outcome must be one of {', '.join(_OUTCOMES)}, "
+            f"got {outcome!r}"
         )
-    _fields(top, "", ("format", "problem", "instance_hash", "outcome", "eta",
-                      *_OUTCOME_FIELDS[outcome]), outcome)
+    extra = next((k for k in top if k not in _CERT_FIELDS), None)
+    if extra is not None:
+        raise ValueError(f"certificate field {extra} is not part of a certificate")
     _get(top, "problem", str)
     _get(top, "instance_hash", str)
-    e = _fields(_get(top, "eta"), "eta", ("pair", "n", "m", "kgens"), outcome)
-    pair = _ints(_get(e, "eta.pair"), "eta.pair")
+    pair = _ints(_get(top, "pair"), "pair")
     if len(pair) != 2:
-        raise ValueError("certificate field eta.pair must be a [value, value] pair")
-    eta = EtaSummary(pair, _get(e, "eta.n", int), _get(e, "eta.m", int),
-                     _ints(_get(e, "eta.kgens"), "eta.kgens"))
-    relative = None
-    if outcome == "not_reduced":
-        r = _fields(_get(top, "relative"), "relative", ("offending_index",), outcome)
-        relative = RelativeEvidence(_get(r, "relative.offending_index", int))
-    return SolutionCertificate((), (), outcome, eta=eta, relative=relative)
+        raise ValueError("certificate field pair must be a [value, value] pair")
+    return SolutionCertificate((), (), outcome, eta=EtaSummary(pair))
 
 
 # --- workspace emission -------------------------------------------------------

@@ -217,17 +217,17 @@ def map_tuple(hom: GroupHom, t: SurfaceTuple) -> SurfaceTuple:
     )
 
 
-def repeated_pair(
+def repeated_pairs(
     pairs: Iterable[tuple[int, int]], multiplicity: int
-) -> tuple[int, int]:
-    """The lexicographically smallest value pair occurring at least
-    multiplicity times among pairs (NoRepeatedPair if none does)."""
+) -> list[tuple[int, int]]:
+    """The value pairs occurring at least multiplicity times among pairs, in
+    lexicographic order (NoRepeatedPair if none does)."""
     if multiplicity < 1:
         raise ValueError("multiplicity must be positive")
-    winners = [p for p, c in Counter(pairs).items() if c >= multiplicity]
+    winners = sorted(p for p, c in Counter(pairs).items() if c >= multiplicity)
     if not winners:
         raise NoRepeatedPair(multiplicity)
-    return min(winners)
+    return winners
 
 
 def pair_positions(
@@ -241,10 +241,11 @@ def pigeonhole_select(
     pairs: Sequence[tuple[int, int]], multiplicity: int
 ) -> list[int]:
     """First positions (1-based) of the lexicographically smallest value pair
-    attaining the requested multiplicity: repeated_pair, then the first
-    multiplicity of its pair_positions."""
+    attaining the requested multiplicity: the first of repeated_pairs, then
+    the first multiplicity of its pair_positions."""
     keys = list(map(tuple, pairs))
-    return pair_positions(keys, repeated_pair(keys, multiplicity))[:multiplicity]
+    pair = repeated_pairs(keys, multiplicity)[0]
+    return pair_positions(keys, pair)[:multiplicity]
 
 
 def open_subgroup_genus(g: int, index: int) -> int:

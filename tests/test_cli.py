@@ -95,12 +95,13 @@ class TestSolveVerify:
         assert main(["solve", ws, "v4_plain", "--out", out]) == 0
         cert = json.loads(open(out).read())
         assert cert["outcome"] == "proper"
-        assert cert["format"] == "surfep-certificate-v6"
+        assert cert["format"] == "surfep-certificate-v7"
         assert len(cert["instance_hash"]) == 64
-        # the program moves the first m = 16 occurrences of beta_bar's (0, 0)
-        assert cert["eta"] == {"pair": [0, 0], "n": 4, "m": 16, "kgens": [2]}
-        # and determines phi, which is not written
-        assert set(cert) == {"format", "problem", "instance_hash", "outcome", "eta"}
+        # the program moves the first m = 16 occurrences of beta_bar's (0, 0);
+        # with n, m and kgens, which follow from the problem, the pair
+        # determines phi, and none of them is written
+        assert cert["pair"] == [0, 0]
+        assert set(cert) == {"format", "problem", "instance_hash", "outcome", "pair"}
 
     def test_solve_stdout_is_canonical(self, tmp_path, capsys):
         ws = v4_workspace(tmp_path)
@@ -136,8 +137,8 @@ class TestSolveVerify:
         out = str(tmp_path / "cert.json")
         main(["solve", ws, "v4_plain", "--out", out])
         cert = json.loads(open(out).read())
-        # the kernel generator moved off Ker(alpha) = {0, 2}
-        cert["eta"]["kgens"][0] = (cert["eta"]["kgens"][0] + 1) % 4
+        # a pair that beta_bar's pairs never take
+        cert["pair"] = [0, 1]
         open(out, "w").write(canonical_json(cert))
         assert main(["verify", out, ws]) == 1
         err = capsys.readouterr().err
@@ -172,15 +173,18 @@ class TestSolveVerify:
         assert main(["solve", ws, "p", "--out", out]) == 3
         cert = json.loads(open(out).read())
         assert cert["outcome"] == "not_reduced"
-        assert cert["relative"]["offending_index"] is not None
+        # the stop position is not written: verify finds it again
+        assert "relative" not in cert
         capsys.readouterr()
         # a stopped run still verifies as internally consistent
         assert main(["verify", out, ws]) == 0
+        assert re.search(r"^offending_index +pass  position 2 leaves N$",
+                         capsys.readouterr().out, re.M)
 
 
 class TestVerifyOutOfRangePhi:
-    """phi is derived from eta.kgens: a kernel generator out of range fails
-    a named check, and one that is not an integer is named at parse."""
+    """phi is derived from the pair: a pair value out of range fails a named
+    check, and one that is not an integer is named at parse."""
 
     @pytest.mark.parametrize("entry", [99, -1])
     def test_named_check_and_no_traceback(self, tmp_path, capsys, entry):
@@ -189,7 +193,7 @@ class TestVerifyOutOfRangePhi:
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
         assert main(["solve", ws, "ep000", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        cert["eta"]["kgens"][0] = entry
+        cert["pair"][0] = entry
         open(out, "w").write(canonical_json(cert))
         proc = run_python("-m", "surfep", "verify", out, ws)
         assert proc.returncode == 1
@@ -204,12 +208,12 @@ class TestVerifyOutOfRangePhi:
         main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", ws])
         assert main(["solve", ws, "ep000", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        cert["eta"]["kgens"][0] = entry
+        cert["pair"][0] = entry
         open(out, "w").write(canonical_json(cert))
         proc = run_python("-m", "surfep", "verify", out, ws)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "error: certificate field eta.kgens[0] must be an integer" in proc.stderr
+        assert "error: certificate field pair[0] must be an integer" in proc.stderr
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("depth", [1_100, 200_000])
@@ -717,57 +721,62 @@ def verify_edited(ws, out, cert, capsys):
     return code, captured.out, captured.err
 
 
+def refused_field(name):
+    return f"error: certificate field {name} is not part of a certificate\n"
+
+
 class TestVerifyEtaProgram:
-    """The recorded move program is checked against the problem: n = |A|,
-    m = 2|A|^2/|B|, kgens that generate Ker(alpha) and fit in m, and a pair
-    of B that occurs at least m times among beta_bar's pairs.
+    """The recorded pair is checked against the problem: a pair of B that
+    occurs at least m = 2|A|^2/|B| times among beta_bar's pairs.  n, m and
+    the kernel generators are the problem's (make_eta_params): a
+    certificate that writes one of them, as v6 did, is refused by name.
 
     ep000 has genus 8, A = C2 and B trivial: the program moves the pair
-    (0, 0) at all of 1..8."""
+    (0, 0) at all of 1..8, with n = 2, m = 8 and kgens [1]."""
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,error",
         [
-            lambda e: e.update(kgens=e["kgens"] * 3),
-            lambda e: e.update(pair=[0, 99]),
-            lambda e: e.update(pair=[v + 1 for v in e["pair"]]),
-            lambda e: e.update(pair=[0, -1]),
-            lambda e: e.update(kgens=[(e["kgens"][0] + 1) % 2]),
-            lambda e: e.update(kgens=[]),
-            lambda e: e.update(m=e["m"] - 1),
-            lambda e: e.update(n=e["n"] + 1),
+            (lambda c: c.update(kgens=[1, 1, 1]), refused_field("kgens")),
+            (lambda c: c.update(pair=[0, 99]), "error: eta_program\n"),
+            (lambda c: c.update(pair=[v + 1 for v in c["pair"]]),
+             "error: eta_program\n"),
+            (lambda c: c.update(pair=[0, -1]), "error: eta_program\n"),
+            (lambda c: c.update(kgens=[0]), refused_field("kgens")),
+            (lambda c: c.update(kgens=[]), refused_field("kgens")),
+            (lambda c: c.update(m=7), refused_field("m")),
+            (lambda c: c.update(n=3), refused_field("n")),
         ],
         ids=["duplicate", "out_of_range", "shifted", "negative", "kgens",
              "no_kgens", "m", "n"],
     )
-    def test_edited_eta_fails_named_check(self, tmp_path, capsys, edit):
+    def test_edited_eta_fails_named_check(self, tmp_path, capsys, edit, error):
         ws, out, cert = solved_gen3(tmp_path)
-        assert cert["eta"] == {"pair": [0, 0], "n": 2, "m": 8, "kgens": [1]}
-        edit(cert["eta"])
+        assert cert["pair"] == [0, 0]
+        edit(cert)
         code, stdout, stderr = verify_edited(ws, out, cert, capsys)
-        assert code == 1
-        assert re.search(r"^eta_program +FAIL", stdout, re.M)
-        assert "error: eta_program" in stderr
+        assert code == 1 and stderr == error
+        if error == "error: eta_program\n":
+            assert re.search(r"^eta_program +FAIL", stdout, re.M)
+        else:
+            assert stdout == ""
 
     @pytest.mark.parametrize("entry", ["a", 1.5, True])
     def test_non_integer_selected_named_at_parse(self, tmp_path, capsys, entry):
         # v5 writes no selected: whatever it holds, it is refused by name
         ws, out, cert = solved_gen3(tmp_path)
-        cert["eta"]["selected"] = [entry] + list(range(2, 9))
+        cert["selected"] = [entry] + list(range(2, 9))
         code, stdout, stderr = verify_edited(ws, out, cert, capsys)
         assert code == 1 and stdout == ""
-        assert stderr == (
-            "error: certificate field eta.selected is not part of a "
-            "certificate with outcome 'proper'\n"
-        )
+        assert stderr == refused_field("selected")
 
     @pytest.mark.parametrize("entry", ["a", 1.5, True])
     def test_non_integer_pair_named_at_parse(self, tmp_path, capsys, entry):
         ws, out, cert = solved_gen3(tmp_path)
-        cert["eta"]["pair"][0] = entry
+        cert["pair"][0] = entry
         code, stdout, stderr = verify_edited(ws, out, cert, capsys)
         assert code == 1
-        assert "error: certificate field eta.pair[0] must be an integer" in stderr
+        assert "error: certificate field pair[0] must be an integer" in stderr
 
     def test_genuine_eta_passes(self, tmp_path, capsys):
         ws, out, cert = solved_gen3(tmp_path)
@@ -784,7 +793,7 @@ class TestVerifyEtaProgram:
         out = str(tmp_path / "cert.json")
         assert main(["solve", ws, "v4_plain", "--out", out]) == 0
         cert = json.loads(open(out).read())
-        cert["eta"]["pair"] = [1, 0]
+        cert["pair"] = [1, 0]
         code, stdout, stderr = verify_edited(ws, out, cert, capsys)
         assert code == 1 and "error: eta_program" in stderr
         assert re.search(
@@ -808,26 +817,27 @@ class TestVerifyEtaProgram:
         ws, out = str(tmp_path / "two.json"), str(tmp_path / "cert.json")
         open(ws, "w").write(canonical_json(doc))
         assert main(["solve", ws, "p", "--out", out]) == 0
-        assert json.loads(open(out).read())["eta"]["pair"] == [0, 0]
+        assert json.loads(open(out).read())["pair"] == [0, 0]
 
-        def largest(pairs, m):
-            # the pair search, choosing the largest pair that reaches m
-            pairs = list(pairs)
-            return max(p for p in set(pairs) if pairs.count(p) >= m)
+        def largest_first(pairs, m):
+            # the pair listing, the largest pair that reaches m first
+            return sorted(surface.repeated_pairs(pairs, m), reverse=True)
 
-        monkeypatch.setattr(solver, "repeated_pair", largest)
+        monkeypatch.setattr(solver, "repeated_pairs", largest_first)
         assert main(["solve", ws, "p", "--out", out]) == 0
         monkeypatch.undo()
         cert = json.loads(open(out).read())
-        assert cert["eta"]["pair"] == [1, 0]
+        assert cert["pair"] == [1, 0]
         code, stdout, _ = verify_edited(ws, out, cert, capsys)
         assert code == 0, stdout
         assert "pair (1, 0) occurs 32 times" in stdout
 
 
 class TestVerifyDoesNotSearch:
-    """surfep verify runs none of the solver's search: no pigeonhole, no
-    move program choice, no kernel generator search."""
+    """surfep verify runs none of the solver's search: no listing of the
+    pairs that occur m times, so no choice among them.  It derives the
+    kernel generators with make_eta_params, one closure walk over K, which
+    is not a search."""
 
     @pytest.fixture
     def no_search(self, monkeypatch):
@@ -835,8 +845,7 @@ class TestVerifyDoesNotSearch:
             def boom(*args, **kwargs):
                 raise AssertionError("the solver's search on the verify path")
 
-            for name in ("_move_program", "make_eta_params", "repeated_pair"):
-                monkeypatch.setattr(solver, name, boom)
+            monkeypatch.setattr(solver, "repeated_pairs", boom)
         return patch
 
     def test_proper(self, tmp_path, capsys, no_search):
@@ -855,14 +864,23 @@ class TestVerifyDoesNotSearch:
         assert re.search(r"^offending_index +pass", capsys.readouterr().out, re.M)
 
 
+def v6_eta(ws, cert):
+    """The move program of cert as a v6 certificate wrote it: its pair, and
+    n, m and kgens, which v7 derives from the problem."""
+    ep, _ = load_workspace(ws).build_problem(cert["problem"])
+    eta = solver.make_eta_params(ep)
+    return {"pair": cert["pair"], "n": eta.n, "m": eta.m, "kgens": list(eta.kgens)}
+
+
 def moved_positions(ws, cert):
     """The positions the move program of cert moves to the front: the first
-    eta.m whose beta_bar pair is eta.pair (a v4 certificate wrote them as
-    eta.selected)."""
+    m whose beta_bar pair is the certificate's pair (a v4 certificate wrote
+    them as eta.selected)."""
     ep, _ = load_workspace(ws).build_problem(cert["problem"])
-    pair = tuple(cert["eta"]["pair"])
+    pair = tuple(cert["pair"])
     pairs = zip(ep.beta_bar.ximg, ep.beta_bar.yimg)
-    return [i for i, p in enumerate(pairs, 1) if p == pair][: cert["eta"]["m"]]
+    m = solver.make_eta_params(ep).m
+    return [i for i, p in enumerate(pairs, 1) if p == pair][:m]
 
 
 def constant_beta_workspace(tmp_path):
@@ -918,20 +936,22 @@ class TestForgedBasis:
     def test_v2_verifies_only_with_the_pigeonhole_hit(self, tmp_path, capsys):
         ws, out, cert = self.solved(tmp_path)
         assert "basis" not in cert
-        assert cert["eta"]["pair"] == [1, 0] and cert["eta"]["m"] == 16
+        assert cert["pair"] == [1, 0]
         assert moved_positions(ws, cert) == list(range(1, 17))
         code, _, _ = verify_edited(ws, out, cert, capsys)
         assert code == 0
         # same values on every slot: other selections, such as 2..17 or
         # 49..64, cannot be written, since the program moves the first m
-        # occurrences of its pair; a pair that does not occur m times, or
-        # another m, is refused
-        for edit in ({"pair": [0, 0]}, {"pair": [1, 1]}, {"m": 17}, {"m": 15}):
-            edited = {**cert, "eta": {**cert["eta"], **edit}}
-            code, stdout, stderr = verify_edited(ws, out, edited, capsys)
+        # occurrences of its pair; a pair that does not occur m times is
+        # refused, and m, the problem's, cannot be written
+        for edit in ({"pair": [0, 0]}, {"pair": [1, 1]}):
+            code, stdout, stderr = verify_edited(ws, out, {**cert, **edit}, capsys)
             assert code == 1
             assert re.search(r"^eta_program +FAIL", stdout, re.M)
             assert "error: eta_program" in stderr
+        for m in (17, 15):
+            code, stdout, stderr = verify_edited(ws, out, {**cert, "m": m}, capsys)
+            assert (code, stdout, stderr) == (1, "", refused_field("m"))
 
 
 def test_solved_v1_certificate_is_refused(tmp_path, capsys):
@@ -950,7 +970,7 @@ def test_solved_v1_certificate_is_refused(tmp_path, capsys):
     assert code == 1
     assert stderr == (
         "error: certificate format 'surfep-certificate-v1' is not "
-        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v7'; re-run surfep solve to get one\n"
     )
 
 
@@ -967,7 +987,7 @@ def test_solved_v2_certificate_is_refused(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v2' is not "
-        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v7'; re-run surfep solve to get one\n"
     )
 
 
@@ -984,7 +1004,7 @@ def test_solved_v3_certificate_is_refused(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v3' is not "
-        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v7'; re-run surfep solve to get one\n"
     )
 
 
@@ -1005,21 +1025,38 @@ def test_solved_v5_certificate_is_refused(tmp_path, capsys):
     # v5 wrote phi as its overrides of gamma o beta_bar: here s = 1, n = 4
     # and x2..x5 go to gamma(0) kgens[0] = 2
     assert phi.phi_x[1:5] == (2, 2, 2, 2)
+    cert = {**cert, "eta": v6_eta(ws, cert)}
+    del cert["pair"]
     cert.update(format="surfep-certificate-v5",
                 phi={"x": [[i, 2] for i in range(2, 6)], "y": []})
     code, stdout, stderr = verify_edited(ws, out, cert, capsys)
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v5' is not "
-        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v7'; re-run surfep solve to get one\n"
     )
-    # written into a v6 certificate, phi is refused by name
-    cert["format"] = "surfep-certificate-v6"
+    # written into a v7 certificate, phi is refused by name
+    cert = {k: v for k, v in cert.items() if k != "eta"}
+    cert.update(format="surfep-certificate-v7", pair=[0, 0])
+    code, stdout, stderr = verify_edited(ws, out, cert, capsys)
+    assert (code, stdout, stderr) == (1, "", refused_field("phi"))
+
+
+def test_solved_v6_certificate_is_refused(tmp_path, capsys):
+    """A certificate in the v6 shape: the pair inside the whole move program
+    (eta with n, m and kgens), and a not_reduced run's stop position."""
+    ws = not_reduced_workspace(tmp_path)
+    out = str(tmp_path / "cert.json")
+    assert main(["solve", ws, "p", "--out", out]) == 3
+    cert = json.loads(open(out).read())
+    cert = {"format": "surfep-certificate-v6", "problem": cert["problem"],
+            "instance_hash": cert["instance_hash"], "outcome": cert["outcome"],
+            "eta": v6_eta(ws, cert), "relative": {"offending_index": 2}}
     code, stdout, stderr = verify_edited(ws, out, cert, capsys)
     assert code == 1 and stdout == ""
     assert stderr == (
-        "error: certificate field phi is not part of a certificate with "
-        "outcome 'proper'\n"
+        "error: certificate format 'surfep-certificate-v6' is not "
+        "'surfep-certificate-v7'; re-run surfep solve to get one\n"
     )
 
 
@@ -1031,16 +1068,17 @@ def test_solved_v4_certificate_is_refused(tmp_path, capsys):
     assert main(["solve", ws, "p", "--out", out]) == 3
     cert = json.loads(open(out).read())
     selected = moved_positions(ws, cert)
-    eta = cert["eta"]
+    eta = v6_eta(ws, cert)
     del eta["pair"]
     eta.update(s=len(eta["kgens"]), selected=selected)
-    cert["relative"]["memberships"] = [[2, False, False]]
-    cert["format"] = "surfep-certificate-v4"
+    cert = {k: v for k, v in cert.items() if k != "pair"}
+    cert.update(format="surfep-certificate-v4", eta=eta, relative={
+        "offending_index": 2, "memberships": [[2, False, False]]})
     code, stdout, stderr = verify_edited(ws, out, cert, capsys)
     assert code == 1 and stdout == ""
     assert stderr == (
         "error: certificate format 'surfep-certificate-v4' is not "
-        "'surfep-certificate-v6'; re-run surfep solve to get one\n"
+        "'surfep-certificate-v7'; re-run surfep solve to get one\n"
     )
 
 
@@ -1218,11 +1256,12 @@ def test_c2_to_the_sixth_solves_and_verifies(tmp_path):
     open(ws, "w").write(json.dumps(doc))
     proc = run_python("-m", "surfep", "solve", ws, "p", "--out", out, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    eta = json.loads(open(out).read())["eta"]
-    assert eta["kgens"] == [2, 4, 8, 16, 32, 64] and eta["n"] == 128
+    assert json.loads(open(out).read())["pair"] == [0, 0]
+    eta = solver.make_eta_params(load_workspace(ws).build_problem("p")[0])
+    assert eta.kgens == (2, 4, 8, 16, 32, 64) and eta.n == 128
     proc = run_python("-m", "surfep", "verify", out, ws, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # 768 x-slots differ from gamma o beta_bar, but phi follows from eta
+    # 768 x-slots differ from gamma o beta_bar, but phi follows from the pair
     assert os.path.getsize(out) < 1024
 
 
@@ -1294,10 +1333,9 @@ def test_files_in_any_layout_still_work(tmp_path, layout):
 # problem in name order, its name, the `solve` exit code and the `solve`
 # stdout.  Any change to group indexing, the solver or the certificate
 # encoding or layout moves it; refactors must leave it alone.  Last derived by
-# scripts/repin_layout_goldens.py, when values below the top level went onto
-# one line: it re-writes the previous layout's texts, each to the same
-# json.loads value.
-GOLDEN_GEN5_SHA256 = "052df270460822628cf2dbfa66defdcbf5eee99c0580fd86c9a1abf6fc17afe6"
+# scripts/repin_v7_goldens.py, at certificate v7: it maps each v6 certificate
+# to its pair, outcome, problem and hash, in the v7 format.
+GOLDEN_GEN5_SHA256 = "bcbe222232cdbc8fef95b0bb9403574d736a068b856e9071f2aba2faf87d0eb2"
 # SHA-256 of `surfep verify` stdout and exit codes on the certificates of
 # test_verify_bytes_are_pinned.  A change to a check's name, detail, order or
 # verdict moves it; moving the checks between modules must leave it alone.
@@ -1324,8 +1362,9 @@ class TestGoldenBytes:
     def test_verify_bytes_are_pinned(self, tmp_path, capsys):
         """`surfep verify` stdout and exit code on every certificate of
         `gen --seed 5 --count 12`, the not_reduced certificate of
-        tests/test_mutations.py, and each with eta.pair reversed, which is
-        another valid program where the reversed pair occurs m times.
+        tests/test_mutations.py, and each with its pair reversed, which is
+        another valid program where the reversed pair occurs m times (the
+        label "eta.pair" names the field as v6 wrote it).
         stderr is not pinned."""
         ws = str(tmp_path / "gen5.json")
         assert main(["gen", "--seed", "5", "--count", "12", "--out", ws]) == 0
@@ -1358,7 +1397,7 @@ class TestGoldenBytes:
             cert = json.loads(open(out).read())
             verify(name, cert)
             edited = json.loads(json.dumps(cert))
-            edited["eta"]["pair"].reverse()
+            edited["pair"].reverse()
             verify(f"{name} eta.pair", edited)
         assert digest.hexdigest() == GOLDEN_VERIFY_SHA256
 

@@ -261,13 +261,16 @@ class TestCertificateJson:
         cert = s.solve_gamma_level(v4_instance)
         again = certificate_from_json(json.loads(written(cert)))
         assert written(again) == written(cert)
-        # the flags follow from outcome; phi is not read
-        for name in ("is_solution", "is_proper", "eta"):
+        # the flags follow from outcome; phi is not read, and of the move
+        # program only the pair is
+        for name in ("is_solution", "is_proper"):
             assert getattr(again, name) == getattr(cert, name), name
         assert again.phi_x == again.phi_y == ()
-        # reverification derives phi in full, and with it the genus
+        assert again.eta.pair == cert.eta.pair
+        # reverification derives phi in full, and with it the genus, and
+        # the rest of the program
         fresh = s.reverify_certificate(v4_instance, again)
-        for name in ("genus", "phi_x", "phi_y"):
+        for name in ("genus", "phi_x", "phi_y", "eta"):
             assert getattr(fresh, name) == getattr(cert, name), name
 
     def test_relative_roundtrip(self):
@@ -288,13 +291,16 @@ class TestCertificateJson:
         cert = not_reduced_certificate()
         assert cert.outcome == "not_reduced"
         obj = json.loads(written(cert))
-        assert set(obj) == {
-            "format", "problem", "instance_hash", "outcome", "eta", "relative"
-        }
+        # every outcome writes the same five fields: the stop position is
+        # found again by reverification
+        assert set(obj) == {"format", "problem", "instance_hash", "outcome", "pair"}
         again = certificate_from_json(obj)
         assert written(again) == written(cert)
-        assert again.relative == cert.relative and again.eta == cert.eta
+        assert again.relative is None and again.eta.pair == cert.eta.pair
         assert not (again.is_proper or again.is_solution)
+        ep, spec = not_reduced_problem()
+        fresh = s.reverify_certificate(ep, again, spec)
+        assert fresh.relative == cert.relative and fresh.eta == cert.eta
 
     def test_format_guard(self):
         with pytest.raises(ValueError):
@@ -303,10 +309,10 @@ class TestCertificateJson:
     def test_no_basis_words_written(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
         obj = certificate_to_json(cert, "p", "hash")
-        assert obj["format"] == "surfep-certificate-v6"
-        assert "basis" not in obj and "selected" not in obj["eta"]
+        assert obj["format"] == "surfep-certificate-v7"
+        assert "basis" not in obj and "selected" not in obj
         # the words stay available, derived from genus and the positions the
-        # replay of (eta.pair, eta.m) moves
+        # replay of the pair moves
         again = s.reverify_certificate(
             v4_instance, certificate_from_json(json.loads(canonical_json(obj)))
         )
@@ -320,28 +326,28 @@ class TestCertificateJson:
             (("is_proper",), 1),
             (("outcome",), None),
             (("problem",), ["p"]),
-            (("eta", "n"), 1.0),
-            (("eta", "pair"), "1"),
-            (("eta", "kgens"), 3),
-            (("eta", "kgens", 0), False),
+            (("n",), 1.0),
+            (("pair",), "1"),
+            (("kgens",), 3),
+            (("pair", 0), False),
             (("checks",), "yes"),
             (("witnesses",), 7),
             (("is_solution",), 2.5),
-            (("eta", "witnesses"), 0),
+            (("eta",), 0),
             (("phi",), []),
-            (("eta", "m"), MISSING),
+            (("outcome",), MISSING),
             (("problem",), MISSING),
-            (("eta", "pair"), MISSING),
-            (("eta",), MISSING),
-            (("eta", "pair", 1), None),
-            (("eta", "pair"), [0]),
-            (("eta", "s"), 1),
+            (("pair",), MISSING),
+            (("instance_hash",), MISSING),
+            (("pair", 1), None),
+            (("pair",), [0]),
+            (("s",), 1),
         ],
     )
     def test_field_types_checked(self, v4_instance, path, value):
         # genus, is_proper, is_solution, checks and witnesses are v2 fields,
-        # eta.s a v4 one and phi a v5 one: written into a v6 certificate
-        # they are refused by name
+        # s a v4 one, phi a v5 one and eta, n and kgens v6 ones: written
+        # into a v7 certificate they are refused by name
         obj = json.loads(canonical_json(
             certificate_to_json(s.solve_gamma_level(v4_instance), "p", "h")
         ))
@@ -358,15 +364,17 @@ class TestCertificateJson:
             certificate_from_json(obj)
 
     def test_relative_field_types_checked(self):
+        # a relative block (v6 wrote offending_index in one) is refused by
+        # name whatever it holds
         obj = json.loads(written(not_reduced_certificate()))
         for key, value in (
             ("memberships", [[2, False, False]]),
             ("offending_index", "2"),
             ("offending_index", True),
+            ("offending_index", 2),
             ("s_members", [0.0]),
         ):
-            bad = json.loads(json.dumps(obj))
-            bad["relative"][key] = value
+            bad = {**obj, "relative": {key: value}}
             with pytest.raises(ValueError, match="certificate field relative"):
                 certificate_from_json(bad)
 
@@ -421,10 +429,9 @@ class TestSolveEndsInVerify:
         assert (fresh.phi_x, fresh.phi_y) == (cert.phi_x, cert.phi_y)
 
     def test_solve_refuses_what_verify_refuses(self, monkeypatch, v4_instance):
-        # a move program one position short: verify fails its eta_program
-        real = solver.make_eta_params
-        monkeypatch.setattr(solver, "make_eta_params",
-                            lambda ep, phi=None: replace(real(ep), m=real(ep).m - 1))
+        # a pair listing that offers the pair (1, 0), which occurs fewer
+        # than m times: verify fails its eta_program
+        monkeypatch.setattr(solver, "repeated_pairs", lambda pairs, m: [(1, 0)])
         with pytest.raises(AssertionError, match="eta_program"):
             s.solve_gamma_level(v4_instance)
 
@@ -447,7 +454,7 @@ class TestSolveEndsInVerify:
 
         monkeypatch.setattr(solver, "normalize_to_front", counted)
         for name, attr in (("listing", "pair_positions"),
-                           ("search", "repeated_pair"),
+                           ("search", "repeated_pairs"),
                            ("scan", "_first_leaving")):
             monkeypatch.setattr(solver, attr, tally(name, getattr(solver, attr)))
         cert = s.solve_relative(ep, spec)

@@ -103,6 +103,19 @@ class TestGreedyKernelGenerators:
         assert s.subgroup_closure(ep.A, kgens).members == ker.members
         assert 2 ** len(kgens) <= ker.order
 
+    def test_always_fit_in_m(self, cat):
+        """s(n + 1) <= m = 2|K|^2|H| for every pair of catalog groups under
+        the trivial action: s <= log2 |K| and n = |K||H|, so verify derives
+        the kernel generators and need not check that they fit.  s depends
+        only on K."""
+        for k_group in cat.values():
+            sizes = set()
+            for h_group in cat.values():
+                eta = make_eta_params(split_over(k_group, h_group))
+                assert eta.s * (eta.n + 1) <= eta.m, (k_group.order, h_group.order)
+                sizes.add(eta.s)
+            assert len(sizes) == 1
+
     def test_need_not_be_minimal(self):
         # C4 relabelled so that index 1 has order 2: the greedy tuple starts
         # there and needs two generators where one suffices
@@ -333,10 +346,6 @@ class TestSolveGammaLevel:
         [
             ("pair", (1, 0)),
             ("pair", (0, 2)),
-            ("kgens", (0,)),
-            ("kgens", (1, 1, 1, 1)),
-            ("m", 15),
-            ("n", 3),
         ],
     )
     def test_reverify_rejects_edited_eta(self, v4_instance, field, value):
@@ -348,6 +357,16 @@ class TestSolveGammaLevel:
             "eta_program", "outcome_matches",
         ]
         assert field in fresh.checks[0].detail
+
+    def test_reverify_derives_n_m_and_kgens(self, v4_instance):
+        # the pair is the claim's one choice: n, m and kgens are the
+        # problem's, and whatever a claim holds for them is not read
+        cert = s.solve_gamma_level(v4_instance)
+        for field, value in (("kgens", (0,)), ("kgens", (1, 1, 1, 1)),
+                             ("m", 15), ("n", 3)):
+            edited = replace(cert, eta=replace(cert.eta, **{field: value}))
+            fresh = s.reverify_certificate(v4_instance, edited)
+            assert fresh.checks == cert.checks and fresh.eta == cert.eta
 
     def test_missing_eta_fails_the_eta_check(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
@@ -410,18 +429,23 @@ class TestSolveRelative:
         ]
         assert all(c.passed for c in checks)
         # x2 is the first position that leaves N; x3 stays in it, and x4
-        # leaves it too but is not the first
+        # leaves it too but is not the first.  The claim's stop position is
+        # not read: reverification finds x2 again
         assert cert.relative.offending_index == 2
+        assert checks[-1] == CheckRecord("offending_index", True,
+                                         "position 2 leaves N")
         for off in (3, 4):
             moved = replace(
                 cert, relative=replace(cert.relative, offending_index=off)
             )
             fresh = s.reverify_certificate(ep, moved, spec)
-            assert fresh.outcome == "invalid"
-            assert fresh.checks[-1] == CheckRecord(
-                "offending_index", False,
-                f"the first position leaving N is 2, not {off}",
-            )
+            assert fresh.checks == checks and fresh.relative == cert.relative
+        # a run that does not stop, claimed as not_reduced, fails the check
+        stays = SubgroupSpec(q, nu, s.subgroup_closure(q, [1]))
+        fresh = s.reverify_certificate(ep, cert, stays)
+        assert fresh.outcome == "invalid" and fresh.relative is None
+        assert fresh.checks[-1] == CheckRecord(
+            "offending_index", False, "no position in 2..16 leaves N")
         fresh = s.reverify_certificate(ep, cert, None)
         assert fresh.checks[-1] == CheckRecord(
             "relative_present", False, "certificate needs a relative spec"

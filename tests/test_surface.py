@@ -18,14 +18,15 @@ from surfep.oracle import (
     move_pair_to_front,
     tracked_basis,
 )
-from surfep.solver import _eta_check, _move_program, _replay
+from surfep.embedding import EtaSummary
+from surfep.solver import _eta_check, _replay, make_eta_params
 from surfep.surface import (
     basis_words,
     commutator_word,
     identity_basis_words,
     pair_positions,
     relation_value,
-    repeated_pair,
+    repeated_pairs,
     word_x,
     word_y,
 )
@@ -176,12 +177,12 @@ class TestPigeonholeSelect:
     def test_search_and_listing_take_a_zip(self):
         # solve passes beta_bar's pairs as a zip of its two image lists
         xs, ys = [0, 2, 0, 0, 2], [1, 3, 1, 1, 3]
-        assert repeated_pair(zip(xs, ys), 3) == (0, 1)
-        assert repeated_pair(zip(xs, ys), 2) == (0, 1)
+        assert repeated_pairs(zip(xs, ys), 3) == [(0, 1)]
+        assert repeated_pairs(zip(xs, ys), 2) == [(0, 1), (2, 3)]
         assert pair_positions(zip(xs, ys), (2, 3)) == [2, 5]
         assert pair_positions(zip(xs, ys), (2, 1)) == []
         with pytest.raises(NoRepeatedPair):
-            repeated_pair(zip(xs, ys), 4)
+            repeated_pairs(zip(xs, ys), 4)
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                     min_size=10, max_size=40))
@@ -345,7 +346,9 @@ def test_tuples_built_unchecked_keep_the_relation(seed, index, data):
     inst = s.generate_instances(s.InstanceRecipe(seed=seed), 2)[index]
     ep, rel = inst.ep, inst.relative
     assert (rel is None) == (index == 1)
-    _, eta = _eta_check(ep, _move_program(ep))
+    m = make_eta_params(ep).m
+    pair = repeated_pairs(zip(ep.beta_bar.ximg, ep.beta_bar.yimg), m)[0]
+    _, eta = _eta_check(ep, EtaSummary(pair))
     ep_n, rel_n = _replay(ep, rel, eta.selected)
     phi_n = s.map_tuple(ep.gamma, ep_n.beta_bar)
     built = s.eta_construct(phi_n, eta, ep_n, rel_n)
