@@ -346,27 +346,29 @@ class TestSolveGammaLevel:
         [
             ("pair", (1, 0)),
             ("pair", (0, 2)),
+            ("kgens", (0,)),
+            ("kgens", (1, 1, 1, 1)),
+            ("m", 15),
+            ("n", 3),
         ],
     )
     def test_reverify_rejects_edited_eta(self, v4_instance, field, value):
+        """No edited value is taken as given.  The pair is the claim's one
+        choice, and an edited pair fails eta_program.  n, m and kgens are
+        the problem's (make_eta_params): an edited value is not read, and
+        the recomputed program and checks are the unedited ones."""
         cert = s.solve_gamma_level(v4_instance)
         edited = replace(cert, eta=replace(cert.eta, **{field: value}))
         fresh = s.reverify_certificate(v4_instance, edited)
+        if field != "pair":
+            assert getattr(fresh.eta, field) != value
+            assert fresh.checks == cert.checks and fresh.eta == cert.eta
+            return
         assert fresh.outcome == "invalid" and not fresh.is_proper
         assert [c.name for c in fresh.failed_checks()] == [
             "eta_program", "outcome_matches",
         ]
         assert field in fresh.checks[0].detail
-
-    def test_reverify_derives_n_m_and_kgens(self, v4_instance):
-        # the pair is the claim's one choice: n, m and kgens are the
-        # problem's, and whatever a claim holds for them is not read
-        cert = s.solve_gamma_level(v4_instance)
-        for field, value in (("kgens", (0,)), ("kgens", (1, 1, 1, 1)),
-                             ("m", 15), ("n", 3)):
-            edited = replace(cert, eta=replace(cert.eta, **{field: value}))
-            fresh = s.reverify_certificate(v4_instance, edited)
-            assert fresh.checks == cert.checks and fresh.eta == cert.eta
 
     def test_missing_eta_fails_the_eta_check(self, v4_instance):
         cert = s.solve_gamma_level(v4_instance)
