@@ -9,6 +9,12 @@ documents surfep writes: integers, booleans, null and ASCII strings.  The
 top level stays one member per line because perfbench finds a certificate's
 outcome by its '\n  "outcome": ' line.  Readers accept any JSON layout.
 Every field read is type-checked, and a malformed one is named in the error.
+A problem read from a workspace file is hashed as the text it was read from
+when that text already is its compact sorted encoding (_as_encoded says why
+that test is exact), as canonical_json writes a problem that carries no
+relative_valid and no group label with a space, a '-' or a character the
+encoder escapes, and is encoded again otherwise; the hash is the same
+either way.
 A certificate holds the one choice of the move program, the value pair it
 moves, and no phi: reverification derives the rest of the program and phi
 from the problem and the pair.
@@ -75,9 +81,63 @@ def _key(key: Any) -> str:
     )
 
 
-def instance_hash(resolved_problem: dict) -> str:
-    """SHA-256 of the compact sorted JSON of a resolved problem."""
-    return hashlib.sha256(_COMPACT_JSON(resolved_problem).encode()).hexdigest()
+def instance_hash(resolved_problem: dict, read: tuple = ()) -> str:
+    """SHA-256 of the compact sorted JSON of a resolved problem.
+
+    read, if given, is (value, text, start, end): the problem as decoded
+    from text[start:end].  When those characters already are that encoding
+    (_as_encoded), they are hashed as read instead of encoding the problem
+    again; the digest is the same."""
+    data = _as_encoded(resolved_problem, *read) if read else None
+    if data is None:
+        data = _COMPACT_JSON(resolved_problem).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+# what the compact encoding of a resolved problem never holds: JSON
+# whitespace, the backslash of an escape, the sign of -0, and DEL, which it
+# escapes as \u007f
+_NEVER_ENCODED = (" ", "\t", "\n", "\r", "\\", "-", "\x7f")
+
+
+def _as_encoded(resolved: dict, value: Any, text: str, start: int, end: int):
+    """text[start:end] as bytes when they are _COMPACT_JSON(resolved), else
+    None.  They are when value, decoded from them, equals resolved, they
+    are ASCII without a character of _NEVER_ENCODED, and every object lists
+    its names in sorted order, once: the text holds as many '":' as names.
+
+    That is exact.  Every leaf problem_from_json reads is type-checked as an
+    int or a string, so equality rules out floats and bools, and a JSON int
+    has one spelling but for -0, which holds a '-'.  A string without a
+    backslash holds no quote, so '":' only ends a name, and a name repeated
+    in the text counts twice there but once in value.  The encoder writes an
+    ASCII string verbatim unless it holds a quote, a backslash or a control
+    character, which JSON text cannot hold raw, or DEL."""
+    if value != resolved:
+        return None
+    raw = text[start:end]
+    if not raw.isascii() or any(char in raw for char in _NEVER_ENCODED):
+        return None
+    if raw.count('":') != _sorted_names(value):
+        return None
+    return raw.encode()
+
+
+def _sorted_names(obj: dict) -> int:
+    """How many member names obj and the objects among its member values
+    hold, or -1 when one of them lists its names out of sorted order.  A
+    resolved problem holds no object inside a list, so this counts all."""
+    names = list(obj)
+    if names != sorted(names):
+        return -1
+    count = len(names)
+    for member in obj.values():
+        if isinstance(member, dict):
+            inner = _sorted_names(member)
+            if inner < 0:
+                return -1
+            count += inner
+    return count
 
 
 # --- typed reading ------------------------------------------------------------
@@ -302,7 +362,14 @@ class _Members(Mapping):
         self._text, self._starts, self._path = text, starts, path
 
     def __getitem__(self, name: str) -> Any:
-        return _value_at(self._text, self._starts[name], self._path)
+        return self.read(name)[0]
+
+    def read(self, name: str) -> tuple:
+        """Member name's value, decoded, the text and where the value
+        starts and ends in it: instance_hash's read."""
+        start = self._starts[name]
+        value, end = _value_at(self._text, start, self._path)
+        return value, self._text, start, end
 
     def __contains__(self, name: object) -> bool:
         return name in self._starts
@@ -316,10 +383,17 @@ class _Members(Mapping):
 
 @dataclass(frozen=True)
 class Workspace:
+    """A workspace file's named groups and its problems.  A problem is
+    decoded and built when first asked for, and keeps where its text lies
+    in the file, so that problem_hash hashes that text as read when it
+    already is the compact sorted encoding, and encodes the problem only
+    otherwise."""
+
     groups: dict[str, FiniteGroup]
     # raw JSON values by name, decoded from the file when read
-    problems: Mapping[str, Any]
-    # problem name -> problem_from_json's (ep, relative, resolved)
+    problems: _Members
+    # problem name -> problem_from_json's (ep, relative, resolved) and the
+    # problem's _Members.read
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _problem(self, name: str) -> tuple:
@@ -327,15 +401,16 @@ class Workspace:
         if name not in self._built:
             if name not in self.problems:
                 raise ValueError(f"unknown problem {name!r}")
-            obj = _typed(self.problems[name], dict, f"problems.{name}", _WORKSPACE)
-            self._built[name] = problem_from_json(obj, self.groups)
+            read = self.problems.read(name)
+            obj = _typed(read[0], dict, f"problems.{name}", _WORKSPACE)
+            self._built[name] = (*problem_from_json(obj, self.groups), read)
         return self._built[name]
 
     def build_problem(self, name: str) -> tuple[SplitEP, Optional[SubgroupSpec]]:
         return self._problem(name)[:2]
 
     def problem_hash(self, name: str) -> str:
-        return instance_hash(self._problem(name)[2])
+        return instance_hash(*self._problem(name)[2:])
 
 
 @contextmanager
@@ -363,15 +438,15 @@ _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 _DECODER = json.JSONDecoder()
 
 
-def _value_at(text: str, start: int, path: str) -> Any:
+def _value_at(text: str, start: int, path: str) -> tuple[Any, int]:
     """The JSON value at offset start of text (the file path), decoded in
-    full; a ',' or '}' must follow it."""
+    full, and the offset just past it; a ',' or '}' must follow it."""
     with _reading(path):
         value, end = _DECODER.raw_decode(text, start)
-        end = _BLANK.match(text, end).end()
-        if not text.startswith((",", "}"), end):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
-    return value
+        after = _BLANK.match(text, end).end()
+        if not text.startswith((",", "}"), after):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, after)
+    return value, end
 
 
 def _outline(text: str, start: int) -> tuple[dict[str, int], dict[str, int]]:
@@ -494,12 +569,12 @@ def load_workspace(path: str) -> Workspace:
             _typed(json.loads(text), dict, "(top level)", _WORKSPACE)
         top, problems = _outline(text, start)
     named = _typed(
-        _value_at(text, top["groups"], path) if "groups" in top else {},
+        _value_at(text, top["groups"], path)[0] if "groups" in top else {},
         dict, "groups", _WORKSPACE,
     )
     groups = {name: group_from_json(g, f"groups.{name}") for name, g in named.items()}
     if "problems" in top and not text.startswith("{", top["problems"]):
-        _typed(_value_at(text, top["problems"], path), dict, "problems", _WORKSPACE)
+        _typed(_value_at(text, top["problems"], path)[0], dict, "problems", _WORKSPACE)
     return Workspace(groups=groups, problems=_Members(text, problems, path))
 
 

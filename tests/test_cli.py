@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -554,14 +555,24 @@ class TestOutIsTheWorkspace:
 
 
 class TestHashOnlyWhatIsWritten:
-    """solve hashes the problem only for the certificate it writes."""
+    """solve hashes the problem only for the certificate it writes: no
+    SHA-256 is taken in serialize, of the encoded problem or of its text as
+    read, on a refused problem."""
 
     @pytest.fixture
     def no_hash(self, monkeypatch):
-        def refuse(resolved):
-            raise AssertionError("instance_hash called")
+        def refuse(*args, **kwargs):
+            raise AssertionError("SHA-256 taken in serialize")
 
-        monkeypatch.setattr(serialize, "instance_hash", refuse)
+        monkeypatch.setattr(serialize, "hashlib", types.SimpleNamespace(sha256=refuse))
+
+    def test_a_written_problem_is_hashed(self, tmp_path, no_hash):
+        # the fixture sees the hash of a problem taken on its text as read:
+        # gen writes ep001 canonical and without relative_valid
+        ws = tmp_path / "ws.json"
+        main(["gen", "--seed", "3", "--count", "2", "--size-h", "1", "--out", str(ws)])
+        with pytest.raises(AssertionError, match="SHA-256 taken in serialize"):
+            main(["solve", str(ws), "ep001", "--out", str(tmp_path / "c.json")])
 
     def test_refused_relative(self, tmp_path, capsys, no_hash):
         # nu = beta_bar with S trivial: N = Ker(beta_bar), so beta(N) = 1

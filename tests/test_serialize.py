@@ -571,6 +571,207 @@ class TestWorkspace:
             ws.build_problem("nope")
 
 
+# --- problem_hash hashes a problem's text as read when it is the encoding ----
+
+def compact_sha256(resolved: dict) -> str:
+    """The instance hash by its definition: SHA-256 of the compact sorted
+    encoding of the resolved problem."""
+    return hashlib.sha256(serialize._COMPACT_JSON(resolved).encode()).hexdigest()
+
+
+def reversed_keys(obj):
+    """obj with every object's members in reverse order."""
+    if isinstance(obj, dict):
+        return {k: reversed_keys(obj[k]) for k in reversed(list(obj))}
+    if isinstance(obj, list):
+        return [reversed_keys(v) for v in obj]
+    return obj
+
+
+def _compact(obj, **kw) -> str:
+    return json.dumps(obj, separators=(",", ":"), **kw)
+
+
+# how the problem's own text is written; the canonical layout is what
+# canonical_json writes for a member value
+_PROBLEM_LAYOUTS = {
+    "canonical": lambda obj: _compact(obj, sort_keys=True),
+    "indent_2": lambda obj: json.dumps(obj, indent=2, sort_keys=True),
+    "one_line_spaced": lambda obj: json.dumps(obj, sort_keys=True),
+    "keys_reversed": lambda obj: _compact(reversed_keys(obj)),
+    "keys_as_built": _compact,
+    "raw_non_ascii": lambda obj: _compact(obj, sort_keys=True, ensure_ascii=False),
+}
+
+
+def _labelled(label):
+    """An edit giving K labels, the last of them label."""
+    def edit(obj, groups):
+        order = obj["K"]["order"]
+        obj["K"]["labels"] = [f"k{i}" for i in range(order - 1)] + [label]
+    return edit
+
+
+def _flat_table(obj, groups):
+    obj["K"]["table"] = [cell for row in obj["K"]["table"] for cell in row]
+
+
+def _named_group(obj, groups):
+    groups["G"] = obj["K"]
+    obj["K"] = "G"
+
+
+# edits of the problem object, with the groups it may name
+_OBJECT_EDITS = {
+    "plain_labels": _labelled("k_last"),
+    "label_with_space": _labelled("a b"),
+    "label_with_quote": _labelled('a"b'),
+    "label_non_ascii": _labelled("é"),
+    "label_with_del": _labelled("a\x7fb"),
+    "flat_table": _flat_table,
+    "named_group": _named_group,
+    "relative_valid": lambda obj, groups: obj.update(relative_valid=True),
+    "genus_null": lambda obj, groups: obj.update(genus=None),
+    "genus_omitted": lambda obj, groups: obj.pop("genus"),
+}
+
+
+def _repeat_first_key(text: str) -> str:
+    """The problem text with its first member name repeated before it,
+    holding 0: the later value wins and the names keep their order."""
+    name = re.match(r'\{\s*("[^"\\]*(?:\\.[^"\\]*)*")', text).group(1)
+    return "{" + name + ":0," + text[1:]
+
+
+def _minus_zero(text: str) -> str:
+    """The problem text with the first table cell 0 written -0."""
+    at = text.index('"table":')
+    cell = re.compile(r"(?<=[\[,\s])0(?=[,\]\s])")
+    return text[:at] + cell.sub("-0", text[at:], count=1)
+
+
+def _escaped_name(text: str) -> str:
+    """The problem text with the first "order" written with an escape the
+    encoder does not write, "\\u006frder"."""
+    return text.replace('"order"', '"\\u006frder"', 1)
+
+
+_TEXT_EDITS = {"repeated_key": _repeat_first_key, "minus_zero": _minus_zero,
+               "escaped_name": _escaped_name}
+
+
+def _base_problems() -> tuple[str, ...]:
+    """Generated problems as JSON, relative ones among them, and a small
+    relative one written out."""
+    instances = generate_instances(InstanceRecipe(seed=6), 4)
+    c2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+    small = {"genus": 2, "K": c2, "H": c2, "action": [[0, 1], [0, 1]],
+             "beta_bar": {"x": [1, 0], "y": [0, 0]},
+             "relative": {"Q": c2, "nu": {"x": [0, 0], "y": [1, 0]}, "S": [0]}}
+    return (*(json.dumps(serialize.problem_to_json(i.ep, i.relative))
+              for i in instances), json.dumps(small))
+
+
+_BASE_PROBLEMS = _base_problems()
+
+
+class TestHashAsRead:
+    """problem_hash gives the SHA-256 of the compact sorted encoding,
+    whether it hashes the problem's text as read or encodes the problem."""
+
+    def check(self, base, layout, object_edits=(), text_edit=None,
+              neighbour=None, canonical_file=True):
+        """Write problem base, edited, as problem "p" of a workspace in
+        layout, beside a problem "n" holding neighbour, and compare its
+        problem_hash with the defined one."""
+        obj, named = json.loads(base), {}
+        # K is named last, so that the other edits find it inline
+        for edit in sorted(object_edits, key=lambda edit: edit == "named_group"):
+            _OBJECT_EDITS[edit](obj, named)
+        groups = {name: group_from_json(g) for name, g in named.items()}
+        resolved = problem_from_json(json.loads(json.dumps(obj)), groups)[2]
+        text = _PROBLEM_LAYOUTS[layout](obj)
+        if text_edit is not None:
+            text = _TEXT_EDITS[text_edit](text)
+        # the problem's text goes in where the placeholder is written
+        doc = {"groups": named, "problems": {"n": neighbour, "p": 987654321}}
+        if canonical_file:
+            shell = canonical_json(doc)
+        else:
+            shell = json.dumps(doc, indent=2, ensure_ascii=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "ws.json")
+            path.write_text(shell.replace("987654321", text, 1), encoding="utf-8")
+            ws = load_workspace(str(path))
+            assert ws.problem_hash("p") == compact_sha256(resolved)
+
+    @pytest.mark.parametrize("layout", sorted(_PROBLEM_LAYOUTS))
+    @pytest.mark.parametrize(
+        "edit", [None, *sorted(_OBJECT_EDITS), *sorted(_TEXT_EDITS)]
+    )
+    def test_each_edit_alone(self, layout, edit):
+        for base in _BASE_PROBLEMS:
+            if edit in _TEXT_EDITS:
+                self.check(base, layout, text_edit=edit)
+            else:
+                self.check(base, layout, () if edit is None else (edit,))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        base=st.sampled_from(_BASE_PROBLEMS),
+        layout=st.sampled_from(sorted(_PROBLEM_LAYOUTS)),
+        object_edits=st.lists(st.sampled_from(sorted(_OBJECT_EDITS)),
+                              max_size=3, unique=True),
+        text_edit=st.sampled_from([None, *sorted(_TEXT_EDITS)]),
+        neighbour=st.sampled_from([None, 1, "é"]),
+        canonical_file=st.booleans(),
+    )
+    def test_edits_together(self, base, layout, object_edits, text_edit,
+                            neighbour, canonical_file):
+        self.check(base, layout, object_edits, text_edit, neighbour,
+                   canonical_file)
+
+    def count_encodings(self, monkeypatch, problem: dict) -> tuple[int, str, str]:
+        """How often problem_hash calls the encoder on problem, written to
+        a canonical workspace, with the hash it gives and the defined one."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "ws.json")
+            path.write_text(canonical_json({"problems": {"p": problem}}))
+            ws = load_workspace(str(path))
+            resolved = problem_from_json(problem, {})[2]
+            calls = []
+            real = serialize._COMPACT_JSON
+            monkeypatch.setattr(serialize, "_COMPACT_JSON",
+                                lambda obj: calls.append(obj) or real(obj))
+            digest = ws.problem_hash("p")
+            monkeypatch.setattr(serialize, "_COMPACT_JSON", real)
+        return len(calls), digest, compact_sha256(resolved)
+
+    def test_canonical_relative_problem_is_not_encoded(self, monkeypatch):
+        # C2 x C2 at genus 64 against Q = C128, as the relative_wide workload
+        # has them: the Q table is nearly all of the problem's text
+        g = 64
+        c2 = group_to_json(s.cyclic_group(2))
+        ys = [(7 * i) % 128 for i in range(g)]
+        problem = {"genus": g, "K": c2, "H": c2, "action": [[0, 1], [0, 1]],
+                   "beta_bar": {"x": [1] + [0] * (g - 1), "y": [0] * g},
+                   "relative": {"Q": group_to_json(s.cyclic_group(128)),
+                                "nu": {"x": [0] * g, "y": ys}, "S": [0]}}
+        calls, digest, expected = self.count_encodings(monkeypatch, problem)
+        assert (calls, digest) == (0, expected)
+
+    def test_canonical_ladder_problem_is_not_encoded(self, monkeypatch):
+        # V4 x| C3 at genus 2|A|^2|B| = 864, as the ladder's a4 rung
+        g = 864
+        rotations = [[0, *(1 + (i + k) % 3 for i in range(3))] for k in range(3)]
+        problem = {"genus": g, "K": group_to_json(s.klein_four_group()),
+                   "H": group_to_json(s.cyclic_group(3)), "action": rotations,
+                   "beta_bar": {"x": [1] + [i % 3 for i in range(1, g)],
+                                "y": [(i * i) % 3 for i in range(g)]}}
+        calls, digest, expected = self.count_encodings(monkeypatch, problem)
+        assert (calls, digest) == (0, expected)
+
+
 # --- serialize._outline against a token loop over every depth ----------------
 
 _BLANK = re.compile(r"[ \t\n\r]*")
