@@ -28,6 +28,7 @@ from .groups import (
     SemidirectProduct,
     SubgroupHandle,
     _closure,
+    _columns,
     semidirect_product,
     subgroup_closure,
 )
@@ -137,17 +138,30 @@ def image_of_restriction(t: SurfaceTuple, spec: SubgroupSpec) -> SubgroupHandle:
     sends into S, i.e. an element of N; conversely every element of N pairs
     its t-image with an S-element.  Since S is a subgroup, N is a subgroup
     and so is the returned set (SubgroupHandle re-verifies closure).
+
+    A pair (a, q) is the flat index a*|Q| + q, and a kept generator's
+    column is assembled from one column of each factor table, so no
+    product table is built; the members are p // |Q| for each p in T with
+    p % |Q| in S.
     """
     if t.genus != spec.nu.genus:
         raise GenusMismatch(t.genus, spec.nu.genus)
-    tmul, qmul = t.target.mul, spec.Q.mul
+    tmul, qmul, nq = t.target.mul, spec.Q.mul, spec.Q.order
+
+    def column(g: int) -> list[int]:
+        a, v = divmod(g, nq)
+        qcol = [row[v] for row in qmul]
+        return [row[a] * nq + q for row in tmul for q in qcol]
+
     pairs, _ = _closure(
-        (t.target.identity, spec.Q.identity),
-        zip((*t.ximg, *t.yimg), (*spec.nu.ximg, *spec.nu.yimg)),
-        lambda p, g: (tmul[p[0]][g[0]], qmul[p[1]][g[1]]),
+        t.target.identity * nq + spec.Q.identity,
+        [a * nq + q for a, q in zip(
+            (*t.ximg, *t.yimg), (*spec.nu.ximg, *spec.nu.yimg)
+        )],
+        column,
     )
     s_members = set(spec.S.members)
-    members = sorted({a for a, q in pairs if q in s_members})
+    members = sorted({p // nq for p in pairs if p % nq in s_members})
     return SubgroupHandle(t.target, tuple(members))
 
 
@@ -332,8 +346,7 @@ def verify_solution(
     is_solution = ok_relation and ok_compat
 
     # properness: the closure of the images, which shape has range-checked
-    amul = ep.A.mul
-    image, _ = _closure(ep.A.identity, [*phi_x, *phi_y], lambda a, b: amul[a][b])
+    image, _ = _closure(ep.A.identity, [*phi_x, *phi_y], _columns(ep.A.mul))
     order = len(image)
     ok_closure = order == ep.A.order
     checks.append(

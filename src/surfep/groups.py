@@ -7,9 +7,12 @@ order: associativity by Light's test on a greedy generating set,
 multiplicativity of a map on a generating set of the domain.  A semidirect
 product is assembled from its validated factors and action, not checked
 again.  Subgroups and images are found by one closure under right
-multiplication over the seeds that add something; permutation groups by a
-breadth-first search over every generator, whose order fixes their element
-indices.
+multiplication over the seeds that add something, which reads each
+product from the column of a kept generator, built once for that
+generator: a column of one table, or in a product of two groups, on flat
+pair indices, one assembled from a column of each factor; permutation
+groups by a breadth-first search over every generator, whose order fixes
+their element indices.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    TypeVar,
 )
 
 from .errors import (
@@ -35,53 +37,63 @@ from .errors import (
     NotAssociative,
 )
 
-E = TypeVar("E")
-
 
 def _closure(
-    identity: E, seeds: Iterable[E], mul: Callable[[E, E], E]
-) -> tuple[list[E], list[E]]:
+    identity: int, seeds: Iterable[int], column: Callable[[int], Sequence[int]]
+) -> tuple[list[int], list[int]]:
     """Elements reached from the identity by right multiplication by the
     seeds, in discovery order, and the seeds kept as generators.
 
-    The seeds are walked in first-occurrence order without repeats
-    (dict.fromkeys, one bulk pass; a repeat is reached already, since the
-    identity times a seed is that seed), and a seed already reached is
-    skipped; the others are kept.  When a seed s is kept, every element
-    found so far is multiplied by s, and each element found from then on by
-    every generator kept, s included; so the work is |H| times the number
-    of generators kept, not the number of distinct seeds.  Every element
-    ends up multiplied by every kept generator, so the reached set at each
-    seed is the exact right-multiplication closure of the generators kept
-    before it, on any table with a two-sided identity, associative or not.
-    Seeds range(n) thus keep a greedy generating set, each generator the
-    smallest element not yet reached, and reach every element; make_group
-    takes it before associativity is checked.  Skipping a seed that adds
-    nothing needs a group: the reached set is then a subgroup (a finite
-    submonoid of a group is one), and a seed inside it maps it onto itself.
+    column(s) returns s's column c, with c[a] = a*s for every element a;
+    it is requested once for each seed kept and never for a seed already
+    reached, and the walk reads products only from the columns of the kept
+    generators.  The seeds are walked in first-occurrence order without
+    repeats (dict.fromkeys, one bulk pass; a repeat is reached already,
+    since the identity times a seed is that seed), and a seed already
+    reached is skipped; the others are kept.  When a seed s is kept, every
+    element found so far is multiplied by s, and each element found from
+    then on by every generator kept, s included; so the walk makes |H|
+    lookups per generator kept, not per distinct seed.  Every element ends
+    up multiplied by every kept generator, so the reached set at each seed
+    is the exact right-multiplication closure of the generators kept before
+    it, on any table with a two-sided identity, associative or not.  Seeds
+    range(n) thus keep a greedy generating set, each generator the smallest
+    element not yet reached, and reach every element; make_group takes it
+    before associativity is checked.  Skipping a seed that adds nothing
+    needs a group: the reached set is then a subgroup (a finite submonoid
+    of a group is one), and a seed inside it maps it onto itself.
     """
     elems = [identity]
     seen = {identity}
-    gens: list[E] = []
+    gens: list[int] = []
+    cols: list[Sequence[int]] = []
     for s in dict.fromkeys(seeds):
         if s in seen:
             continue
         gens.append(s)
+        col = column(s)
+        cols.append(col)
         i = len(elems)
         for a in elems[:i]:
-            p = mul(a, s)
+            p = col[a]
             if p not in seen:
                 seen.add(p)
                 elems.append(p)
         while i < len(elems):
             a = elems[i]
             i += 1
-            for t in gens:
-                p = mul(a, t)
+            for c in cols:
+                p = c[a]
                 if p not in seen:
                     seen.add(p)
                     elems.append(p)
     return elems, gens
+
+
+def _columns(mul: Sequence[Sequence[int]]) -> Callable[[int], tuple[int, ...]]:
+    """The column function of an index table, for _closure: s -> the
+    products a*s, one per row a."""
+    return lambda s: tuple(map(itemgetter(s), mul))
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,7 @@ def _check_associativity(mul: tuple[tuple[int, ...], ...], identity: int) -> Non
     it suffices that S reaches every element from the identity, as the
     generators _closure keeps from the seeds range(n) do.
     """
-    _, gens = _closure(identity, range(len(mul)), lambda a, b: mul[a][b])
+    _, gens = _closure(identity, range(len(mul)), _columns(mul))
     for s in gens:
         times_s_row = itemgetter(*mul[s])      # row of x -> [x*(s*y) for y]
         for x, row in enumerate(mul):
@@ -248,8 +260,7 @@ def subgroup_closure(group: FiniteGroup, seeds: Sequence[int]) -> SubgroupHandle
     if seeds and not (0 <= min(seeds) and max(seeds) < group.order):
         bad = next(s for s in seeds if not 0 <= s < group.order)
         raise ValueError(f"seed {bad} out of range for order {group.order}")
-    mul = group.mul
-    members, _ = _closure(group.identity, seeds, lambda a, b: mul[a][b])
+    members, _ = _closure(group.identity, seeds, _columns(group.mul))
     return SubgroupHandle(group, tuple(sorted(members)))
 
 
@@ -291,7 +302,7 @@ def make_hom(
     if f[e] != codomain.identity:
         raise NotAHomomorphism((e, e))
     dmul, cmul = domain.mul, codomain.mul
-    _, gens = _closure(e, range(n), lambda a, b: dmul[a][b])
+    _, gens = _closure(e, range(n), _columns(dmul))
     for s in gens:
         fs = f[s]
         for a, row in enumerate(dmul):

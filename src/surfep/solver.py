@@ -31,6 +31,7 @@ from .groups import (
     ActionSpec,
     FiniteGroup,
     _closure,
+    _columns,
     make_hom,
     semidirect_product,
     subgroup_closure,
@@ -86,8 +87,7 @@ def make_eta_params(
     n, m, _ = _program_sizes(ep)
     embed = ep.sd.embed_k
     kg = embed.domain
-    kmul = kg.mul
-    _, gens = _closure(kg.identity, kg.elements(), lambda a, b: kmul[a][b])
+    _, gens = _closure(kg.identity, kg.elements(), _columns(kg.mul))
     return EtaSummary(None, n, m, tuple(embed.map[k] for k in gens))
 
 

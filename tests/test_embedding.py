@@ -134,33 +134,40 @@ class TestImageOfRestriction:
         # closing in the direct product by hand and compare
         s3 = s.symmetric_group_3()
         sign = [int(element_order(s3, a) == 2) for a in s3.elements()]
+        cyclic = s.cyclic_group
+        # nu = 3 sign(t) + 2 r in C6, so the pair image is a proper fiber
+        # product of S3 and C6 over C2: the image depends on S beyond {0}
+        by_sign = lambda a, r: (3 * sign[a] + 2 * r) % 6
         cases = [
-            # (|Q|, seeds of S, nu tied to the sign of t)
-            (3, [], False),
-            (6, [3], False),    # nontrivial S = {0, 3}
-            (6, [3], True),     # tied: the image depends on S beyond {0}
-            (6, [2], True),
-            (90, [], False),    # |A||Q| = 540
-            (90, [30], False),  # nontrivial S of order 3 in C90
+            # (Q, seeds of S, nu as a function of t and a random r, or None)
+            (cyclic(3), [], None),
+            (cyclic(6), [3], None),     # nontrivial S = {0, 3}
+            (cyclic(6), [3], by_sign),
+            (cyclic(6), [2], by_sign),
+            (cyclic(90), [], None),     # |A||Q| = 540
+            (cyclic(90), [30], None),   # nontrivial S of order 3 in C90
+            # a pair (a, q) is the flat index a|Q| + q: |Q| = 1 makes it a
+            # alone, and a non-cyclic Q with S neither trivial nor all of Q
+            # catches a decode that mixes up the two parts
+            (s.trivial_group(), [], None),
+            (s3, [3], None),            # S of order 2 in Q = S3
+            (s3, [3], lambda a, r: a),  # nu = t, so t(N) = S
         ]
-        for q_order, s_seeds, tied in cases:
-            q = s.cyclic_group(q_order)
+        for q, s_seeds, tie in cases:
             rng = random.Random(7)
             for _ in range(10):
                 t = s.random_surface_tuple(s3, 3, seed=rng.randrange(10**6))
                 nu = s.random_surface_tuple(q, 3, seed=rng.randrange(10**6))
-                if tied:
-                    # nu = 3 sign(t) + 2 r in C6, so the pair image is a
-                    # proper fiber product of S3 and C6 over C2
+                if tie is not None:
                     nu = s.make_surface_tuple(q, *(
-                        [(3 * sign[a] + 2 * b) % 6 for a, b in zip(ts, ns)]
+                        [tie(a, r) for a, r in zip(ts, ns)]
                         for ts, ns in ((t.ximg, nu.ximg), (t.yimg, nu.yimg))
                     ))
                 spec = SubgroupSpec(q, nu, s.subgroup_closure(q, s_seeds))
                 got = set(s.image_of_restriction(t, spec).members)
                 # reference: products of generators and their inverses,
                 # closed pairwise by hand, keeping nu-values in S
-                seen = {(s3.identity, 0)}
+                seen = {(s3.identity, q.identity)}
                 frontier = list(seen)
                 gens = list(zip((*t.ximg, *t.yimg), (*nu.ximg, *nu.yimg)))
                 gens += [(s3.inv[a], q.inv[b]) for a, b in gens]

@@ -207,6 +207,11 @@ def breadth_first_closure(identity, seeds, mul):
     return elems
 
 
+def columns_of(table):
+    """_closure's column function of an index table: x -> [a*x for each a]."""
+    return lambda x: [row[x] for row in table]
+
+
 def a4_group():
     """V4 x| C3 with C3 rotating the three involutions: A4, order 12."""
     c3, v4 = s.cyclic_group(3), s.klein_four_group()
@@ -240,26 +245,32 @@ def identity_tables(draw):
     return table, e
 
 
+def seeds_with_repeats(data, grp, max_size):
+    """Seeds of grp, then repeats of some and products of earlier ones,
+    which the closure already holds when they come."""
+    element = st.integers(0, grp.order - 1)
+    seeds = data.draw(st.lists(element, max_size=max_size))
+    for _ in range(data.draw(st.integers(0, 3))):
+        if seeds:
+            a = data.draw(st.sampled_from(seeds))
+            b = data.draw(st.sampled_from(seeds))
+            seeds.append(data.draw(st.sampled_from([a, grp.mul[a][b]])))
+    return seeds
+
+
 class TestClosure:
     """_closure skips seeds already reached and returns the ones it keeps;
     it must reach exactly what the plain breadth-first closure over every
-    distinct seed reaches."""
+    distinct seed reaches, reading products only from the columns of the
+    generators it keeps."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_breadth_first_reference(self, data):
         grp = data.draw(st.sampled_from(CLOSURE_GROUPS))
-        element = st.integers(0, grp.order - 1)
-        seeds = data.draw(st.lists(element, max_size=8))
-        # repeat some seeds and add products of earlier ones, which the
-        # closure already holds when they come
-        for _ in range(data.draw(st.integers(0, 3))):
-            if seeds:
-                a = data.draw(st.sampled_from(seeds))
-                b = data.draw(st.sampled_from(seeds))
-                seeds.append(data.draw(st.sampled_from([a, grp.mul[a][b]])))
+        seeds = seeds_with_repeats(data, grp, 8)
         mul = lambda a, b: grp.mul[a][b]
-        got, _ = _closure(grp.identity, seeds, mul)
+        got, _ = _closure(grp.identity, seeds, columns_of(grp.mul))
         want = breadth_first_closure(grp.identity, seeds, mul)
         assert got[0] == grp.identity
         assert len(got) == len(set(got))
@@ -269,18 +280,28 @@ class TestClosure:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_pairs_match_breadth_first_reference(self, data):
-        # image_of_restriction closes (t, nu) pairs in a product of two groups
+        # image_of_restriction closes (t, nu) pairs in a product of two
+        # groups, each pair (a, b) the flat index a*|G2| + b
         g1 = data.draw(st.sampled_from(CLOSURE_GROUPS))
         g2 = data.draw(st.sampled_from(CLOSURE_GROUPS))
-        pair = st.tuples(st.integers(0, g1.order - 1), st.integers(0, g2.order - 1))
+        n2 = g2.order
+        pair = st.tuples(st.integers(0, g1.order - 1), st.integers(0, n2 - 1))
         seeds = data.draw(st.lists(pair, max_size=10))
         seeds += seeds[: data.draw(st.integers(0, len(seeds)))]
+
+        def column(x):
+            a, b = divmod(x, n2)
+            return [r1[a] * n2 + r2[b] for r1 in g1.mul for r2 in g2.mul]
+
+        got, _ = _closure(
+            g1.identity * n2 + g2.identity,
+            iter([a * n2 + b for a, b in seeds]),
+            column,
+        )
         mul = lambda p, q: (g1.mul[p[0]][q[0]], g2.mul[p[1]][q[1]])
-        identity = (g1.identity, g2.identity)
-        got, _ = _closure(identity, iter(seeds), mul)
-        want = breadth_first_closure(identity, seeds, mul)
+        want = breadth_first_closure((g1.identity, g2.identity), seeds, mul)
         assert len(got) == len(set(got))
-        assert sorted(got) == sorted(want)
+        assert sorted(divmod(p, n2) for p in got) == sorted(want)
 
     @settings(max_examples=300, deadline=None)
     @given(identity_tables())
@@ -291,25 +312,44 @@ class TestClosure:
         table, e = case
         mul = lambda a, b: table[a][b]
         n = len(table)
-        elems, gens = _closure(e, range(n), mul)
+        elems, gens = _closure(e, range(n), columns_of(table))
         assert sorted(elems) == list(range(n))
         for i, g in enumerate(gens):
             before = set(breadth_first_closure(e, gens[:i], mul))
             assert g == min(set(range(n)) - before)
         assert set(breadth_first_closure(e, gens, mul)) == set(range(n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_column_per_kept_generator(self, data):
+        # a column is requested once for each generator kept, in order, and
+        # never for a seed the closure already holds
+        grp = data.draw(st.sampled_from(CLOSURE_GROUPS))
+        seeds = seeds_with_repeats(data, grp, 12)
+        requested = []
+        column = columns_of(grp.mul)
+        elems, gens = _closure(
+            grp.identity, seeds, lambda x: requested.append(x) or column(x)
+        )
+        assert requested == gens
+        mul = lambda a, b: grp.mul[a][b]
+        for i, g in enumerate(gens):
+            assert g not in breadth_first_closure(grp.identity, gens[:i], mul)
+        assert set(seeds) <= set(elems)
+
     @pytest.mark.parametrize("grp", CLOSURE_GROUPS, ids=lambda g: str(g.order))
     def test_empty_redundant_and_repeated_seeds(self, grp):
+        column = columns_of(grp.mul)
         mul = lambda a, b: grp.mul[a][b]
         e = grp.identity
-        assert _closure(e, [], mul) == ([e], [])
-        assert _closure(e, [e, e], mul) == ([e], [])
+        assert _closure(e, [], column) == ([e], [])
+        assert _closure(e, [e, e], column) == ([e], [])
         everything = list(grp.elements()) * 2
-        assert sorted(_closure(e, everything, mul)[0]) == list(grp.elements())
+        assert sorted(_closure(e, everything, column)[0]) == list(grp.elements())
         # powers of one element after it add nothing
         a = grp.order - 1
         powers = [grp.power(a, k) for k in range(1, 5)]
-        assert sorted(_closure(e, powers, mul)[0]) == sorted(
+        assert sorted(_closure(e, powers, column)[0]) == sorted(
             breadth_first_closure(e, [a], mul)
         )
 
